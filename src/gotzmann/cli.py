@@ -57,6 +57,13 @@ def _max_n() -> int:
         raise ValueError(f"GOTZ_MAX_N must be an integer, got {raw!r}")
 
 
+def _nonnegative(text: str) -> int:
+    """Argument type of a size: sizes below zero are usage errors."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _context(args, text=None):
     n = args.n if args.n is not None else (infer_variable_count(text) if text else 0)
     ring = getattr(args, "ring", "S") or "S"
@@ -280,13 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
 
     p = add("count", cmd_count, help="count Gotzmann squarefree ideals three ways")
-    p.add_argument("--max-n", type=int, default=5)
+    p.add_argument("--max-n", type=_nonnegative, default=5)
     p.add_argument("--format", choices=["table", "json", "csv"], default="table")
     p.add_argument("--no-brute", action="store_true")
 
     p = add("series", cmd_series, help="integer coefficients of the counting series")
     p.add_argument("--name", choices=["osp", "fullsupport", "gotzmann"], required=True)
-    p.add_argument("--terms", type=int, default=8)
+    p.add_argument("--terms", type=_nonnegative, default=8)
 
     add("selftest", cmd_selftest, help="run the built-in regression suite")
 

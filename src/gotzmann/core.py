@@ -353,18 +353,48 @@ def component_space(I: MonomialIdeal, d: int) -> MonomialSpace:
     return MonomialSpace(ctx, d, frozenset(basis))
 
 
+def sqf_degree_table(I: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
+    """Squarefree monomials of I by their degree and their first generator degree.
+
+    Entry [k][e] counts the squarefree degree-k monomials whose smallest
+    dividing generator has degree e, so the prefix sums of row k count the
+    degree-k monomials of the ideal generated in degrees <= e.  Requires a
+    squarefree ideal.
+
+    One pass over the generator degrees, rising: the up-set of the generators
+    seen so far is a bitset over all 2^n masks (bit m set when the monomial
+    with mask m is in it), closed upward by one shift per variable and
+    counted per degree against the bitset of each level.
+    """
+    n = I.ctx.n
+    by_degree: dict[int, list[int]] = {}
+    for g in gen_masks(I):
+        by_degree.setdefault(g.bit_count(), []).append(g)
+    # levels[k]: the masks of degree k; without[i]: the masks not divisible by x_i.
+    # Both grow one variable at a time, doubling the range of masks covered.
+    levels, without = [1], []
+    for i in range(n):
+        width = 1 << i
+        levels = [a | (b << width) for a, b in zip(levels + [0], [0] + levels)]
+        without = [w | (w << width) for w in without] + [(1 << width) - 1]
+    table = [[0] * (n + 1) for _ in range(n + 1)]
+    seen = [0] * (n + 1)
+    up = 0
+    for e in sorted(by_degree):
+        for g in by_degree[e]:
+            up |= 1 << g
+        for i, rest in enumerate(without):
+            up |= (up & rest) << (1 << i)
+        for k, level in enumerate(levels):
+            count = (up & level).bit_count()
+            table[k][e] = count - seen[k]
+            seen[k] = count
+    return tuple(tuple(row) for row in table)
+
+
 def sqf_hilbert(I: MonomialIdeal) -> tuple[int, ...]:
     """Counts of squarefree monomials in I per degree 0..n."""
-    gm = gen_masks(I)
-    n = I.ctx.n
-    values = []
-    for d in range(n + 1):
-        count = 0
-        for m in _all_monomials(n, SQF, d):
-            if any(g & m == g for g in gm):
-                count += 1
-        values.append(count)
-    return tuple(values)
+    return tuple(sum(row) for row in sqf_degree_table(I))
 
 
 def poly_hilbert_from_sqf(sqf, d: int) -> int:

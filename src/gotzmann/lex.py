@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
+from math import comb
 
 from .core import (
     POLY,
@@ -18,16 +19,17 @@ from .core import (
     MonomialIdeal,
     MonomialSpace,
     RingContext,
-    all_monomials,
+    _all_monomials,
     binom,
+    component_space,
     degree_of,
-    gen_masks,
     iter_bits,
     minimalize,
     mask_to_exps,
     poly_hilbert_from_sqf,
     reflavor,
     shadow_up,
+    sqf_degree_table,
     sqf_hilbert,
     unit_ideal,
 )
@@ -75,7 +77,7 @@ def lex_compare(u, v, order=None) -> int:
 
 @lru_cache(maxsize=None)
 def _sorted_monomials(n: int, flavor: str, d: int, perm: tuple) -> tuple:
-    """Degree-d monomials in descending lex order under the given permutation."""
+    """Degree-d monomials in descending lex order under a non-identity permutation."""
     if flavor == SQF:
         return tuple(sum(1 << perm[k] for k in combo)
                      for combo in combinations(range(n), d))
@@ -90,6 +92,8 @@ def _sorted_monomials(n: int, flavor: str, d: int, perm: tuple) -> tuple:
 
 def sorted_monomials(ctx: RingContext, d: int, order=None) -> tuple:
     perm = identity_order(ctx.n) if order is None else _check_order(order, ctx.n)
+    if perm == identity_order(ctx.n):
+        return _all_monomials(ctx.n, ctx.flavor, d)
     return _sorted_monomials(ctx.n, ctx.flavor, d, perm)
 
 
@@ -126,14 +130,12 @@ def is_lex_some_order(V: MonomialSpace):
 
 def is_lex_ideal(I: MonomialIdeal, order=None) -> bool:
     """Whether every component of the ideal is a lex segment (in flavor R)."""
-    from .core import component_space
-
     top = I.ctx.n if I.ctx.flavor == SQF else max(I.degrees(), default=0)
     return all(is_lex_segment(component_space(I, d), order) for d in range(top + 1))
 
 
 # ---------------------------------------------------------------------------
-# Macaulay representations: a closed-form cross-check for minimal growth in R
+# minimal growth: the Macaulay (S) and Kruskal-Katona (R) bounds in closed form
 
 def macaulay_rep(m: int, d: int) -> tuple[tuple[int, int], ...]:
     """Greedy representation m = C(a_d,d) + C(a_{d-1},d-1) + ... with a_i strictly decreasing."""
@@ -144,10 +146,10 @@ def macaulay_rep(m: int, d: int) -> tuple[tuple[int, int], ...]:
     i = d
     while rest > 0 and i >= 1:
         a = i - 1
-        while binom(a + 1, i) <= rest:
+        while comb(a + 1, i) <= rest:
             a += 1
         terms.append((a, i))
-        rest -= binom(a, i)
+        rest -= comb(a, i)
         i -= 1
     if rest:
         raise InvariantViolation(f"greedy representation of {m} failed")
@@ -158,99 +160,56 @@ def macaulay_value(rep) -> int:
     return sum(binom(a, i) for a, i in rep)
 
 
-def minimal_growth_closed_form(dim: int, d: int, n: int) -> int:
-    """Minimal shadow size in R via the complement representation.
-
-    Writes the codimension in its degree-d representation and shifts every
-    lower index up by one; the growth bound is the complement of that shift.
-    """
-    codim = binom(n, d) - dim
-    if codim < 0:
-        raise ValueError("dimension exceeds the full component")
-    if d == 0:
-        return n * dim
-    rep = macaulay_rep(codim, d)
-    return binom(n, d + 1) - sum(binom(a, i + 1) for a, i in rep)
-
-
-_growth_cache: dict = {}
-
-
 def minimal_growth(dim: int, d: int, ctx: RingContext) -> int:
     """Smallest possible shadow dimension over all degree-d spaces of dimension dim.
 
-    Computed by construction: the shadow of the lex segment attains the bound.
+    The lex segment attains it, and its shadow size has a closed form.  Write
+    the codimension c = dim_d - dim in its d-th Macaulay representation
+    sum C(a_i, i); the complement of the shadow then has dimension
+    sum C(a_i + 1, i + 1) in S (Macaulay) and sum C(a_i, i + 1) in R
+    (Kruskal-Katona).  In degree 0 the shadow of the unit is every variable.
     """
     total = ctx.dim_component(d)
     if not 0 <= dim <= total:
         raise ValueError(f"dimension {dim} out of range 0..{total}")
-    key = (ctx.n, ctx.flavor, d, dim)
-    got = _growth_cache.get(key)
-    if got is None:
-        got = shadow_up(lex_segment(dim, d, ctx)).dim
-        _growth_cache[key] = got
-    return got
+    if d == 0:
+        return ctx.n * dim
+    shift = 0 if ctx.flavor == SQF else 1
+    rep = macaulay_rep(total - dim, d)
+    return ctx.dim_component(d + 1) - sum(comb(a + shift, i + 1) for a, i in rep)
 
 
 def is_gotzmann_space(V: MonomialSpace) -> bool:
     return shadow_up(V).dim == minimal_growth(V.dim, V.degree, V.ctx)
 
 
-def _sqf_counts(masks, n: int) -> tuple[int, ...]:
-    values = []
-    for d in range(n + 1):
-        count = 0
-        for m in _sorted_monomials(n, SQF, d, tuple(range(n))):
-            if any(g & m == g for g in masks):
-                count += 1
-        values.append(count)
-    return tuple(values)
-
-
 def is_gotzmann_ideal(I: MonomialIdeal) -> bool:
     """Whether every component of the ideal has minimal shadow growth.
 
     By persistence it is enough to look at degrees between the smallest and
-    largest generator degrees; all later components stay Gotzmann.
+    largest generator degrees; all later components stay Gotzmann.  For
+    squarefree ideals both dimensions come from one table of squarefree
+    counts: in degree d only the generators of degree <= d matter, and in S
+    the counts turn into dimensions through the Hilbert series substitution,
+    avoiding materialization of S_d.
     """
     if I.is_zero:
         return True
     ctx = I.ctx
     degs = I.degrees()
     lo, hi = degs[0], degs[-1]
-    if ctx.flavor == SQF:
-        masks = gen_masks(I)
-        full = ctx.full_mask
-        for d in range(lo, hi + 1):
-            comp = [m for m in all_monomials(ctx, d)
-                    if any(g & m == g for g in masks)]
-            shadow = set()
-            for m in comp:
-                free = full & ~m
-                while free:
-                    low = free & -free
-                    shadow.add(m | low)
-                    free ^= low
-            if len(shadow) != minimal_growth(len(comp), d, ctx):
-                return False
-        return True
-    if I.squarefree:
-        # Dimensions come from the squarefree counts through the Hilbert
-        # series substitution, avoiding materialization of S_d.
-        masks = gen_masks(I)
-        for d in range(lo, hi + 1):
-            sub = [g for g in masks if g.bit_count() <= d]
-            counts = _sqf_counts(sub, ctx.n)
+    if ctx.flavor == POLY and not I.squarefree:
+        return all(is_gotzmann_space(component_space(I, d)) for d in range(lo, hi + 1))
+    table = sqf_degree_table(I)
+    for d in range(lo, hi + 1):
+        # squarefree counts of the ideal generated in degrees <= d; R has no degree n + 1
+        counts = [sum(row[:d + 1]) for row in table] + [0]
+        if ctx.flavor == SQF:
+            dim_d, grown = counts[d], counts[d + 1]
+        else:
             dim_d = poly_hilbert_from_sqf(counts, d)
             grown = poly_hilbert_from_sqf(counts, d + 1)
-            if grown != minimal_growth(dim_d, d, ctx):
-                return False
-        return True
-    from .core import component_space
-
-    for d in range(lo, hi + 1):
-        comp = component_space(I, d)
-        if not is_gotzmann_space(comp):
+        if grown != minimal_growth(dim_d, d, ctx):
             return False
     return True
 

@@ -6,7 +6,9 @@ from gotzmann.core import (
     MonomialIdeal,
     MonomialSpace,
     all_monomials,
+    component_space,
     divides,
+    exps_to_mask,
     mask_to_exps,
     minimalize,
     poly_ring,
@@ -48,10 +50,35 @@ def brute_min_shadow(ctx, d, dim):
     return best
 
 
+def growth_by_construction(dim, d, ctx):
+    """Minimal shadow growth by definition: the shadow size of the lex segment."""
+    from gotzmann.lex import lex_segment
+
+    return shadow_up(lex_segment(dim, d, ctx)).dim
+
+
+def direct_sqf_counts(I: MonomialIdeal):
+    """Squarefree monomials of I per degree 0..n, testing every mask of R."""
+    ctx = sqf_ring(I.ctx.n)
+    gens = [exps_to_mask(e) for e in I.gens]
+    return tuple(sum(1 for m in all_monomials(ctx, d) if any(g & m == g for g in gens))
+                 for d in range(ctx.n + 1))
+
+
 def direct_poly_dim(I: MonomialIdeal, d: int) -> int:
     """|I_d| in S by materializing every degree-d monomial."""
     return sum(1 for m in all_monomials(I.ctx, d)
                if any(divides(g, m) for g in I.gens))
+
+
+def gotzmann_by_components(I: MonomialIdeal) -> bool:
+    """The Gotzmann test on materialized components, between the generator degrees."""
+    from gotzmann.lex import is_gotzmann_space
+
+    if I.is_zero:
+        return True
+    degs = I.degrees()
+    return all(is_gotzmann_space(component_space(I, d)) for d in range(degs[0], degs[-1] + 1))
 
 
 def gotzmann_spaces(n, degrees=None):

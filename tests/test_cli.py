@@ -114,6 +114,10 @@ class TestEnumerateAndCount:
         assert lines[0].startswith("n,")
         assert lines[1].split(",")[1] == "2"
 
+    def test_negative_max_n_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "count", "--max-n", "-1")
+        assert code == 2 and out == "" and "--max-n" in err
+
     def test_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("GOTZ_MAX_N", "2")
         code, _, err = run(capsys, "enumerate", "--n", "3")
@@ -125,6 +129,10 @@ class TestSeriesAndSelftest:
         code, out, _ = run(capsys, "series", "--name", "gotzmann", "--terms", "5")
         values = [int(line.split()[1]) for line in out.strip().splitlines()]
         assert values == [2, 3, 6, 19, 96, 669]
+
+    def test_negative_terms_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "series", "--name", "gotzmann", "--terms", "-3")
+        assert code == 2 and out == "" and "--terms" in err
 
     def test_selftest_passes(self, capsys):
         code, out, _ = run(capsys, "selftest")

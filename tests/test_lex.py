@@ -23,14 +23,21 @@ from gotzmann.lex import (
     macaulay_rep,
     macaulay_value,
     minimal_growth,
-    minimal_growth_closed_form,
     sqf_lexify_in_S,
 )
-from gotzmann.core import generator_counts, sqf_hilbert
+from gotzmann.core import generator_counts, minimalize, sqf_degree_table, sqf_hilbert
 from gotzmann.counting import enumerate_antichains
 from gotzmann.textio import parse_ideal_inline, parse_monomial
 
-from support import all_subspaces, brute_min_shadow, random_space, random_sqf_ideal
+from support import (
+    all_subspaces,
+    brute_min_shadow,
+    direct_sqf_counts,
+    gotzmann_by_components,
+    growth_by_construction,
+    random_space,
+    random_sqf_ideal,
+)
 
 R4 = sqf_ring(4)
 S3 = poly_ring(3)
@@ -195,12 +202,23 @@ class TestMinimalGrowth:
             assert minimal_growth(dim, 2, S3) == brute_min_shadow(S3, 2, dim)
 
     def test_closed_form_cross_check(self):
-        # the construction is the definition; the complement-shift form must agree
-        for n in range(1, 8):
+        # the lex-segment construction is the definition; the closed forms must agree
+        for n in range(8):
             ctx = sqf_ring(n)
-            for d in range(1, n + 1):
+            for d in range(n + 1):
                 for dim in range(binom(n, d) + 1):
-                    assert minimal_growth(dim, d, ctx) == minimal_growth_closed_form(dim, d, n)
+                    assert minimal_growth(dim, d, ctx) == growth_by_construction(dim, d, ctx)
+        for n in range(7):
+            ctx = poly_ring(n)
+            for d in range(5):
+                for dim in range(ctx.dim_component(d) + 1):
+                    assert minimal_growth(dim, d, ctx) == growth_by_construction(dim, d, ctx)
+
+    def test_dimension_out_of_range(self):
+        with pytest.raises(ValueError):
+            minimal_growth(7, 2, R4)
+        with pytest.raises(ValueError):
+            minimal_growth(-1, 2, S3)
 
     def test_kruskal_katona_lower_bound_random(self):
         rng = random.Random(2024)
@@ -276,10 +294,38 @@ class TestGotzmannIdeals:
             I = random_sqf_ideal(rng, n, "S")
             if I.is_zero:
                 continue
-            degs = I.degrees()
-            direct = all(is_gotzmann_space(component_space(I, d))
-                         for d in range(degs[0], degs[-1] + 1))
-            assert is_gotzmann_ideal(I) == direct
+            assert is_gotzmann_ideal(I) == gotzmann_by_components(I)
+
+
+class TestCountingKernel:
+    """The one-pass squarefree count table against direct counts and materialized components."""
+
+    @staticmethod
+    def check(I):
+        assert sqf_hilbert(I) == direct_sqf_counts(I)
+        assert is_gotzmann_ideal(I) == gotzmann_by_components(I)
+
+    def test_random_ideals_both_rings(self):
+        rng = random.Random(9090)
+        for flavor in ("S", "R"):
+            for _ in range(60):
+                self.check(random_sqf_ideal(rng, rng.randint(0, 9), flavor))
+
+    def test_every_small_antichain_both_rings(self):
+        for flavor in ("S", "R"):
+            for n in range(5):
+                for I in enumerate_antichains(n, flavor=flavor):
+                    self.check(I)
+
+    def test_table_columns_split_by_first_generator_degree(self):
+        rng = random.Random(77)
+        for _ in range(100):
+            n = rng.randint(0, 8)
+            I = random_sqf_ideal(rng, n, "R")
+            table = sqf_degree_table(I)
+            for e in range(n + 1):
+                low = minimalize([g for g in I.gens if sum(g) <= e], I.ctx)
+                assert tuple(sum(row[:e + 1]) for row in table) == direct_sqf_counts(low)
 
 
 class TestLexify:
@@ -319,8 +365,6 @@ class TestLexify:
                 assert is_lex_segment(component_space(L, d))
 
     def test_non_squarefree_rejected(self):
-        from gotzmann.core import minimalize
-
         I = minimalize([(2, 0, 0)], S3)
         with pytest.raises(ValueError):
             lexify_in_R(I)
