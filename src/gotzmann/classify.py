@@ -17,8 +17,8 @@ from .core import (
     MonomialIdeal,
     RingContext,
     gen_masks,
-    ideal_from_masks,
     iter_bits,
+    minimalize,
     unit_ideal,
 )
 
@@ -72,7 +72,7 @@ def supernova_to_ideal(form: SupernovaForm, ctx: RingContext) -> MonomialIdeal:
     for m in masks:
         if m >> ctx.n:
             raise ValueError("form uses variables outside the ring")
-    ideal = ideal_from_masks(masks, ctx)
+    ideal = minimalize(masks, ctx)
     if len(ideal.gens) != len(masks):
         raise InvariantViolation("supernova stages did not form an antichain")
     return ideal

@@ -240,8 +240,9 @@ def shadow_up(V: MonomialSpace) -> MonomialSpace:
 # ---------------------------------------------------------------------------
 # monomial ideals
 
-def _gen_sort_key(e):
-    return (sum(e), tuple(-x for x in e))
+def _canonical_order(gens) -> list:
+    """Generators by rising degree, then descending exponent tuple."""
+    return sorted(sorted(gens, reverse=True), key=sum)
 
 
 @dataclass(frozen=True)
@@ -257,18 +258,22 @@ class MonomialIdeal:
 
     def __post_init__(self):
         n = self.ctx.n
+        squarefree = True
         for e in self.gens:
             if len(e) != n or any(x < 0 for x in e):
                 raise ValueError(f"bad generator {e} for {n} variables")
-            if self.ctx.flavor == SQF and not is_squarefree_exps(e):
-                raise ValueError(f"generator {e} is not squarefree")
+            if not is_squarefree_exps(e):
+                if self.ctx.flavor == SQF:
+                    raise ValueError(f"generator {e} is not squarefree")
+                squarefree = False
         if len(set(self.gens)) != len(self.gens):
             raise ValueError("generators must be distinct")
-        for g in self.gens:
-            for h in self.gens:
-                if g != h and divides(g, h):
+        gens = [exps_to_mask(e) for e in self.gens] if squarefree else self.gens
+        for i, g in enumerate(gens):
+            for h in gens[i + 1:]:
+                if divides(g, h) or divides(h, g):
                     raise ValueError("generators must form a divisibility antichain")
-        if list(self.gens) != sorted(self.gens, key=_gen_sort_key):
+        if list(self.gens) != _canonical_order(self.gens):
             raise ValueError("generators must be sorted canonically")
 
     @property
@@ -312,16 +317,28 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
     """The divisibility antichain generating the same ideal as the given set.
 
     Accepts masks or exponent tuples in any mix; idempotent.  In flavor R any
-    input with an exponent above one is rejected.
+    input with an exponent above one is rejected.  Squarefree input is
+    filtered as masks and only the survivors become exponent tuples.
     """
-    items = {as_exps(m, ctx.n) for m in monomials}
-    if ctx.flavor == SQF:
-        for e in items:
-            if not is_squarefree_exps(e):
-                raise ValueError(f"monomial {e} is not squarefree")
-    minimal = [m for m in items
-               if not any(g != m and divides(g, m) for g in items)]
-    return MonomialIdeal(ctx, tuple(sorted(minimal, key=_gen_sort_key)))
+    n = ctx.n
+    masks, exps = set(), set()
+    for m in monomials:
+        if not isinstance(m, int):
+            m = as_exps(m, n)
+            if not is_squarefree_exps(m):
+                if ctx.flavor == SQF:
+                    raise ValueError(f"monomial {m} is not squarefree")
+                exps.add(m)
+                continue
+        masks.add(as_mask(m, n))
+    if exps:
+        exps |= {mask_to_exps(m, n) for m in masks}
+    kept: list = []
+    for m in sorted(exps or masks, key=sum if exps else int.bit_count):
+        if not any(divides(g, m) for g in kept):
+            kept.append(m)
+    gens = kept if exps else [mask_to_exps(m, n) for m in kept]
+    return MonomialIdeal(ctx, tuple(_canonical_order(gens)))
 
 
 def zero_ideal(ctx: RingContext) -> MonomialIdeal:
@@ -330,10 +347,6 @@ def zero_ideal(ctx: RingContext) -> MonomialIdeal:
 
 def unit_ideal(ctx: RingContext) -> MonomialIdeal:
     return MonomialIdeal(ctx, ((0,) * ctx.n,))
-
-
-def ideal_from_masks(masks, ctx: RingContext) -> MonomialIdeal:
-    return minimalize([mask_to_exps(m, ctx.n) for m in masks], ctx)
 
 
 def component_space(I: MonomialIdeal, d: int) -> MonomialSpace:
@@ -353,6 +366,18 @@ def component_space(I: MonomialIdeal, d: int) -> MonomialSpace:
     return MonomialSpace(ctx, d, frozenset(basis))
 
 
+@lru_cache(maxsize=MAX_VARS + 1)
+def _mask_level_bitsets(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Bitsets over the 2^n masks: levels[k] holds those of degree k and
+    without[i] those not divisible by x_i, grown one variable at a time."""
+    levels, without = [1], []
+    for i in range(n):
+        width = 1 << i
+        levels = [a | (b << width) for a, b in zip(levels + [0], [0] + levels)]
+        without = [w | (w << width) for w in without] + [(1 << width) - 1]
+    return tuple(levels), tuple(without)
+
+
 def sqf_degree_table(I: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
     """Squarefree monomials of I by their degree and their first generator degree.
 
@@ -370,13 +395,7 @@ def sqf_degree_table(I: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
     by_degree: dict[int, list[int]] = {}
     for g in gen_masks(I):
         by_degree.setdefault(g.bit_count(), []).append(g)
-    # levels[k]: the masks of degree k; without[i]: the masks not divisible by x_i.
-    # Both grow one variable at a time, doubling the range of masks covered.
-    levels, without = [1], []
-    for i in range(n):
-        width = 1 << i
-        levels = [a | (b << width) for a, b in zip(levels + [0], [0] + levels)]
-        without = [w | (w << width) for w in without] + [(1 << width) - 1]
+    levels, without = _mask_level_bitsets(n)
     table = [[0] * (n + 1) for _ in range(n + 1)]
     seen = [0] * (n + 1)
     up = 0

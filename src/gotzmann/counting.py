@@ -13,6 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .core import (
+    MAX_VARS,
     POLY,
     SQF,
     InvariantViolation,
@@ -20,7 +21,6 @@ from .core import (
     _all_monomials,
     binom,
     iter_bits,
-    mask_to_exps,
     minimalize,
     poly_ring,
     sqf_ring,
@@ -28,7 +28,6 @@ from .core import (
     zero_ideal,
 )
 from .lex import is_gotzmann_ideal
-from .classify import canonicalize
 from .series import (
     DEFAULT_TRUNCATION,
     RationalSeries,
@@ -88,22 +87,26 @@ class OrderedSetPartition:
 
 
 def enumerate_osp(n: int):
-    """All ordered set partitions of {1..n}, deterministically."""
+    """All ordered set partitions of {1..n}, deterministically: each first block
+    is a submask of the elements left, in ascending order, its frozenset built
+    once in a table indexed by mask."""
     if n > OSP_MAX_VARS:
         raise ValueError(f"ordered set partition enumeration is limited to {OSP_MAX_VARS}")
+    full = (1 << max(n, 0)) - 1
+    block_of = [frozenset(i + 1 for i in iter_bits(m)) for m in range(full + 1)]
 
-    def rec(remaining: tuple):
+    def rec(remaining: int):
         if not remaining:
             yield ()
             return
-        k = len(remaining)
-        for mask in range(1, 1 << k):
-            block = frozenset(remaining[j] for j in range(k) if mask >> j & 1)
-            rest = tuple(x for j, x in enumerate(remaining) if not mask >> j & 1)
-            for tail in rec(rest):
-                yield (block,) + tail
+        block = remaining & -remaining
+        while block:
+            head = (block_of[block],)
+            for tail in rec(remaining ^ block):
+                yield head + tail
+            block = (block - remaining) & remaining
 
-    for blocks in rec(tuple(range(1, n + 1))):
+    for blocks in rec(full):
         yield OrderedSetPartition(blocks)
 
 
@@ -150,7 +153,7 @@ def osp_to_ideal(osp: OrderedSetPartition, family: str) -> MonomialIdeal:
         else:
             gens.append(acc)
             j += 1
-    ideal = minimalize([mask_to_exps(m, n) for m in gens], ctx)
+    ideal = minimalize(gens, ctx)
     if ideal.support_mask != ctx.full_mask:
         raise InvariantViolation("partition image lost full support")
     return ideal
@@ -207,7 +210,7 @@ def enumerate_antichains(n: int, flavor: str = POLY):
 
     def rec(d, forced, gens):
         if d > n:
-            yield minimalize([mask_to_exps(m, n) for m in gens], ctx)
+            yield minimalize(gens, ctx)
             return
         free = [m for m in levels[d] if m not in forced]
         for r in range(len(free) + 1):
@@ -258,8 +261,7 @@ def enumerate_gotzmann(n: int) -> list[MonomialIdeal]:
     ctx = poly_ring(n)
     keys = _supernova_generator_sets(n)
     ideals = [zero_ideal(ctx), unit_ideal(ctx)]
-    ideals.extend(minimalize([mask_to_exps(m, n) for m in masks], ctx)
-                  for masks in keys)
+    ideals.extend(minimalize(masks, ctx) for masks in keys)
     ideals.sort(key=lambda I: (len(I.gens), I.gens))
     return ideals
 
@@ -267,30 +269,37 @@ def enumerate_gotzmann(n: int) -> list[MonomialIdeal]:
 # ---------------------------------------------------------------------------
 # counting
 
+def _supernova_signatures(room: int, first: bool = True):
+    """Every stage-size sequence ((|m_1|, |B_1|), ...) of a form on <= room variables.
+
+    Only the first stage monomial may be empty; every block is nonempty.
+    """
+    yield ()
+    for m in range(0 if first else 1, room):
+        for b in range(1, room - m + 1):
+            for tail in _supernova_signatures(room - m - b, False):
+                yield ((m, b),) + tail
+
+
 def count_up_to_symmetry(n: int) -> dict:
     """Orbit counts of nonunit Gotzmann squarefree ideals under variable relabeling.
 
-    Orbits are bucketed by (has a linear generator) x (uses all variables);
-    each bucket is expected to have 2^(n-2) orbits and the nonunit total 2^n.
+    Such an ideal has a supernova form whose signature, the stage sizes
+    ((|m_1|, |B_1|), ...), is read off its generator degrees; forms with equal
+    signatures are relabelings of each other, so signatures correspond
+    one-to-one with orbits (the empty one is the zero ideal).  Buckets are
+    linear (|m_1| = 0) x full support (all n variables used); each holds
+    2^(n-2) orbits and the nonunit total is 2^n.
     """
-    if not 2 <= n <= ENUMERATE_MAX_VARS:
-        raise ValueError(f"symmetry counts need 2 <= n <= {ENUMERATE_MAX_VARS}")
-    full = (1 << n) - 1
-    buckets = {
-        "no_linear_full_support": set(),
-        "linear_full_support": set(),
-        "no_linear_sub_support": set(),
-        "linear_sub_support": set(),
-    }
-    for I in enumerate_gotzmann(n):
-        if I.is_unit:
-            continue
-        linear = I.has_linear_gen
-        support = "full" if I.support_mask == full else "sub"
-        name = f"{'linear' if linear else 'no_linear'}_{support}_support"
-        buckets[name].add(canonicalize(I))
-    counts = {name: len(keys) for name, keys in buckets.items()}
-    counts["total_nonunit"] = sum(len(keys) for keys in buckets.values())
+    if not 2 <= n <= MAX_VARS:
+        raise ValueError(f"symmetry counts need 2 <= n <= {MAX_VARS}")
+    counts = dict.fromkeys(("no_linear_full_support", "linear_full_support",
+                            "no_linear_sub_support", "linear_sub_support"), 0)
+    for signature in _supernova_signatures(n):
+        linear = bool(signature) and signature[0][0] == 0
+        support = "full" if sum(m + b for m, b in signature) == n else "sub"
+        counts[f"{'linear' if linear else 'no_linear'}_{support}_support"] += 1
+    counts["total_nonunit"] = sum(counts.values())
     return counts
 
 

@@ -20,7 +20,6 @@ from .core import (
     RingContext,
     all_monomials,
     component_space,
-    mask_to_exps,
     minimalize,
     shadow_up,
 )
@@ -182,7 +181,7 @@ def alexander_dual_ideal(I: MonomialIdeal) -> MonomialIdeal:
             raise InvariantViolation("componentwise dual is not closed under the shadow")
         gens.extend(duals[e] - prev_shadow)
         prev_shadow = shadow_up(MonomialSpace(I.ctx, e, duals[e])).basis
-    return minimalize([mask_to_exps(m, n) for m in gens], I.ctx)
+    return minimalize(gens, I.ctx)
 
 
 def is_gdual(V: MonomialSpace) -> bool:

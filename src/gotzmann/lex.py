@@ -25,7 +25,6 @@ from .core import (
     degree_of,
     iter_bits,
     minimalize,
-    mask_to_exps,
     poly_hilbert_from_sqf,
     reflavor,
     shadow_up,
@@ -236,7 +235,7 @@ def lexify_in_R(I: MonomialIdeal) -> MonomialIdeal:
             raise InvariantViolation("lex segments do not nest into an ideal")
         gens.extend(seg - prev_shadow)
         prev_shadow = shadow_up(MonomialSpace(rctx, d, seg)).basis
-    return minimalize([mask_to_exps(m, n) for m in gens], rctx)
+    return minimalize(gens, rctx)
 
 
 def sqf_lexify_in_S(I: MonomialIdeal) -> MonomialIdeal:

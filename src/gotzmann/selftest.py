@@ -12,7 +12,7 @@ from .core import component_space, poly_ring, space, sqf_ring
 from .lex import is_gotzmann_ideal, is_lex_segment, is_lex_some_order
 from .classify import recognize_supernova
 from .decompose import alexander_dual_ideal, is_gdual_ideal, reconstruct
-from .counting import count_table
+from .counting import count_table, count_up_to_symmetry
 from .textio import parse_ideal_inline
 
 
@@ -79,6 +79,13 @@ def check_small_counts() -> bool:
         all(r["enumerated"] == r["egf"] == r["brute"] for r in rows)
 
 
+def check_orbit_buckets() -> bool:
+    return all(count == 2 ** (n - 2)
+               for n in range(2, 13)
+               for name, count in count_up_to_symmetry(n).items()
+               if name != "total_nonunit")
+
+
 def check_recognizer_roundtrip() -> bool:
     I = parse_ideal_inline("a,bc", poly_ring(3))
     form = recognize_supernova(I)
@@ -96,6 +103,7 @@ CHECKS = [
     ("reconstructed space is Gotzmann and not lex in any order", check_reconstructed_space),
     ("mixed-degree ideal: Gotzmann, gdual, no common lex order", check_mixed_degree_ideal),
     ("counts for n <= 3 agree across all routes", check_small_counts),
+    ("orbit buckets are 2^(n-2) for n = 2..12", check_orbit_buckets),
     ("supernova recognizer accepts and rejects correctly", check_recognizer_roundtrip),
 ]
 

@@ -3,18 +3,21 @@
 from itertools import combinations
 
 from gotzmann.core import (
+    SQF,
     MonomialIdeal,
     MonomialSpace,
     all_monomials,
+    as_exps,
     component_space,
     divides,
     exps_to_mask,
-    mask_to_exps,
+    is_squarefree_exps,
     minimalize,
     poly_ring,
     shadow_up,
     sqf_ring,
 )
+from gotzmann.counting import OrderedSetPartition
 
 
 def random_sqf_ideal(rng, n, flavor="S", max_gens=None):
@@ -22,7 +25,38 @@ def random_sqf_ideal(rng, n, flavor="S", max_gens=None):
     ctx = poly_ring(n) if flavor == "S" else sqf_ring(n)
     count = rng.randint(0, max_gens if max_gens is not None else n + 2)
     masks = [rng.randrange(0, 1 << n) for _ in range(count)]
-    return minimalize([mask_to_exps(m, n) for m in masks], ctx)
+    return minimalize(masks, ctx)
+
+
+def minimalize_by_tuples(monomials, ctx):
+    """Minimal generators by pairwise divisibility on exponent tuples."""
+    items = {as_exps(m, ctx.n) for m in monomials}
+    if ctx.flavor == SQF:
+        for e in items:
+            if not is_squarefree_exps(e):
+                raise ValueError(f"monomial {e} is not squarefree")
+    minimal = [m for m in items
+               if not any(g != m and divides(g, m) for g in items)]
+    return MonomialIdeal(ctx, tuple(sorted(
+        minimal, key=lambda e: (sum(e), tuple(-x for x in e)))))
+
+
+def osp_by_frozensets(n):
+    """Ordered set partitions of {1..n}: every first block of the remaining
+    elements, chosen by a position mask in ascending order, then the rest."""
+    def rec(remaining: tuple):
+        if not remaining:
+            yield ()
+            return
+        k = len(remaining)
+        for mask in range(1, 1 << k):
+            block = frozenset(remaining[j] for j in range(k) if mask >> j & 1)
+            rest = tuple(x for j, x in enumerate(remaining) if not mask >> j & 1)
+            for tail in rec(rest):
+                yield (block,) + tail
+
+    for blocks in rec(tuple(range(1, n + 1))):
+        yield OrderedSetPartition(blocks)
 
 
 def random_space(rng, ctx, d):

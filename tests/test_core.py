@@ -3,7 +3,9 @@ import random
 import pytest
 
 from gotzmann.core import (
+    MonomialIdeal,
     MonomialSpace,
+    _mask_level_bitsets,
     all_monomials,
     binom,
     component_space,
@@ -22,7 +24,7 @@ from gotzmann.core import (
 )
 from gotzmann.textio import parse_ideal_inline, parse_monomial
 
-from support import direct_poly_dim, random_sqf_ideal
+from support import direct_poly_dim, minimalize_by_tuples, random_sqf_ideal
 
 R3 = sqf_ring(3)
 R4 = sqf_ring(4)
@@ -69,10 +71,75 @@ class TestMinimalize:
         minimalize([(2, 0, 0)], S3)  # fine in S
 
     def test_antichain_invariant_enforced_by_constructor(self):
-        from gotzmann.core import MonomialIdeal
-
         with pytest.raises(ValueError):
             MonomialIdeal(R3, (mono("ab", R3), mono("abc", R3)))
+
+    @staticmethod
+    def _random_inputs(rng, n, squarefree):
+        out = []
+        for _ in range(rng.randint(0, 2 * n + 2)):
+            mask = rng.randrange(1 << n) if rng.random() < 0.9 else 0
+            form = rng.choice(("mask", "tuple", "list"))
+            if form == "mask":
+                out.append(mask)
+                continue
+            e = [(mask >> i) & 1 for i in range(n)]
+            if not squarefree and n and rng.random() < 0.5:
+                e[rng.randrange(n)] += rng.randint(1, 3)
+            out.append(tuple(e) if form == "tuple" else e)
+        return out
+
+    def test_matches_tuple_oracle(self):
+        rng = random.Random(11)
+        for trial in range(1500):
+            n = rng.randint(0, 9)
+            flavor = rng.choice(["S", "R"])
+            ctx = poly_ring(n) if flavor == "S" else sqf_ring(n)
+            squarefree = flavor == "R" or trial % 2 == 0
+            items = self._random_inputs(rng, n, squarefree)
+            got = minimalize(items, ctx)
+            assert got.gens == minimalize_by_tuples(items, ctx).gens
+            assert minimalize(got.gens, ctx) == got
+
+    def test_validation_messages(self):
+        ab, ac, abc = (1, 1, 0), (1, 0, 1), (1, 1, 1)
+        a2, a2b = (2, 0, 0), (2, 1, 0)
+        cases = [
+            (R3, (ab, ab), "generators must be distinct"),
+            (S3, (a2, a2), "generators must be distinct"),
+            (R3, (ab, abc), "generators must form a divisibility antichain"),
+            (S3, (abc, ab), "generators must form a divisibility antichain"),
+            (S3, (a2, a2b), "generators must form a divisibility antichain"),
+            (S3, (a2b, (0, 0, 1), a2), "generators must form a divisibility antichain"),
+            (R3, (ac, ab), "generators must be sorted canonically"),
+            (R3, (ab, (0, 0, 1)), "generators must be sorted canonically"),
+            (S3, ((0, 1, 1), a2), "generators must be sorted canonically"),
+            (S3, (a2b, (0, 0, 1)), "generators must be sorted canonically"),
+            (R3, (a2,), "generator (2, 0, 0) is not squarefree"),
+            (R3, ((1, 1),), "bad generator (1, 1) for 3 variables"),
+        ]
+        for ctx, gens, message in cases:
+            with pytest.raises(ValueError) as err:
+                MonomialIdeal(ctx, gens)
+            assert str(err.value) == message, (ctx.flavor, gens)
+        for items, message in [([a2], "monomial (2, 0, 0) is not squarefree"),
+                               ([8], "mask 8 does not fit in 3 variables"),
+                               ([(1, 0)], "bad exponent tuple (1, 0) for 3 variables")]:
+            with pytest.raises(ValueError) as err:
+                minimalize(items, R3)
+            assert str(err.value) == message
+
+
+class TestMaskLevelBitsets:
+    def test_levels_and_without(self):
+        for n in range(11):
+            levels, without = _mask_level_bitsets(n)
+            assert len(levels) == n + 1 and len(without) == n
+            for k, level in enumerate(levels):
+                assert level.bit_count() == binom(n, k)
+                assert level == sum(1 << m for m in range(1 << n) if m.bit_count() == k)
+            for i, rest in enumerate(without):
+                assert rest == sum(1 << m for m in range(1 << n) if not m >> i & 1)
 
 
 class TestComponentSpace:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from gotzmann.core import poly_ring
@@ -5,6 +7,7 @@ from gotzmann.counting import (
     WITH_LINEAR,
     WITHOUT_LINEAR,
     OrderedSetPartition,
+    _supernova_signatures,
     count_table,
     count_up_to_symmetry,
     enumerate_antichains,
@@ -13,9 +16,11 @@ from gotzmann.counting import (
     full_support_class,
     osp_to_ideal,
 )
-from gotzmann.classify import canonicalize
+from gotzmann.classify import SupernovaForm, canonicalize, supernova_to_ideal
 from gotzmann.lex import is_gotzmann_ideal
 from gotzmann.textio import parse_ideal_inline
+
+from support import osp_by_frozensets
 
 GOTZMANN_COUNTS = [2, 3, 6, 19, 96, 669]
 ANTICHAIN_COUNTS = [2, 3, 6, 20, 168, 7581]
@@ -65,6 +70,12 @@ class TestEnumerateGotzmann:
     def test_deduplicated(self):
         ideals = enumerate_gotzmann(4)
         assert len({I.gens for I in ideals}) == len(ideals)
+
+
+class TestEnumerateOsp:
+    def test_order_matches_frozenset_recursion(self):
+        for n in range(7):
+            assert list(enumerate_osp(n)) == list(osp_by_frozensets(n))
 
 
 class TestOspImages:
@@ -154,12 +165,43 @@ class TestSymmetryCounts:
             {parse_ideal_inline("0", ctx).gens, parse_ideal_inline("a", ctx).gens}
 
     def test_powers_of_two(self):
-        for n in range(2, 5):
+        for n in range(2, 17):
             counts = count_up_to_symmetry(n)
             for name in ("no_linear_full_support", "linear_full_support",
                          "no_linear_sub_support", "linear_sub_support"):
                 assert counts[name] == 2 ** (n - 2)
             assert counts["total_nonunit"] == 2 ** n
+
+    def test_guard(self):
+        for n in (1, 17):
+            with pytest.raises(ValueError):
+                count_up_to_symmetry(n)
+
+    @staticmethod
+    def _bucket(I):
+        linear = "linear" if I.has_linear_gen else "no_linear"
+        support = "full" if I.support_mask == (1 << I.ctx.n) - 1 else "sub"
+        return f"{linear}_{support}_support"
+
+    def test_signatures_match_canonical_orbits(self):
+        for n in range(2, 7):
+            ctx = poly_ring(n)
+            orbits = {canonicalize(I): self._bucket(I)
+                      for I in enumerate_gotzmann(n) if not I.is_unit}
+            representatives = {}
+            signatures = list(_supernova_signatures(n))
+            for signature in signatures:
+                stages, used = [], 0
+                for m, b in signature:
+                    stages.append((((1 << m) - 1) << used, ((1 << b) - 1) << (used + m)))
+                    used += m + b
+                I = supernova_to_ideal(SupernovaForm(tuple(stages)), ctx)
+                representatives[canonicalize(I)] = self._bucket(I)
+            assert len(representatives) == len(signatures)
+            assert representatives == orbits
+            want = Counter(orbits.values())
+            want["total_nonunit"] = len(orbits)
+            assert count_up_to_symmetry(n) == want
 
     def test_orbits_really_collapse(self):
         # representatives with permuted variables never double count
