@@ -2,14 +2,12 @@
 
 Exit codes: 0 success, 1 negative answer under --quiet, 2 parse/usage error,
 3 runtime invariant failure (for example a dual that fails ideal closure).
-The environment variable GOTZ_MAX_N caps enumeration size.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .core import (
@@ -44,17 +42,10 @@ from .textio import (
     format_monomial,
     infer_variable_count,
     parse_ideal_inline,
+    parse_monomial,
     parse_order,
     write_ideal_stanzas,
 )
-
-
-def _max_n() -> int:
-    raw = os.environ.get("GOTZ_MAX_N", "")
-    try:
-        return int(raw) if raw else 6
-    except ValueError:
-        raise ValueError(f"GOTZ_MAX_N must be an integer, got {raw!r}")
 
 
 def _nonnegative(text: str) -> int:
@@ -82,11 +73,12 @@ def _report(args, ctx, gens, result, diagnostics):
 
 
 def _parse_space(text, ctx):
-    I = parse_ideal_inline(text, ctx)
-    degrees = I.degrees()
+    """Comma-separated monomials of one degree, every one of them kept."""
+    monomials = [parse_monomial(tok, ctx) for tok in text.split(",")]
+    degrees = {sum(e) for e in monomials}
     if len(degrees) != 1:
         raise ValueError("expected monomials of a single degree")
-    return space(ctx, degrees[0], I.gens)
+    return space(ctx, degrees.pop(), monomials)
 
 
 def cmd_check(args) -> int:
@@ -108,15 +100,19 @@ def cmd_classify(args) -> int:
     form = recognize_supernova(I)
     if args.quiet:
         return 0 if form is not None else 1
+    gens = [format_monomial(e, ctx) for e in I.gens]
     if form is None:
-        print("not a supernova (not Gotzmann)")
+        if args.json:
+            _report(args, ctx, gens, None, {})
+        else:
+            print("not a supernova (not Gotzmann)")
         return 1
     if args.json:
         stages = [{"monomial": format_monomial(mask_to_exps(m, ctx.n), ctx),
                    "block": [ctx.name(i) for i in iter_bits(block)]}
                   for m, block in form.stages]
-        _report(args, ctx, [format_monomial(e, ctx) for e in I.gens],
-                format_supernova(form, ctx), {"stages": stages, "unit": form.unit})
+        _report(args, ctx, gens, format_supernova(form, ctx),
+                {"stages": stages, "unit": form.unit})
     else:
         print(format_supernova(form, ctx))
     return 0
@@ -183,8 +179,6 @@ def cmd_compress(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.n > _max_n():
-        raise ValueError(f"n={args.n} exceeds the enumeration cap {_max_n()}")
     ideals = enumerate_gotzmann(args.n)
     text = write_ideal_stanzas(ideals)
     if args.output:
@@ -197,8 +191,6 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_count(args) -> int:
-    if args.max_n > _max_n():
-        raise ValueError(f"max-n={args.max_n} exceeds the enumeration cap {_max_n()}")
     rows = count_table(args.max_n, include_brute=not args.no_brute)
     for row in rows:
         want = {row["enumerated"], row["egf"]}

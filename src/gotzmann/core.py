@@ -154,14 +154,19 @@ def support_of_exps(e) -> int:
 
 
 @lru_cache(maxsize=None)
-def _all_monomials(n: int, flavor: str, d: int) -> tuple:
-    """All degree-d monomials, in descending lexicographic order (x_0 greatest)."""
+def _all_monomials(n: int, flavor: str, d: int, perm=None) -> tuple:
+    """All degree-d monomials in descending lexicographic order, x_perm[0] greatest.
+
+    The identity order, x_0 greatest, is the default; call it with three
+    arguments then, so that each listing has one cache entry.
+    """
     if d < 0:
         return ()
+    variables = range(n) if perm is None else perm
     if flavor == SQF:
-        return tuple(sum(1 << i for i in combo) for combo in combinations(range(n), d))
+        return tuple(sum(1 << i for i in combo) for combo in combinations(variables, d))
     out = []
-    for combo in combinations_with_replacement(range(n), d):
+    for combo in combinations_with_replacement(variables, d):
         e = [0] * n
         for i in combo:
             e[i] += 1
@@ -214,6 +219,22 @@ def full_space(ctx: RingContext, d: int) -> MonomialSpace:
     return MonomialSpace(ctx, d, frozenset(all_monomials(ctx, d)))
 
 
+def sqf_shadow(masks, n: int) -> set:
+    """Every squarefree multiple m * x_j of the given masks, x_j not dividing m.
+
+    This is the one walk over the free bits of a mask in the package.
+    """
+    full = (1 << n) - 1
+    out = set()
+    for m in masks:
+        free = full & ~m
+        while free:
+            low = free & -free
+            out.add(m | low)
+            free ^= low
+    return out
+
+
 def shadow_up(V: MonomialSpace) -> MonomialSpace:
     """The space of all variable multiples of V, one degree up.
 
@@ -221,16 +242,10 @@ def shadow_up(V: MonomialSpace) -> MonomialSpace:
     top degree is the zero space.
     """
     ctx = V.ctx
-    out = set()
     if ctx.flavor == SQF:
-        full = ctx.full_mask
-        for m in V.basis:
-            free = full & ~m
-            while free:
-                low = free & -free
-                out.add(m | low)
-                free ^= low
+        out = sqf_shadow(V.basis, ctx.n)
     else:
+        out = set()
         for m in V.basis:
             for i in range(ctx.n):
                 out.add(m[:i] + (m[i] + 1,) + m[i + 1:])
@@ -339,6 +354,25 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
             kept.append(m)
     gens = kept if exps else [mask_to_exps(m, n) for m in kept]
     return MonomialIdeal(ctx, tuple(_canonical_order(gens)))
+
+
+def ideal_from_levels(levels, ctx: RingContext) -> MonomialIdeal:
+    """The squarefree ideal whose degree-d monomials are levels[d], as masks.
+
+    Each level must contain the shadow of the level below, which is what
+    makes the levels the components of an ideal; the monomials outside that
+    shadow are the minimal generators.  A level that misses part of the
+    shadow raises InvariantViolation rather than being repaired.
+    """
+    gens: list[int] = []
+    below: set = set()
+    for d, level in enumerate(levels):
+        if not below <= level:
+            raise InvariantViolation(
+                f"degree {d} does not contain the shadow of degree {d - 1}")
+        gens.extend(level - below)
+        below = sqf_shadow(level, ctx.n)
+    return minimalize(gens, ctx)
 
 
 def zero_ideal(ctx: RingContext) -> MonomialIdeal:

@@ -24,6 +24,7 @@ from .core import (
     minimalize,
     poly_ring,
     sqf_ring,
+    sqf_shadow,
     unit_ideal,
     zero_ideal,
 )
@@ -206,7 +207,6 @@ def enumerate_antichains(n: int, flavor: str = POLY):
         raise ValueError(f"antichain enumeration is limited to {ANTICHAIN_MAX_VARS} variables")
     ctx = poly_ring(n) if flavor == POLY else sqf_ring(n)
     levels = [_all_monomials(n, SQF, d) for d in range(n + 1)]
-    full = (1 << n) - 1
 
     def rec(d, forced, gens):
         if d > n:
@@ -215,15 +215,8 @@ def enumerate_antichains(n: int, flavor: str = POLY):
         free = [m for m in levels[d] if m not in forced]
         for r in range(len(free) + 1):
             for chosen in combinations(free, r):
-                level = forced | set(chosen)
-                nxt = set()
-                for m in level:
-                    rest = full & ~m
-                    while rest:
-                        low = rest & -rest
-                        nxt.add(m | low)
-                        rest ^= low
-                yield from rec(d + 1, nxt, gens + list(chosen))
+                yield from rec(d + 1, sqf_shadow(forced.union(chosen), n),
+                               gens + list(chosen))
 
     yield from rec(0, set(), [])
 

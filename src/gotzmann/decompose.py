@@ -20,8 +20,9 @@ from .core import (
     RingContext,
     all_monomials,
     component_space,
-    minimalize,
+    ideal_from_levels,
     shadow_up,
+    sqf_shadow,
 )
 from .lex import is_gotzmann_space, lex_segment
 
@@ -127,20 +128,14 @@ def colon_with_n1(vhat: MonomialSpace) -> MonomialSpace:
     if vhat.degree < 1:
         raise ValueError("colon needs degree at least one")
     ctx = vhat.ctx
+    d = vhat.degree
+    # m fails exactly when some m * x_j is missing, i.e. when m divides a
+    # missing monomial; complementing masks turns that into the shadow.
     full = ctx.full_mask
-    out = set()
-    for m in all_monomials(ctx, vhat.degree - 1):
-        free = full & ~m
-        ok = True
-        while free:
-            low = free & -free
-            if (m | low) not in vhat.basis:
-                ok = False
-                break
-            free ^= low
-        if ok:
-            out.add(m)
-    return MonomialSpace(ctx, vhat.degree - 1, frozenset(out))
+    missing = [full ^ m for m in all_monomials(ctx, d) if m not in vhat.basis]
+    blocked = sqf_shadow(missing, ctx.n)
+    out = frozenset(m for m in all_monomials(ctx, d - 1) if full ^ m not in blocked)
+    return MonomialSpace(ctx, d - 1, out)
 
 
 # ---------------------------------------------------------------------------
@@ -170,18 +165,8 @@ def alexander_dual_ideal(I: MonomialIdeal) -> MonomialIdeal:
     """
     _require_sqf(I.ctx)
     n = I.ctx.n
-    duals = []
-    for e in range(n + 1):
-        comp = component_space(I, n - e)
-        duals.append(alexander_dual_space(comp).basis)
-    gens: list[int] = []
-    prev_shadow: frozenset = frozenset()
-    for e in range(n + 1):
-        if not prev_shadow <= duals[e]:
-            raise InvariantViolation("componentwise dual is not closed under the shadow")
-        gens.extend(duals[e] - prev_shadow)
-        prev_shadow = shadow_up(MonomialSpace(I.ctx, e, duals[e])).basis
-    return minimalize(gens, I.ctx)
+    return ideal_from_levels([alexander_dual_space(component_space(I, n - e)).basis
+                              for e in range(n + 1)], I.ctx)
 
 
 def is_gdual(V: MonomialSpace) -> bool:

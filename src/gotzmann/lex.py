@@ -8,8 +8,7 @@ which is the minimum possible.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import permutations
 from math import comb
 
 from .core import (
@@ -23,8 +22,8 @@ from .core import (
     binom,
     component_space,
     degree_of,
+    ideal_from_levels,
     iter_bits,
-    minimalize,
     poly_hilbert_from_sqf,
     reflavor,
     shadow_up,
@@ -74,26 +73,11 @@ def lex_compare(u, v, order=None) -> int:
     return (ku < kv) - (ku > kv)
 
 
-@lru_cache(maxsize=None)
-def _sorted_monomials(n: int, flavor: str, d: int, perm: tuple) -> tuple:
-    """Degree-d monomials in descending lex order under a non-identity permutation."""
-    if flavor == SQF:
-        return tuple(sum(1 << perm[k] for k in combo)
-                     for combo in combinations(range(n), d))
-    out = []
-    for combo in combinations_with_replacement(range(n), d):
-        e = [0] * n
-        for k in combo:
-            e[perm[k]] += 1
-        out.append(tuple(e))
-    return tuple(out)
-
-
 def sorted_monomials(ctx: RingContext, d: int, order=None) -> tuple:
     perm = identity_order(ctx.n) if order is None else _check_order(order, ctx.n)
     if perm == identity_order(ctx.n):
         return _all_monomials(ctx.n, ctx.flavor, d)
-    return _sorted_monomials(ctx.n, ctx.flavor, d, perm)
+    return _all_monomials(ctx.n, ctx.flavor, d, perm)
 
 
 def lex_segment(dim: int, d: int, ctx: RingContext, order=None) -> MonomialSpace:
@@ -223,19 +207,11 @@ def lexify_in_R(I: MonomialIdeal) -> MonomialIdeal:
     the shadow, which makes the result an ideal.
     """
     values = sqf_hilbert(I)
-    n = I.ctx.n
     rctx = reflavor(I.ctx, SQF)
     if values[0]:
         return unit_ideal(rctx)
-    gens: list[int] = []
-    prev_shadow: frozenset = frozenset()
-    for d in range(n + 1):
-        seg = frozenset(sorted_monomials(rctx, d)[:values[d]])
-        if not prev_shadow <= seg:
-            raise InvariantViolation("lex segments do not nest into an ideal")
-        gens.extend(seg - prev_shadow)
-        prev_shadow = shadow_up(MonomialSpace(rctx, d, seg)).basis
-    return minimalize(gens, rctx)
+    return ideal_from_levels([frozenset(sorted_monomials(rctx, d)[:v])
+                              for d, v in enumerate(values)], rctx)
 
 
 def sqf_lexify_in_S(I: MonomialIdeal) -> MonomialIdeal:

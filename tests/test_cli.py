@@ -56,6 +56,13 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", "ab,ac,bc")
         assert code == 1 and "not a supernova" in out
 
+    def test_not_gotzmann_json(self, capsys):
+        code, out, _ = run(capsys, "classify", "--json", "ab,ac,bc")
+        assert code == 1
+        payload = json.loads(out)
+        assert set(payload) == {"gens", "ring", "n", "result", "diagnostics"}
+        assert payload["gens"] == ["ab", "ac", "bc"] and payload["result"] is None
+
 
 class TestLexifyAndDual:
     def test_lexify(self, capsys):
@@ -87,6 +94,11 @@ class TestDecomposeAndCompress:
     def test_mixed_degrees_rejected(self, capsys):
         code, _, err = run(capsys, "decompose", "--var", "a", "--n", "3", "a,bc")
         assert code == 2
+        # ab divides abc: no monomial may be dropped before the degree check
+        for command in ("decompose", "compress"):
+            code, out, err = run(capsys, command, "--var", "a", "ab,abc")
+            assert code == 2 and out == ""
+            assert "expected monomials of a single degree" in err
 
 
 class TestEnumerateAndCount:
@@ -118,10 +130,11 @@ class TestEnumerateAndCount:
         code, out, err = run(capsys, "count", "--max-n", "-1")
         assert code == 2 and out == "" and "--max-n" in err
 
-    def test_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("GOTZ_MAX_N", "2")
-        code, _, err = run(capsys, "enumerate", "--n", "3")
-        assert code == 2 and "cap" in err
+    def test_size_limit(self, capsys):
+        for argv in (("enumerate", "--n", "7"), ("count", "--max-n", "7")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert "limited to 6 variables" in err
 
 
 class TestSeriesAndSelftest:

@@ -1,8 +1,10 @@
 import random
+from itertools import permutations
 
 import pytest
 
 from gotzmann.core import (
+    InvariantViolation,
     MonomialIdeal,
     MonomialSpace,
     _mask_level_bitsets,
@@ -11,6 +13,8 @@ from gotzmann.core import (
     component_space,
     divide_by_variable,
     generator_counts,
+    ideal_from_levels,
+    iter_bits,
     minimalize,
     poly_hilbert_from_sqf,
     poly_ring,
@@ -19,9 +23,11 @@ from gotzmann.core import (
     space,
     sqf_hilbert,
     sqf_ring,
+    sqf_shadow,
     unit_ideal,
     zero_ideal,
 )
+from gotzmann.lex import sorted_monomials
 from gotzmann.textio import parse_ideal_inline, parse_monomial
 
 from support import direct_poly_dim, minimalize_by_tuples, random_sqf_ideal
@@ -197,6 +203,64 @@ class TestShadow:
             inner = shadow_up(MonomialSpace(ctx, d, frozenset(small)))
             outer = shadow_up(MonomialSpace(ctx, d, frozenset(big)))
             assert inner.basis <= outer.basis
+
+
+class TestMonomialKernel:
+    def test_sqf_shadow_matches_brute_oracle(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(0, 8)
+            d = rng.randint(0, n)
+            level = [m for m in range(1 << n) if m.bit_count() == d]
+            masks = set(rng.sample(level, rng.randint(0, len(level))))
+            want = {m for m in range(1 << n) if m.bit_count() == d + 1
+                    and any(s & ~m == 0 for s in masks)}
+            assert sqf_shadow(masks, n) == want
+
+    def test_ideal_from_levels_round_trip(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            n = rng.randint(0, 8)
+            I = random_sqf_ideal(rng, n, rng.choice("SR"))
+            in_R = MonomialIdeal(sqf_ring(n), I.gens)
+            levels = [component_space(in_R, d).basis for d in range(n + 1)]
+            assert ideal_from_levels(levels, I.ctx) == I
+
+    def test_level_missing_shadow_raises(self):
+        rng = random.Random(13)
+        for _ in range(100):
+            n = rng.randint(1, 7)
+            I = random_sqf_ideal(rng, n, "R")
+            levels = [set(component_space(I, d).basis) for d in range(n + 1)]
+            below = [d for d in range(n) if levels[d]]
+            if not below:
+                continue
+            d = rng.choice(below)
+            m = rng.choice(sorted(levels[d]))
+            free = [i for i in range(n) if not m >> i & 1]
+            if not free:
+                continue
+            levels[d + 1].discard(m | 1 << rng.choice(free))
+            with pytest.raises(InvariantViolation, match=f"^degree {d + 1} "):
+                ideal_from_levels(levels, I.ctx)
+
+    def test_sorted_monomials_relabel_identity_listing(self):
+        rng = random.Random(14)
+        for n in range(7):
+            orders = list(permutations(range(n)))
+            for perm in rng.sample(orders, min(len(orders), 12)):
+                for ctx in (sqf_ring(n), poly_ring(n)):
+                    for d in range(n + 1 if ctx.flavor == "R" else 4):
+                        identity = all_monomials(ctx, d)
+                        if ctx.flavor == "R":
+                            want = tuple(sum(1 << perm[i] for i in iter_bits(m))
+                                         for m in identity)
+                        else:
+                            want = tuple(tuple(e[perm.index(v)] for v in range(n))
+                                         for e in identity)
+                        assert sorted_monomials(ctx, d, perm) == want
+                        if perm == tuple(range(n)):
+                            assert sorted_monomials(ctx, d, perm) is identity
 
 
 class TestHilbert:

@@ -162,6 +162,17 @@ class TestColon:
                 expect.add(m)
         assert got.basis == frozenset(expect) == sp(q, 1, "b", "c", "d").basis
 
+    def test_random_spaces_match_brute_oracle(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n, d = rng.randint(1, 8), rng.randint(1, 8)
+            V = random_space(rng, sqf_ring(n), d)
+            if rng.random() < 0.5:  # shadows have large colons
+                V = shadow_up(random_space(rng, sqf_ring(n), d - 1))
+            expect = {m for m in all_monomials(V.ctx, V.degree - 1)
+                      if all(m | 1 << j in V.basis for j in range(n) if not m >> j & 1)}
+            assert colon_with_n1(V).basis == frozenset(expect)
+
 
 class TestAlexanderDuality:
     def test_four_cycle_dual_space(self):

@@ -58,15 +58,16 @@ class TestOrderedSetPartitionSeries:
         assert [egf_coefficient(s, n) for n in range(9)] == FUBINI
 
     def test_enumeration_matches_recurrence(self):
-        for n in range(9):
-            assert sum(1 for _ in enumerate_osp(n)) == fubini(n)
-
-    def test_big_last_block_counts(self):
+        """One enumeration per n checks both the total and the big-last-block count."""
         s = big_last_block_series(12)
         for n in range(9):
-            direct = sum(1 for osp in enumerate_osp(n) if osp.last_block_big)
-            assert egf_coefficient(s, n) == direct
-            assert direct == fubini(n) - n * fubini(n - 1) if n else direct == 1
+            total = big = 0
+            for osp in enumerate_osp(n):
+                total += 1
+                big += osp.last_block_big
+            assert total == fubini(n)
+            assert egf_coefficient(s, n) == big
+            assert big == fubini(n) - n * fubini(n - 1) if n else big == 1
 
     def test_single_block_count_for_two_elements(self):
         count = sum(1 for osp in enumerate_osp(2) if osp.last_block_big)
