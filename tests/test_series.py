@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,16 @@ from gotzmann.series import (
 )
 
 FUBINI = [1, 1, 3, 13, 75, 541, 4683, 47293, 545835]
+
+
+@functools.cache
+def _osp_counts(n):
+    """(all, big-last-block) ordered set partitions of [n], enumerated once per n."""
+    total = big = 0
+    for osp in enumerate_osp(n):
+        total += 1
+        big += osp.last_block_big
+    return total, big
 
 
 class TestSeriesArithmetic:
@@ -58,14 +69,13 @@ class TestOrderedSetPartitionSeries:
         assert [egf_coefficient(s, n) for n in range(9)] == FUBINI
 
     def test_enumeration_matches_recurrence(self):
-        """One enumeration per n checks both the total and the big-last-block count."""
+        for n in range(9):
+            assert _osp_counts(n)[0] == fubini(n)
+
+    def test_big_last_block_counts(self):
         s = big_last_block_series(12)
         for n in range(9):
-            total = big = 0
-            for osp in enumerate_osp(n):
-                total += 1
-                big += osp.last_block_big
-            assert total == fubini(n)
+            big = _osp_counts(n)[1]
             assert egf_coefficient(s, n) == big
             assert big == fubini(n) - n * fubini(n - 1) if n else big == 1
 
