@@ -1,7 +1,8 @@
 """Command-line surface: parse ideals, dispatch operations, render reports.
 
 Exit codes: 0 success, 1 negative answer under --quiet, 2 parse/usage error,
-3 runtime invariant failure (for example a dual that fails ideal closure).
+3 runtime invariant failure (for example a dual that does not contain its own
+shadow).
 """
 
 from __future__ import annotations
@@ -144,11 +145,21 @@ def cmd_dual(args) -> int:
     return 0
 
 
+def _variable_index(name, ctx) -> int:
+    """Index of --var: a variable name of the ring, or a decimal index."""
+    if name in ctx.names:
+        return ctx.names.index(name)
+    if name.isdecimal():
+        return int(name)
+    raise ValueError(f"unknown variable {name!r}: expected one of "
+                     f"{', '.join(ctx.names)} or a decimal index")
+
+
 def cmd_decompose(args) -> int:
     args.ring = "R"
     ctx = _context(args, args.monomials)
     V = _parse_space(args.monomials, ctx)
-    i = ctx.names.index(args.var) if args.var in ctx.names else int(args.var)
+    i = _variable_index(args.var, ctx)
     dec = decompose(V, i)
     q = dec.vhat.ctx
     result = {
@@ -166,7 +177,7 @@ def cmd_compress(args) -> int:
     args.ring = "R"
     ctx = _context(args, args.monomials)
     V = _parse_space(args.monomials, ctx)
-    i = ctx.names.index(args.var) if args.var in ctx.names else int(args.var)
+    i = _variable_index(args.var, ctx)
     order = parse_order(args.order, q_context(ctx, i)) if args.order else None
     T = compress(V, i, order)
     eq = growth_equality(V, i, order)

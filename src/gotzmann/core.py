@@ -412,6 +412,53 @@ def _mask_level_bitsets(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(levels), tuple(without)
 
 
+def _close_up(bits: int, without) -> int:
+    """The up-set of a bitset: one shift per variable, each closing under x_i.
+
+    Once a step has closed the set under x_i, later steps keep it closed, so
+    one pass over the variables suffices.
+    """
+    for i, rest in enumerate(without):
+        bits |= (bits & rest) << (1 << i)
+    return bits
+
+
+def up_set(masks, n: int) -> int:
+    """Bitset over the 2^n masks of every squarefree multiple of the masks."""
+    bits = 0
+    for m in masks:
+        bits |= 1 << m
+    return _close_up(bits, _mask_level_bitsets(n)[1])
+
+
+def upper_shadow(bits: int, n: int) -> int:
+    """Bitset of the squarefree shadow of a bitset: each m * x_j, x_j not dividing m."""
+    out = 0
+    for i, rest in enumerate(_mask_level_bitsets(n)[1]):
+        out |= (bits & rest) << (1 << i)
+    return out
+
+
+def reflect_bitset(bits: int, n: int) -> int:
+    """Move bit m to bit full ^ m, by reversing the 2^n-digit binary string."""
+    return int(format(bits, f"0{1 << n}b")[::-1], 2)
+
+
+def bitset_masks(bits: int) -> list[int]:
+    """The masks whose bits are set, ascending.
+
+    One scan of the binary digits; clearing the low bit of a 2^n-bit integer
+    once per mask, as iter_bits does, would cost a copy of it each time.
+    """
+    digits = format(bits, "b")[::-1]
+    out = []
+    m = digits.find("1")
+    while m >= 0:
+        out.append(m)
+        m = digits.find("1", m + 1)
+    return out
+
+
 def sqf_degree_table(I: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
     """Squarefree monomials of I by their degree and their first generator degree.
 
@@ -436,8 +483,7 @@ def sqf_degree_table(I: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
     for e in sorted(by_degree):
         for g in by_degree[e]:
             up |= 1 << g
-        for i, rest in enumerate(without):
-            up |= (up & rest) << (1 << i)
+        up = _close_up(up, without)
         for k, level in enumerate(levels):
             count = (up & level).bit_count()
             table[k][e] = count - seen[k]

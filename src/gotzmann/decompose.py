@@ -18,13 +18,18 @@ from .core import (
     MonomialIdeal,
     MonomialSpace,
     RingContext,
+    _mask_level_bitsets,
     all_monomials,
-    component_space,
-    ideal_from_levels,
+    bitset_masks,
+    gen_masks,
+    minimalize,
+    reflect_bitset,
     shadow_up,
     sqf_shadow,
+    up_set,
+    upper_shadow,
 )
-from .lex import is_gotzmann_space, lex_segment
+from .lex import is_gotzmann_space, lex_segment, minimal_growth
 
 
 def _require_sqf(ctx: RingContext):
@@ -156,17 +161,34 @@ def alexander_dual_space(V: MonomialSpace) -> MonomialSpace:
                          frozenset(full ^ m for m in missing))
 
 
-def alexander_dual_ideal(I: MonomialIdeal) -> MonomialIdeal:
-    """Componentwise Alexander dual, reassembled into an ideal.
+def _dual_bitset(I: MonomialIdeal) -> int:
+    """Bitset over the 2^n masks of the Alexander dual of the ideal.
 
-    The componentwise duals are required to be closed under the shadow; if
-    they are not, the dual is not an ideal and an InvariantViolation is
-    raised rather than silently repairing anything.
+    A squarefree x^t lies in the dual exactly when x^([n] - t) is not in I,
+    so the dual is the complement of the up-set of I with bit m moved to
+    bit full ^ m.
+    """
+    n = I.ctx.n
+    everything = (1 << (1 << n)) - 1
+    return reflect_bitset(everything ^ up_set(gen_masks(I), n), n)
+
+
+def alexander_dual_ideal(I: MonomialIdeal) -> MonomialIdeal:
+    """Componentwise Alexander dual, as an ideal.
+
+    Its degree-e component is the dual of the degree-(n - e) component of I.
+    These components are required to be closed under the shadow; if they are
+    not, the dual is not an ideal and an InvariantViolation is raised rather
+    than silently repairing anything.  The generators are the monomials of
+    the dual outside its shadow.
     """
     _require_sqf(I.ctx)
     n = I.ctx.n
-    return ideal_from_levels([alexander_dual_space(component_space(I, n - e)).basis
-                              for e in range(n + 1)], I.ctx)
+    dual = _dual_bitset(I)
+    shadow = upper_shadow(dual, n)
+    if shadow & ~dual:
+        raise InvariantViolation("the dual does not contain its own shadow")
+    return minimalize(bitset_masks(dual & ~shadow), I.ctx)
 
 
 def is_gdual(V: MonomialSpace) -> bool:
@@ -175,9 +197,19 @@ def is_gdual(V: MonomialSpace) -> bool:
 
 
 def is_gdual_ideal(I: MonomialIdeal) -> bool:
-    """Whether every componentwise Alexander dual of the ideal is Gotzmann."""
+    """Whether every componentwise Alexander dual of the ideal is Gotzmann.
+
+    The dual of the degree-(n - k) component of I is the degree-k piece of
+    the dual bitset, whose shadow is compared with the Kruskal-Katona bound.
+    """
     _require_sqf(I.ctx)
-    return all(is_gdual(component_space(I, d)) for d in range(I.ctx.n + 1))
+    n = I.ctx.n
+    dual = _dual_bitset(I)
+    for k, level in enumerate(_mask_level_bitsets(n)[0]):
+        piece = dual & level
+        if upper_shadow(piece, n).bit_count() != minimal_growth(piece.bit_count(), k, I.ctx):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

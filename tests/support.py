@@ -11,6 +11,7 @@ from gotzmann.core import (
     component_space,
     divides,
     exps_to_mask,
+    ideal_from_levels,
     is_squarefree_exps,
     minimalize,
     poly_ring,
@@ -113,6 +114,22 @@ def gotzmann_by_components(I: MonomialIdeal) -> bool:
         return True
     degs = I.degrees()
     return all(is_gotzmann_space(component_space(I, d)) for d in range(degs[0], degs[-1] + 1))
+
+
+def dual_by_components(I: MonomialIdeal) -> MonomialIdeal:
+    """Alexander dual of a squarefree ideal, one materialized component at a time."""
+    from gotzmann.decompose import alexander_dual_space
+
+    n = I.ctx.n
+    return ideal_from_levels([alexander_dual_space(component_space(I, n - e)).basis
+                              for e in range(n + 1)], I.ctx)
+
+
+def gdual_by_components(I: MonomialIdeal) -> bool:
+    """Whether every materialized component has a Gotzmann Alexander dual."""
+    from gotzmann.decompose import is_gdual
+
+    return all(is_gdual(component_space(I, d)) for d in range(I.ctx.n + 1))
 
 
 def gotzmann_spaces(n, degrees=None):

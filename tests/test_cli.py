@@ -100,6 +100,12 @@ class TestDecomposeAndCompress:
             assert code == 2 and out == ""
             assert "expected monomials of a single degree" in err
 
+    def test_unknown_variable_rejected(self, capsys):
+        for command in ("decompose", "compress"):
+            code, out, err = run(capsys, command, "--var", "q", "--n", "3", "ab")
+            assert code == 2 and out == ""
+            assert "unknown variable 'q'" in err
+
 
 class TestEnumerateAndCount:
     def test_enumerate_round_trip(self, capsys, tmp_path):

@@ -10,6 +10,7 @@ from gotzmann.core import (
     _mask_level_bitsets,
     all_monomials,
     binom,
+    bitset_masks,
     component_space,
     divide_by_variable,
     generator_counts,
@@ -19,12 +20,15 @@ from gotzmann.core import (
     poly_hilbert_from_sqf,
     poly_ring,
     quotient_by_variable,
+    reflect_bitset,
     shadow_up,
     space,
     sqf_hilbert,
     sqf_ring,
     sqf_shadow,
     unit_ideal,
+    up_set,
+    upper_shadow,
     zero_ideal,
 )
 from gotzmann.lex import sorted_monomials
@@ -146,6 +150,33 @@ class TestMaskLevelBitsets:
                 assert level == sum(1 << m for m in range(1 << n) if m.bit_count() == k)
             for i, rest in enumerate(without):
                 assert rest == sum(1 << m for m in range(1 << n) if not m >> i & 1)
+
+
+class TestUpSetBitsets:
+    def test_up_set_is_every_multiple(self):
+        rng = random.Random(16)
+        for _ in range(200):
+            n = rng.randint(0, 8)
+            masks = {rng.randrange(1 << n) for _ in range(rng.randint(0, 5))}
+            want = {m for m in range(1 << n) if any(g & m == g for g in masks)}
+            assert bitset_masks(up_set(masks, n)) == sorted(want)
+
+    def test_upper_shadow_is_sqf_shadow(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            n = rng.randint(0, 8)
+            masks = {rng.randrange(1 << n) for _ in range(rng.randint(0, 12))}
+            bits = sum(1 << m for m in masks)
+            assert bitset_masks(upper_shadow(bits, n)) == sorted(sqf_shadow(masks, n))
+
+    def test_reflection_sends_m_to_its_complement(self):
+        for n in range(9):
+            full = (1 << n) - 1
+            for m in range(1 << n):
+                assert reflect_bitset(1 << m, n) == 1 << (full ^ m)
+        rng = random.Random(18)
+        bits = rng.getrandbits(1 << 8)
+        assert reflect_bitset(reflect_bitset(bits, 8), 8) == bits
 
 
 class TestComponentSpace:

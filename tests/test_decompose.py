@@ -3,6 +3,7 @@ import random
 import pytest
 
 from gotzmann.core import (
+    SQF,
     all_monomials,
     binom,
     component_space,
@@ -14,6 +15,7 @@ from gotzmann.core import (
     unit_ideal,
     zero_ideal,
 )
+from gotzmann.counting import enumerate_antichains
 from gotzmann.decompose import (
     alexander_dual_ideal,
     alexander_dual_space,
@@ -30,7 +32,14 @@ from gotzmann.decompose import (
 from gotzmann.lex import is_gotzmann_ideal, is_gotzmann_space, lex_segment
 from gotzmann.textio import parse_ideal_inline, parse_monomial
 
-from support import all_subspaces, gotzmann_spaces, random_space
+from support import (
+    all_subspaces,
+    dual_by_components,
+    gdual_by_components,
+    gotzmann_spaces,
+    random_space,
+    random_sqf_ideal,
+)
 
 R4 = sqf_ring(4)
 R5 = sqf_ring(5)
@@ -213,12 +222,20 @@ class TestAlexanderDuality:
 
     def test_dual_ideal_involution_random(self):
         rng = random.Random(6)
-        from support import random_sqf_ideal
-
         for _ in range(150):
             n = rng.randint(1, 5)
             I = random_sqf_ideal(rng, n, "R")
             assert alexander_dual_ideal(alexander_dual_ideal(I)) == I
+
+    def test_bitset_dual_matches_componentwise_oracle(self):
+        ideals = [I for n in range(6) for I in enumerate_antichains(n, SQF)]
+        rng = random.Random(15)
+        ideals += [random_sqf_ideal(rng, rng.randint(6, 12), "R") for _ in range(60)]
+        for n in (0, 1, 16):
+            ideals += [zero_ideal(sqf_ring(n)), unit_ideal(sqf_ring(n))]
+        for I in ideals:
+            assert alexander_dual_ideal(I) == dual_by_components(I), I
+            assert is_gdual_ideal(I) == gdual_by_components(I), I
 
     def test_full_component_is_gdual(self):
         for d in range(5):
