@@ -178,7 +178,7 @@ def cmd_compress(args) -> int:
     ctx = _context(args, args.monomials)
     V = _parse_space(args.monomials, ctx)
     i = _variable_index(args.var, ctx)
-    order = parse_order(args.order, q_context(ctx, i)) if args.order else None
+    order = parse_order(args.order, q_context(ctx, i)) if args.order is not None else None
     T = compress(V, i, order)
     eq = growth_equality(V, i, order)
     result = sorted(format_monomial(m, ctx) for m in T.basis)

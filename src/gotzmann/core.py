@@ -153,16 +153,14 @@ def support_of_exps(e) -> int:
     return mask
 
 
-@lru_cache(maxsize=None)
-def _all_monomials(n: int, flavor: str, d: int, perm=None) -> tuple:
-    """All degree-d monomials in descending lexicographic order, x_perm[0] greatest.
+def ordered_monomials(n: int, flavor: str, d: int, variables) -> tuple:
+    """All degree-d monomials in descending lexicographic order, variables[0] greatest.
 
-    The identity order, x_0 greatest, is the default; call it with three
-    arguments then, so that each listing has one cache entry.
+    Built afresh on each call: only the identity listing is cached, in
+    _all_monomials, so a process that sees many orders keeps no listing of them.
     """
     if d < 0:
         return ()
-    variables = range(n) if perm is None else perm
     if flavor == SQF:
         return tuple(sum(1 << i for i in combo) for combo in combinations(variables, d))
     out = []
@@ -172,6 +170,12 @@ def _all_monomials(n: int, flavor: str, d: int, perm=None) -> tuple:
             e[i] += 1
         out.append(tuple(e))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _all_monomials(n: int, flavor: str, d: int) -> tuple:
+    """The degree-d listing in the identity order, x_0 greatest; one entry per (n, flavor, d)."""
+    return ordered_monomials(n, flavor, d, range(n))
 
 
 def all_monomials(ctx: RingContext, d: int) -> tuple:

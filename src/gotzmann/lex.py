@@ -8,7 +8,6 @@ which is the minimum possible.
 
 from __future__ import annotations
 
-from itertools import permutations
 from math import comb
 
 from .core import (
@@ -24,6 +23,7 @@ from .core import (
     degree_of,
     ideal_from_levels,
     iter_bits,
+    ordered_monomials,
     poly_hilbert_from_sqf,
     reflavor,
     shadow_up,
@@ -31,8 +31,6 @@ from .core import (
     sqf_hilbert,
     unit_ideal,
 )
-
-SOME_ORDER_MAX_VARS = 8
 
 
 def identity_order(n: int) -> tuple[int, ...]:
@@ -77,7 +75,7 @@ def sorted_monomials(ctx: RingContext, d: int, order=None) -> tuple:
     perm = identity_order(ctx.n) if order is None else _check_order(order, ctx.n)
     if perm == identity_order(ctx.n):
         return _all_monomials(ctx.n, ctx.flavor, d)
-    return _all_monomials(ctx.n, ctx.flavor, d, perm)
+    return ordered_monomials(ctx.n, ctx.flavor, d, perm)
 
 
 def lex_segment(dim: int, d: int, ctx: RingContext, order=None) -> MonomialSpace:
@@ -94,21 +92,69 @@ def is_lex_segment(V: MonomialSpace, order=None) -> bool:
 
 
 def is_lex_some_order(V: MonomialSpace):
-    """Search all variable orders for one making V a lex segment.
+    """The lexicographically smallest variable order making V a lex segment, or None.
 
-    Returns the lexicographically smallest witness permutation, or None.
-    Zero-dimensional and full spaces are lex in the identity order.
+    Under an order with greatest variable x, the degree-d listing is the
+    x-multiples, in the order of their quotients by x, followed by the listing
+    of the degree-d monomials without x.  So V is lex with x greatest exactly
+    when either (a) x divides every element and V/x is lex one degree down,
+    or (b) V holds every x-multiple and the rest of V is lex without x.  In R
+    the quotient lives without x; in S x stays in it, still the greatest.
+
+    The search recurses on these two cases, trying the greatest variable in
+    ascending index order; a residual that is empty or full is lex in every
+    order and takes the remaining variables ascending.  The first order found
+    is therefore the smallest witness, and zero-dimensional and full spaces
+    get the identity order.  Residuals that failed are remembered for the
+    call, so relabelings that reach the same residual are searched once.
     """
-    n = V.ctx.n
-    if n > SOME_ORDER_MAX_VARS:
-        raise ValueError(f"order search is limited to {SOME_ORDER_MAX_VARS} variables")
-    total = V.ctx.dim_component(V.degree)
-    if V.dim in (0, total):
-        return identity_order(n)
-    for perm in permutations(range(n)):
-        if is_lex_segment(V, perm):
-            return perm
-    return None
+    squarefree = V.ctx.flavor == SQF
+    # each monomial packed into an int, the exponent of x_v in bits
+    # [width * v, width * (v + 1)); in R the packing is the mask itself
+    if squarefree:
+        width, basis = 1, V.basis
+    else:
+        width = V.degree.bit_length()
+        basis = frozenset(sum(e << width * v for v, e in enumerate(m)) for m in V.basis)
+    failed: set = set()
+
+    def size(k: int, d: int) -> int:
+        """The number of degree-d monomials on k variables."""
+        if squarefree:
+            return binom(k, d)
+        return binom(k + d - 1, d) if d else 1
+
+    def after(basis: frozenset, x: int, rest: tuple, d: int):
+        """The smallest order of rest that makes basis lex below the greatest x, or None."""
+        unit = 1 << width * x
+        field = unit * ((1 << width) - 1)
+        while basis and len(basis) < size(len(rest) + 1, d):
+            hit = [m for m in basis if m & field]
+            if len(hit) == len(basis):  # (a)
+                basis = frozenset(m - unit for m in basis)
+                d -= 1
+                if squarefree:
+                    return search(basis, rest, d)
+            elif len(hit) == size(len(rest) + (not squarefree), d - 1):  # (b)
+                return search(basis.difference(hit), rest, d)
+            else:
+                return None
+        return rest
+
+    def search(basis: frozenset, free: tuple, d: int):
+        """The smallest order of the free variables that makes basis lex, or None."""
+        if not basis or len(basis) == size(len(free), d):
+            return free
+        if (basis, free) in failed:
+            return None
+        for x in free:
+            tail = after(basis, x, tuple(v for v in free if v != x), d)
+            if tail is not None:
+                return (x,) + tail
+        failed.add((basis, free))
+        return None
+
+    return search(basis, identity_order(V.ctx.n), V.degree)
 
 
 def is_lex_ideal(I: MonomialIdeal, order=None) -> bool:

@@ -1,6 +1,6 @@
 """Shared helpers and brute-force oracles for the test suite."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from gotzmann.core import (
     SQF,
@@ -141,6 +141,24 @@ def gotzmann_spaces(n, degrees=None):
         for V in all_subspaces(ctx, d):
             if is_gotzmann_space(V):
                 yield V
+
+
+def lex_order_by_permutations(V: MonomialSpace):
+    """Search all variable orders for one making V a lex segment.
+
+    Returns the lexicographically smallest witness permutation, or None.
+    Zero-dimensional and full spaces are lex in the identity order.
+    """
+    from gotzmann.lex import identity_order, is_lex_segment
+
+    n = V.ctx.n
+    total = V.ctx.dim_component(V.degree)
+    if V.dim in (0, total):
+        return identity_order(n)
+    for perm in permutations(range(n)):
+        if is_lex_segment(V, perm):
+            return perm
+    return None
 
 
 def contained_in_variable(I: MonomialIdeal, i: int) -> bool:

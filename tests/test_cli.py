@@ -91,6 +91,15 @@ class TestDecomposeAndCompress:
         assert sorted(payload["result"]) == ["ab", "ac", "bc", "bd"]
         assert payload["diagnostics"]["growth_equality_holds"] is True
 
+    def test_empty_order(self, capsys):
+        code, out, err = run(capsys, "compress", "--var", "a", "--order", "", "--n", "3", "b,c")
+        assert code == 2 and out == ""
+        assert "order '' is not a permutation of all variables" in err
+        # with no variable left besides a, the empty order is the only order
+        code, out, _ = run(capsys, "compress", "--var", "a", "--order", "", "--n", "1", "a")
+        assert code == 0
+        assert json.loads(out)["result"] == ["a"]
+
     def test_mixed_degrees_rejected(self, capsys):
         code, _, err = run(capsys, "decompose", "--var", "a", "--n", "3", "a,bc")
         assert code == 2

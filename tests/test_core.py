@@ -7,6 +7,7 @@ from gotzmann.core import (
     InvariantViolation,
     MonomialIdeal,
     MonomialSpace,
+    _all_monomials,
     _mask_level_bitsets,
     all_monomials,
     binom,
@@ -31,7 +32,7 @@ from gotzmann.core import (
     upper_shadow,
     zero_ideal,
 )
-from gotzmann.lex import sorted_monomials
+from gotzmann.lex import is_lex_segment, is_lex_some_order, sorted_monomials
 from gotzmann.textio import parse_ideal_inline, parse_monomial
 
 from support import direct_poly_dim, minimalize_by_tuples, random_sqf_ideal
@@ -292,6 +293,17 @@ class TestMonomialKernel:
                         assert sorted_monomials(ctx, d, perm) == want
                         if perm == tuple(range(n)):
                             assert sorted_monomials(ctx, d, perm) is identity
+
+    def test_listing_cache_holds_no_orders(self):
+        R8 = sqf_ring(8)
+        V = space(R8, 2, [mono("ab", R8), mono("cd", R8)])
+        all_monomials(R8, 2)
+        before = _all_monomials.cache_info().currsize
+        assert is_lex_some_order(V) is None
+        rng = random.Random(15)
+        for _ in range(200):
+            assert not is_lex_segment(V, tuple(rng.sample(range(8), 8)))
+        assert _all_monomials.cache_info().currsize == before
 
 
 class TestHilbert:

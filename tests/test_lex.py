@@ -35,6 +35,7 @@ from support import (
     direct_sqf_counts,
     gotzmann_by_components,
     growth_by_construction,
+    lex_order_by_permutations,
     random_space,
     random_sqf_ideal,
 )
@@ -142,6 +143,42 @@ class TestIsLexSomeOrder:
         V = space(R4, 1, [mask("a", R4)])
         # every order starting with a works; the smallest is the identity
         assert is_lex_some_order(V) == (0, 1, 2, 3)
+
+    def test_matches_permutation_oracle(self):
+        def agree(V):
+            assert is_lex_some_order(V) == lex_order_by_permutations(V), V
+
+        for n in range(6):
+            ctx = sqf_ring(n)
+            for d in range(n + 1):
+                for V in all_subspaces(ctx, d):
+                    agree(V)
+        for n in range(4):
+            for d in range(4):
+                for V in all_subspaces(poly_ring(n), d):
+                    agree(V)
+        rng = random.Random(17)
+        S4 = poly_ring(4)
+        for _ in range(200):
+            agree(random_space(rng, S4, rng.randint(0, 4)))
+        for n in range(1, 8):
+            for ctx in (sqf_ring(n), poly_ring(n)):
+                for _ in range(4):
+                    d = rng.randint(0, n if ctx.flavor == "R" else 3)
+                    perm = tuple(rng.sample(range(n), n))
+                    dim = rng.randint(0, len(all_monomials(ctx, d)))
+                    agree(lex_segment(dim, d, ctx, perm))
+
+    def test_sixteen_variables(self):
+        rng = random.Random(19)
+        ctx = sqf_ring(16)
+        for d in range(2, 9):
+            perm = tuple(rng.sample(range(16), 16))
+            V = lex_segment(rng.randint(1, binom(16, d) - 1), d, ctx, perm)
+            witness = is_lex_some_order(V)
+            assert witness is not None and is_lex_segment(V, witness)
+        R8 = sqf_ring(8)
+        assert is_lex_some_order(space(R8, 2, [mask("ab", R8), mask("cd", R8)])) is None
 
 
 class TestIsLexIdeal:
