@@ -223,22 +223,6 @@ def full_space(ctx: RingContext, d: int) -> MonomialSpace:
     return MonomialSpace(ctx, d, frozenset(all_monomials(ctx, d)))
 
 
-def sqf_shadow(masks, n: int) -> set:
-    """Every squarefree multiple m * x_j of the given masks, x_j not dividing m.
-
-    This is the one walk over the free bits of a mask in the package.
-    """
-    full = (1 << n) - 1
-    out = set()
-    for m in masks:
-        free = full & ~m
-        while free:
-            low = free & -free
-            out.add(m | low)
-            free ^= low
-    return out
-
-
 def shadow_up(V: MonomialSpace) -> MonomialSpace:
     """The space of all variable multiples of V, one degree up.
 
@@ -247,7 +231,7 @@ def shadow_up(V: MonomialSpace) -> MonomialSpace:
     """
     ctx = V.ctx
     if ctx.flavor == SQF:
-        out = sqf_shadow(V.basis, ctx.n)
+        out = bitset_masks(upper_shadow(mask_bitset(V.basis), ctx.n))
     else:
         out = set()
         for m in V.basis:
@@ -360,23 +344,23 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
     return MonomialIdeal(ctx, tuple(_canonical_order(gens)))
 
 
-def ideal_from_levels(levels, ctx: RingContext) -> MonomialIdeal:
-    """The squarefree ideal whose degree-d monomials are levels[d], as masks.
+def ideal_from_up_set(bits: int, ctx: RingContext) -> MonomialIdeal:
+    """The squarefree ideal whose monomials are the masks of a bitset.
 
-    Each level must contain the shadow of the level below, which is what
-    makes the levels the components of an ideal; the monomials outside that
-    shadow are the minimal generators.  A level that misses part of the
-    shadow raises InvariantViolation rather than being repaired.
+    The bitset must contain its own shadow, which is what makes it the set of
+    monomials of an ideal; the masks outside that shadow are the minimal
+    generators.  A bitset that misses part of its shadow raises
+    InvariantViolation, naming the lowest degree of a gap, rather than being
+    repaired.
     """
-    gens: list[int] = []
-    below: set = set()
-    for d, level in enumerate(levels):
-        if not below <= level:
-            raise InvariantViolation(
-                f"degree {d} does not contain the shadow of degree {d - 1}")
-        gens.extend(level - below)
-        below = sqf_shadow(level, ctx.n)
-    return minimalize(gens, ctx)
+    n = ctx.n
+    shadow = upper_shadow(bits, n)
+    gaps = shadow & ~bits
+    if gaps:
+        d = next(k for k, level in enumerate(_mask_level_bitsets(n)[0]) if gaps & level)
+        raise InvariantViolation(
+            f"degree {d} does not contain the shadow of degree {d - 1}")
+    return minimalize(bitset_masks(bits & ~shadow), ctx)
 
 
 def zero_ideal(ctx: RingContext) -> MonomialIdeal:
@@ -427,16 +411,24 @@ def _close_up(bits: int, without) -> int:
     return bits
 
 
-def up_set(masks, n: int) -> int:
-    """Bitset over the 2^n masks of every squarefree multiple of the masks."""
+def mask_bitset(masks) -> int:
+    """Bitset with bit m set for each of the given masks."""
     bits = 0
     for m in masks:
         bits |= 1 << m
-    return _close_up(bits, _mask_level_bitsets(n)[1])
+    return bits
+
+
+def up_set(masks, n: int) -> int:
+    """Bitset over the 2^n masks of every squarefree multiple of the masks."""
+    return _close_up(mask_bitset(masks), _mask_level_bitsets(n)[1])
 
 
 def upper_shadow(bits: int, n: int) -> int:
-    """Bitset of the squarefree shadow of a bitset: each m * x_j, x_j not dividing m."""
+    """Bitset of the squarefree shadow of a bitset: each m * x_j, x_j not dividing m.
+
+    This is the one squarefree shadow loop in the package.
+    """
     out = 0
     for i, rest in enumerate(_mask_level_bitsets(n)[1]):
         out |= (bits & rest) << (1 << i)
@@ -485,9 +477,7 @@ def sqf_degree_table(I: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
     seen = [0] * (n + 1)
     up = 0
     for e in sorted(by_degree):
-        for g in by_degree[e]:
-            up |= 1 << g
-        up = _close_up(up, without)
+        up = _close_up(up | mask_bitset(by_degree[e]), without)
         for k, level in enumerate(levels):
             count = (up & level).bit_count()
             table[k][e] = count - seen[k]

@@ -21,11 +21,12 @@ from .core import (
     _all_monomials,
     binom,
     iter_bits,
+    mask_bitset,
     minimalize,
     poly_ring,
     sqf_ring,
-    sqf_shadow,
     unit_ideal,
+    upper_shadow,
     zero_ideal,
 )
 from .lex import is_gotzmann_ideal
@@ -53,6 +54,8 @@ WITHOUT_LINEAR = "without_linear"
 @lru_cache(maxsize=None)
 def fubini(n: int) -> int:
     """Number of ordered set partitions of an n-set."""
+    if n < 0:
+        raise ValueError(f"set size must be nonnegative, got {n}")
     if n == 0:
         return 1
     return sum(binom(n, k) * fubini(n - k) for k in range(1, n + 1))
@@ -91,9 +94,11 @@ def enumerate_osp(n: int):
     """All ordered set partitions of {1..n}, deterministically: each first block
     is a submask of the elements left, in ascending order, its frozenset built
     once in a table indexed by mask."""
+    if n < 0:
+        raise ValueError(f"set size must be nonnegative, got {n}")
     if n > OSP_MAX_VARS:
         raise ValueError(f"ordered set partition enumeration is limited to {OSP_MAX_VARS}")
-    full = (1 << max(n, 0)) - 1
+    full = (1 << n) - 1
     block_of = [frozenset(i + 1 for i in iter_bits(m)) for m in range(full + 1)]
 
     def rec(remaining: int):
@@ -212,13 +217,13 @@ def enumerate_antichains(n: int, flavor: str = POLY):
         if d > n:
             yield minimalize(gens, ctx)
             return
-        free = [m for m in levels[d] if m not in forced]
+        free = [m for m in levels[d] if not forced >> m & 1]
         for r in range(len(free) + 1):
             for chosen in combinations(free, r):
-                yield from rec(d + 1, sqf_shadow(forced.union(chosen), n),
+                yield from rec(d + 1, upper_shadow(forced | mask_bitset(chosen), n),
                                gens + list(chosen))
 
-    yield from rec(0, set(), [])
+    yield from rec(0, 0, [])
 
 
 def _supernova_generator_sets(n: int) -> set:

@@ -22,10 +22,10 @@ from .core import (
     all_monomials,
     bitset_masks,
     gen_masks,
-    minimalize,
+    ideal_from_up_set,
+    mask_bitset,
     reflect_bitset,
     shadow_up,
-    sqf_shadow,
     up_set,
     upper_shadow,
 )
@@ -132,15 +132,17 @@ def colon_with_n1(vhat: MonomialSpace) -> MonomialSpace:
     _require_sqf(vhat.ctx)
     if vhat.degree < 1:
         raise ValueError("colon needs degree at least one")
-    ctx = vhat.ctx
+    n = vhat.ctx.n
     d = vhat.degree
+    levels = _mask_level_bitsets(n)[0]
+    level_d, level_below = (levels[k] if k <= n else 0 for k in (d, d - 1))
     # m fails exactly when some m * x_j is missing, i.e. when m divides a
-    # missing monomial; complementing masks turns that into the shadow.
-    full = ctx.full_mask
-    missing = [full ^ m for m in all_monomials(ctx, d) if m not in vhat.basis]
-    blocked = sqf_shadow(missing, ctx.n)
-    out = frozenset(m for m in all_monomials(ctx, d - 1) if full ^ m not in blocked)
-    return MonomialSpace(ctx, d - 1, out)
+    # missing monomial; reflecting masks to their complements turns that
+    # lower shadow into the upper shadow.
+    missing = level_d & ~mask_bitset(vhat.basis)
+    blocked = reflect_bitset(upper_shadow(reflect_bitset(missing, n), n), n)
+    out = bitset_masks(level_below & ~blocked)
+    return MonomialSpace(vhat.ctx, d - 1, frozenset(out))
 
 
 # ---------------------------------------------------------------------------
@@ -178,17 +180,11 @@ def alexander_dual_ideal(I: MonomialIdeal) -> MonomialIdeal:
 
     Its degree-e component is the dual of the degree-(n - e) component of I.
     These components are required to be closed under the shadow; if they are
-    not, the dual is not an ideal and an InvariantViolation is raised rather
-    than silently repairing anything.  The generators are the monomials of
-    the dual outside its shadow.
+    not, the dual is not an ideal and ideal_from_up_set raises
+    InvariantViolation rather than silently repairing anything.
     """
     _require_sqf(I.ctx)
-    n = I.ctx.n
-    dual = _dual_bitset(I)
-    shadow = upper_shadow(dual, n)
-    if shadow & ~dual:
-        raise InvariantViolation("the dual does not contain its own shadow")
-    return minimalize(bitset_masks(dual & ~shadow), I.ctx)
+    return ideal_from_up_set(_dual_bitset(I), I.ctx)
 
 
 def is_gdual(V: MonomialSpace) -> bool:

@@ -21,8 +21,9 @@ from .core import (
     binom,
     component_space,
     degree_of,
-    ideal_from_levels,
+    ideal_from_up_set,
     iter_bits,
+    mask_bitset,
     ordered_monomials,
     poly_hilbert_from_sqf,
     reflavor,
@@ -256,8 +257,8 @@ def lexify_in_R(I: MonomialIdeal) -> MonomialIdeal:
     rctx = reflavor(I.ctx, SQF)
     if values[0]:
         return unit_ideal(rctx)
-    return ideal_from_levels([frozenset(sorted_monomials(rctx, d)[:v])
-                              for d, v in enumerate(values)], rctx)
+    return ideal_from_up_set(mask_bitset(m for d, v in enumerate(values)
+                                         for m in sorted_monomials(rctx, d)[:v]), rctx)
 
 
 def sqf_lexify_in_S(I: MonomialIdeal) -> MonomialIdeal:

@@ -20,16 +20,15 @@ from .core import (
     support_of_exps,
 )
 
-_XVAR = re.compile(r"^x([1-9][0-9]*)$")
+_XVAR = re.compile(r"^x[0-9]+$")
 
 
 def _var_index(token: str, ctx: RingContext) -> int:
     if token in ctx.names:
         return ctx.names.index(token)
-    m = _XVAR.match(token)
-    if m:
-        k = int(m.group(1))
-        if 1 <= k <= ctx.n:
+    if _XVAR.match(token) and token[1] != "0":
+        k = int(token[1:])
+        if k <= ctx.n:
             return k - 1
     raise ValueError(f"unknown variable {token!r}")
 

@@ -1,5 +1,6 @@
 """Shared helpers and brute-force oracles for the test suite."""
 
+import functools
 from itertools import combinations, permutations
 
 from gotzmann.core import (
@@ -11,14 +12,13 @@ from gotzmann.core import (
     component_space,
     divides,
     exps_to_mask,
-    ideal_from_levels,
     is_squarefree_exps,
     minimalize,
     poly_ring,
     shadow_up,
     sqf_ring,
 )
-from gotzmann.counting import OrderedSetPartition
+from gotzmann.counting import OrderedSetPartition, enumerate_osp
 
 
 def random_sqf_ideal(rng, n, flavor="S", max_gens=None):
@@ -40,6 +40,16 @@ def minimalize_by_tuples(monomials, ctx):
                if not any(g != m and divides(g, m) for g in items)]
     return MonomialIdeal(ctx, tuple(sorted(
         minimal, key=lambda e: (sum(e), tuple(-x for x in e)))))
+
+
+@functools.cache
+def osp_counts(n):
+    """(all, big-last-block) ordered set partitions of [n], enumerated once per n."""
+    total = big = 0
+    for osp in enumerate_osp(n):
+        total += 1
+        big += osp.last_block_big
+    return total, big
 
 
 def osp_by_frozensets(n):
@@ -117,12 +127,13 @@ def gotzmann_by_components(I: MonomialIdeal) -> bool:
 
 
 def dual_by_components(I: MonomialIdeal) -> MonomialIdeal:
-    """Alexander dual of a squarefree ideal, one materialized component at a time."""
+    """Alexander dual of a squarefree ideal: the ideal generated by the duals of
+    its materialized components, one at a time."""
     from gotzmann.decompose import alexander_dual_space
 
     n = I.ctx.n
-    return ideal_from_levels([alexander_dual_space(component_space(I, n - e)).basis
-                              for e in range(n + 1)], I.ctx)
+    return minimalize([m for e in range(n + 1)
+                       for m in alexander_dual_space(component_space(I, n - e)).basis], I.ctx)
 
 
 def gdual_by_components(I: MonomialIdeal) -> bool:

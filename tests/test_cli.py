@@ -42,6 +42,12 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--ring", "R", "ab,,zz")
         assert code == 2 and "error" in err
 
+    def test_unknown_indexed_variable_named_whole(self, capsys):
+        for token in ("x0", "x01", "x17"):
+            code, out, err = run(capsys, "check", "--ring", "S", token)
+            assert code == 2 and out == ""
+            assert f"unknown variable {token!r}" in err
+
 
 class TestClassify:
     def test_star(self, capsys):

@@ -14,9 +14,11 @@ from gotzmann.core import (
     bitset_masks,
     component_space,
     divide_by_variable,
+    gen_masks,
     generator_counts,
-    ideal_from_levels,
+    ideal_from_up_set,
     iter_bits,
+    mask_bitset,
     minimalize,
     poly_hilbert_from_sqf,
     poly_ring,
@@ -26,7 +28,6 @@ from gotzmann.core import (
     space,
     sqf_hilbert,
     sqf_ring,
-    sqf_shadow,
     unit_ideal,
     up_set,
     upper_shadow,
@@ -162,14 +163,6 @@ class TestUpSetBitsets:
             want = {m for m in range(1 << n) if any(g & m == g for g in masks)}
             assert bitset_masks(up_set(masks, n)) == sorted(want)
 
-    def test_upper_shadow_is_sqf_shadow(self):
-        rng = random.Random(17)
-        for _ in range(200):
-            n = rng.randint(0, 8)
-            masks = {rng.randrange(1 << n) for _ in range(rng.randint(0, 12))}
-            bits = sum(1 << m for m in masks)
-            assert bitset_masks(upper_shadow(bits, n)) == sorted(sqf_shadow(masks, n))
-
     def test_reflection_sends_m_to_its_complement(self):
         for n in range(9):
             full = (1 << n) - 1
@@ -238,7 +231,7 @@ class TestShadow:
 
 
 class TestMonomialKernel:
-    def test_sqf_shadow_matches_brute_oracle(self):
+    def test_upper_shadow_matches_brute_oracle(self):
         rng = random.Random(11)
         for _ in range(300):
             n = rng.randint(0, 8)
@@ -247,16 +240,16 @@ class TestMonomialKernel:
             masks = set(rng.sample(level, rng.randint(0, len(level))))
             want = {m for m in range(1 << n) if m.bit_count() == d + 1
                     and any(s & ~m == 0 for s in masks)}
-            assert sqf_shadow(masks, n) == want
+            assert set(bitset_masks(upper_shadow(mask_bitset(masks), n))) == want
+            V = MonomialSpace(sqf_ring(n), d, frozenset(masks))
+            assert shadow_up(V).basis == want
 
-    def test_ideal_from_levels_round_trip(self):
+    def test_ideal_from_up_set_round_trip(self):
         rng = random.Random(12)
         for _ in range(200):
             n = rng.randint(0, 8)
             I = random_sqf_ideal(rng, n, rng.choice("SR"))
-            in_R = MonomialIdeal(sqf_ring(n), I.gens)
-            levels = [component_space(in_R, d).basis for d in range(n + 1)]
-            assert ideal_from_levels(levels, I.ctx) == I
+            assert ideal_from_up_set(up_set(gen_masks(I), n), I.ctx) == I
 
     def test_level_missing_shadow_raises(self):
         rng = random.Random(13)
@@ -272,9 +265,10 @@ class TestMonomialKernel:
             free = [i for i in range(n) if not m >> i & 1]
             if not free:
                 continue
-            levels[d + 1].discard(m | 1 << rng.choice(free))
+            bits = mask_bitset(x for level in levels for x in level)
+            bits &= ~(1 << (m | 1 << rng.choice(free)))
             with pytest.raises(InvariantViolation, match=f"^degree {d + 1} "):
-                ideal_from_levels(levels, I.ctx)
+                ideal_from_up_set(bits, I.ctx)
 
     def test_sorted_monomials_relabel_identity_listing(self):
         rng = random.Random(14)

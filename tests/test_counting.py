@@ -1,8 +1,9 @@
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
-from gotzmann.core import poly_ring
+from gotzmann.core import gen_masks, poly_ring
 from gotzmann.counting import (
     WITH_LINEAR,
     WITHOUT_LINEAR,
@@ -44,6 +45,18 @@ class TestAntichains:
     def test_each_ideal_distinct(self):
         seen = list(enumerate_antichains(4))
         assert len({I.gens for I in seen}) == len(seen) == 168
+
+    def test_every_antichain_exactly_once(self):
+        # oracle: every family of subsets of [n], kept when no member contains another
+        for n in range(5):
+            brute = Counter()
+            for pick in range(1 << (1 << n)):
+                family = [m for m in range(1 << n) if pick >> m & 1]
+                if not any(a & b in (a, b) for a, b in combinations(family, 2)):
+                    brute[frozenset(family)] += 1
+            for flavor in "SR":
+                got = Counter(frozenset(gen_masks(I)) for I in enumerate_antichains(n, flavor))
+                assert got == brute, (n, flavor)
 
     def test_guard(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,3 @@
-import functools
 from fractions import Fraction
 
 import pytest
@@ -22,17 +21,9 @@ from gotzmann.series import (
     series_t,
 )
 
+from support import osp_counts
+
 FUBINI = [1, 1, 3, 13, 75, 541, 4683, 47293, 545835]
-
-
-@functools.cache
-def _osp_counts(n):
-    """(all, big-last-block) ordered set partitions of [n], enumerated once per n."""
-    total = big = 0
-    for osp in enumerate_osp(n):
-        total += 1
-        big += osp.last_block_big
-    return total, big
 
 
 class TestSeriesArithmetic:
@@ -64,18 +55,24 @@ class TestOrderedSetPartitionSeries:
     def test_fubini_values(self):
         assert [fubini(n) for n in range(9)] == FUBINI
 
+    def test_negative_sizes_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fubini(-1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            list(enumerate_osp(-2))
+
     def test_osp_series_counts_ordered_set_partitions(self):
         s = osp_series(12)
         assert [egf_coefficient(s, n) for n in range(9)] == FUBINI
 
     def test_enumeration_matches_recurrence(self):
         for n in range(9):
-            assert _osp_counts(n)[0] == fubini(n)
+            assert osp_counts(n)[0] == fubini(n)
 
     def test_big_last_block_counts(self):
         s = big_last_block_series(12)
         for n in range(9):
-            big = _osp_counts(n)[1]
+            big = osp_counts(n)[1]
             assert egf_coefficient(s, n) == big
             assert big == fubini(n) - n * fubini(n - 1) if n else big == 1
 
