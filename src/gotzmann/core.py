@@ -13,7 +13,7 @@ the module is safe to use from multiple threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
@@ -94,8 +94,14 @@ def iter_bits(mask: int):
         mask ^= low
 
 
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def mask_to_exps(mask: int, n: int) -> tuple[int, ...]:
-    return tuple((mask >> i) & 1 for i in range(n))
+    """Exponent tuple of the low n bits of a mask, bit i at index i."""
+    top = 1 << n
+    # binary digits below the marker bit n, lowest first, as bytes of value 0 and 1
+    return tuple(format(mask & (top - 1) | top, "b")[:0:-1].encode().translate(_DIGIT_VALUES))
 
 
 def exps_to_mask(exps) -> int:
@@ -248,36 +254,62 @@ def _canonical_order(gens) -> list:
     return sorted(sorted(gens, reverse=True), key=sum)
 
 
-@dataclass(frozen=True)
+def _minimal_masks(masks) -> list[int]:
+    """The masks that no other of the given distinct masks divides, by rising degree."""
+    kept: list[int] = []
+    for m in sorted(masks, key=int.bit_count):
+        for g in kept:
+            if g & m == g:
+                break
+        else:
+            kept.append(m)
+    return kept
+
+
+@dataclass(frozen=True, slots=True)
 class MonomialIdeal:
     """A monomial ideal given by its minimal (antichain) generating set.
 
     Generators are exponent tuples regardless of flavor.  The zero ideal has no
-    generators; the unit ideal is generated by 1, the all-zero tuple.
+    generators; the unit ideal is generated by 1, the all-zero tuple.  When
+    every generator is squarefree, construction records their bit masks, in
+    the order of gens, and gen_masks and the squarefree properties read them.
     """
 
     ctx: RingContext
     gens: tuple
+    _masks: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.ctx.n
-        squarefree = True
-        for e in self.gens:
-            if len(e) != n or any(x < 0 for x in e):
-                raise ValueError(f"bad generator {e} for {n} variables")
-            if not is_squarefree_exps(e):
-                if self.ctx.flavor == SQF:
-                    raise ValueError(f"generator {e} is not squarefree")
-                squarefree = False
-        if len(set(self.gens)) != len(self.gens):
+        gens = self.gens
+        # one pass in C for the common case; otherwise the loop names the first
+        # bad generator in order, or finds a square in S
+        squarefree = set(map(len, gens)) <= {n} and set().union(*gens) <= {0, 1}
+        if not squarefree:
+            squarefree = True
+            for e in gens:
+                if len(e) != n or any(x < 0 for x in e):
+                    raise ValueError(f"bad generator {e} for {n} variables")
+                if not is_squarefree_exps(e):
+                    if self.ctx.flavor == SQF:
+                        raise ValueError(f"generator {e} is not squarefree")
+                    squarefree = False
+        if len(set(gens)) != len(gens):
             raise ValueError("generators must be distinct")
-        gens = [exps_to_mask(e) for e in self.gens] if squarefree else self.gens
-        for i, g in enumerate(gens):
-            for h in gens[i + 1:]:
-                if divides(g, h) or divides(h, g):
-                    raise ValueError("generators must form a divisibility antichain")
-        if list(self.gens) != _canonical_order(self.gens):
+        if squarefree:
+            masks = tuple(map(exps_to_mask, gens))
+            if len(_minimal_masks(masks)) != len(masks):
+                raise ValueError("generators must form a divisibility antichain")
+        else:
+            masks = None
+            for i, g in enumerate(gens):
+                for h in gens[i + 1:]:
+                    if divides(g, h) or divides(h, g):
+                        raise ValueError("generators must form a divisibility antichain")
+        if list(gens) != _canonical_order(gens):
             raise ValueError("generators must be sorted canonically")
+        object.__setattr__(self, "_masks", masks)
 
     @property
     def is_zero(self) -> bool:
@@ -289,21 +321,28 @@ class MonomialIdeal:
 
     @property
     def squarefree(self) -> bool:
-        return all(is_squarefree_exps(e) for e in self.gens)
+        return self._masks is not None
 
     @property
     def support_mask(self) -> int:
+        supports = self._masks if self._masks is not None else map(support_of_exps, self.gens)
         mask = 0
-        for e in self.gens:
-            mask |= support_of_exps(e)
+        for m in supports:
+            mask |= m
         return mask
+
+    def _gen_degrees(self):
+        """The degree of each generator, in the order of gens."""
+        if self._masks is not None:
+            return map(int.bit_count, self._masks)
+        return map(sum, self.gens)
 
     @property
     def has_linear_gen(self) -> bool:
-        return any(sum(e) == 1 for e in self.gens)
+        return 1 in self._gen_degrees()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted({sum(e) for e in self.gens}))
+        return tuple(sorted(set(self._gen_degrees())))
 
     def contains(self, m) -> bool:
         """Ideal membership of a monomial."""
@@ -312,8 +351,14 @@ class MonomialIdeal:
 
 
 def gen_masks(I: MonomialIdeal) -> tuple[int, ...]:
-    """Generators as bit masks; requires a squarefree ideal."""
-    return tuple(exps_to_mask(e) for e in I.gens)
+    """Generators as bit masks, in the order of I.gens; requires a squarefree ideal.
+
+    Reads the masks recorded when I was built; for an ideal with a generator
+    that is not squarefree, exps_to_mask raises ValueError naming it.
+    """
+    if I._masks is None:
+        return tuple(map(exps_to_mask, I.gens))
+    return I._masks
 
 
 def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
@@ -321,26 +366,37 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
 
     Accepts masks or exponent tuples in any mix; idempotent.  In flavor R any
     input with an exponent above one is rejected.  Squarefree input is
-    filtered as masks and only the survivors become exponent tuples.
+    filtered as masks and only the survivors become exponent tuples; input
+    that is all masks is validated as one set.
     """
     n = ctx.n
-    masks, exps = set(), set()
-    for m in monomials:
-        if not isinstance(m, int):
-            m = as_exps(m, n)
-            if not is_squarefree_exps(m):
-                if ctx.flavor == SQF:
-                    raise ValueError(f"monomial {m} is not squarefree")
-                exps.add(m)
-                continue
-        masks.add(as_mask(m, n))
+    items = monomials if isinstance(monomials, (list, tuple)) else list(monomials)
+    exps: set = set()
+    if set(map(type, items)) <= {int}:
+        masks = set(items)
+        if masks and (min(masks) < 0 or max(masks) >> n):
+            for m in items:
+                as_mask(m, n)  # raises for the first mask, in input order, that does not fit
+    else:
+        masks = set()
+        for m in items:
+            if not isinstance(m, int):
+                m = as_exps(m, n)
+                if not is_squarefree_exps(m):
+                    if ctx.flavor == SQF:
+                        raise ValueError(f"monomial {m} is not squarefree")
+                    exps.add(m)
+                    continue
+            masks.add(as_mask(m, n))
     if exps:
         exps |= {mask_to_exps(m, n) for m in masks}
-    kept: list = []
-    for m in sorted(exps or masks, key=sum if exps else int.bit_count):
-        if not any(divides(g, m) for g in kept):
-            kept.append(m)
-    gens = kept if exps else [mask_to_exps(m, n) for m in kept]
+        kept: list = []
+        for m in sorted(exps, key=sum):
+            if not any(divides(g, m) for g in kept):
+                kept.append(m)
+        gens = kept
+    else:
+        gens = [mask_to_exps(m, n) for m in _minimal_masks(masks)]
     return MonomialIdeal(ctx, tuple(_canonical_order(gens)))
 
 

@@ -231,9 +231,12 @@ def is_gotzmann_ideal(I: MonomialIdeal) -> bool:
     if ctx.flavor == POLY and not I.squarefree:
         return all(is_gotzmann_space(component_space(I, d)) for d in range(lo, hi + 1))
     table = sqf_degree_table(I)
+    # squarefree counts of the ideal generated in degrees <= d, carried from one
+    # degree to the next; the columns below lo are zero and R has no degree n + 1
+    counts = [0] * (len(table) + 1)
     for d in range(lo, hi + 1):
-        # squarefree counts of the ideal generated in degrees <= d; R has no degree n + 1
-        counts = [sum(row[:d + 1]) for row in table] + [0]
+        for k, row in enumerate(table):
+            counts[k] += row[d]
         if ctx.flavor == SQF:
             dim_d, grown = counts[d], counts[d + 1]
         else:

@@ -21,6 +21,7 @@ from .core import (
 )
 
 _XVAR = re.compile(r"^x[0-9]+$")
+_XVAR_RUN = re.compile(r"^(x[0-9]+){2,}$")
 
 
 def _var_index(token: str, ctx: RingContext) -> int:
@@ -45,6 +46,10 @@ def parse_monomial(text: str, ctx: RingContext) -> tuple[int, ...]:
         tokens = [t.strip() for t in text.split("*")]
     elif text in ctx.names or _XVAR.match(text):
         tokens = [text]
+    elif _XVAR_RUN.match(text) and not all(c in ctx.names for c in text):
+        joined = "*".join(re.findall(r"x[0-9]+", text))
+        raise ValueError(f"unknown variable {text!r}: indexed variables are joined by '*',"
+                         f" as in {joined}")
     else:
         tokens = list(text)
     for token in tokens:

@@ -48,6 +48,16 @@ class TestCheck:
             assert code == 2 and out == ""
             assert f"unknown variable {token!r}" in err
 
+    def test_indexed_variables_without_star(self, capsys):
+        for argv, token, fix in [(("--n", "3", "x1x2"), "x1x2", "x1*x2"),
+                                 (("x1x12x3,ab",), "x1x12x3", "x1*x12*x3")]:
+            code, out, err = run(capsys, "check", "--ring", "S", *argv)
+            assert code == 2 and out == ""
+            assert f"unknown variable {token!r}" in err
+            assert "joined by '*'" in err and fix in err
+        code, out, _ = run(capsys, "check", "--ring", "S", "--n", "3", "x1*x2")
+        assert code == 0 and "true" in out
+
 
 class TestClassify:
     def test_star(self, capsys):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import permutations
 
@@ -14,11 +16,13 @@ from gotzmann.core import (
     bitset_masks,
     component_space,
     divide_by_variable,
+    exps_to_mask,
     gen_masks,
     generator_counts,
     ideal_from_up_set,
     iter_bits,
     mask_bitset,
+    mask_to_exps,
     minimalize,
     poly_hilbert_from_sqf,
     poly_ring,
@@ -28,6 +32,7 @@ from gotzmann.core import (
     space,
     sqf_hilbert,
     sqf_ring,
+    support_of_exps,
     unit_ideal,
     up_set,
     upper_shadow,
@@ -135,11 +140,77 @@ class TestMinimalize:
                 MonomialIdeal(ctx, gens)
             assert str(err.value) == message, (ctx.flavor, gens)
         for items, message in [([a2], "monomial (2, 0, 0) is not squarefree"),
+                               ([a2, 8], "monomial (2, 0, 0) is not squarefree"),
+                               ([ab, 9, -1], "mask 9 does not fit in 3 variables"),
+                               ([(1, 0)], "bad exponent tuple (1, 0) for 3 variables"),
+                               # all masks: the first bad one in input order is named
                                ([8], "mask 8 does not fit in 3 variables"),
-                               ([(1, 0)], "bad exponent tuple (1, 0) for 3 variables")]:
-            with pytest.raises(ValueError) as err:
-                minimalize(items, R3)
-            assert str(err.value) == message
+                               ([3, 8, -1], "mask 8 does not fit in 3 variables"),
+                               ([5, -1, 8], "mask -1 does not fit in 3 variables"),
+                               ([7, 6, -2], "mask -2 does not fit in 3 variables")]:
+            for ctx in (R3, S3) if a2 not in items else (R3,):
+                with pytest.raises(ValueError) as err:
+                    minimalize(items, ctx)
+                assert str(err.value) == message, (ctx.flavor, items)
+
+
+class TestRecordedMasks:
+    """Squarefree ideals record their generator masks when they are built."""
+
+    def test_record_is_the_masks_of_gens(self):
+        rng = random.Random(21)
+        for _ in range(400):
+            n = rng.randint(0, 8)
+            ctx = rng.choice((poly_ring, sqf_ring))(n)
+            masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, n + 3))]
+            tuples = [mask_to_exps(m, n) for m in masks]
+            mixed = [rng.choice(pair) for pair in zip(masks, tuples)]
+            want = minimalize_by_tuples(masks, ctx)
+            for items in (masks, tuples, mixed, iter(masks)):
+                I = minimalize(items, ctx)
+                assert I == want
+                assert I._masks == tuple(exps_to_mask(e) for e in I.gens)
+                assert gen_masks(I) is I._masks
+                assert MonomialIdeal(ctx, I.gens)._masks == I._masks
+        for ctx in (S3, R3, poly_ring(0), sqf_ring(0)):
+            assert unit_ideal(ctx)._masks == (0,)
+            assert zero_ideal(ctx)._masks == ()
+
+    def test_properties_match_tuple_definitions(self):
+        rng = random.Random(22)
+        for _ in range(300):
+            n = rng.randint(0, 6)
+            ctx = rng.choice((poly_ring, sqf_ring))(n)
+            cap = 1 if ctx.flavor == "R" or rng.random() < 0.5 else 3
+            items = [tuple(rng.randint(0, cap) for _ in range(n))
+                     for _ in range(rng.randint(0, n + 3))]
+            I = minimalize(items, ctx)
+            assert I.squarefree == all(max(e, default=0) <= 1 for e in I.gens)
+            assert (I._masks is None) == (not I.squarefree)
+            support = 0
+            for e in I.gens:
+                support |= support_of_exps(e)
+            assert I.support_mask == support
+            assert I.degrees() == tuple(sorted({sum(e) for e in I.gens}))
+            assert I.has_linear_gen == any(sum(e) == 1 for e in I.gens)
+
+    def test_gen_masks_rejects_non_squarefree(self):
+        I = minimalize([(0, 1, 1), (2, 0, 0)], S3)
+        assert not I.squarefree and I._masks is None
+        with pytest.raises(ValueError, match="not squarefree: exponent 2 at index 0"):
+            gen_masks(I)
+
+    def test_record_ignored_by_equality_and_kept_by_copies(self):
+        for I in (ideal("ab,ac,bd,cd", R4), ideal("a*a,b*c", S3), ideal("a,b*c", S3),
+                  zero_ideal(S3), unit_ideal(R3)):
+            J = MonomialIdeal(I.ctx, I.gens)
+            object.__setattr__(J, "_masks", ())
+            assert J == I and hash(J) == hash(I)
+            assert "_masks" not in repr(I)
+            for K in (pickle.loads(pickle.dumps(I)), copy.deepcopy(I), copy.copy(I)):
+                assert K == I and hash(K) == hash(I)
+                assert K._masks == I._masks
+            assert not hasattr(I, "__dict__")
 
 
 class TestMaskLevelBitsets:
