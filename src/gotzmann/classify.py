@@ -47,17 +47,18 @@ class SupernovaForm:
                 raise ValueError("stage supports must be pairwise disjoint")
             used |= m | block
 
-    @property
-    def stage_count(self) -> int:
-        return len(self.stages)
 
-    def generator_masks(self) -> tuple[int, ...]:
-        out = []
-        acc = 0
-        for m, block in self.stages:
-            acc |= m
-            out.extend(acc | (1 << b) for b in iter_bits(block))
-        return tuple(out)
+def stage_generators(stages, acc: int = 0) -> list[int]:
+    """Generator masks of stages (m_j, B_j): acc * m_1...m_j * x for x in B_j.
+
+    Stage validity is the caller's to ensure; acc is the product of the stage
+    monomials that come before these stages.
+    """
+    out = []
+    for m, block in stages:
+        acc |= m
+        out.extend(acc | (1 << b) for b in iter_bits(block))
+    return out
 
 
 def supernova_to_ideal(form: SupernovaForm, ctx: RingContext) -> MonomialIdeal:
@@ -68,7 +69,7 @@ def supernova_to_ideal(form: SupernovaForm, ctx: RingContext) -> MonomialIdeal:
     """
     if form.unit:
         return unit_ideal(ctx)
-    masks = form.generator_masks()
+    masks = stage_generators(form.stages)
     for m in masks:
         if m >> ctx.n:
             raise ValueError("form uses variables outside the ring")

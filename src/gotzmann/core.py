@@ -200,16 +200,31 @@ class MonomialSpace:
     basis: frozenset
 
     def __post_init__(self):
-        if self.degree < 0:
+        d = self.degree
+        if d < 0:
             raise ValueError("degree must be nonnegative")
+        basis = self.basis
+        if not basis:
+            return
+        n = self.ctx.n
         want_mask = self.ctx.flavor == SQF
-        for m in self.basis:
+        # one pass in C over the whole set for the common case; otherwise the
+        # loop names a bad element
+        if want_mask:
+            valid = (set(map(type, basis)) <= {int} and min(basis) >= 0
+                     and not max(basis) >> n and set(map(int.bit_count, basis)) == {d})
+        else:
+            valid = (set(map(type, basis)) <= {tuple} and set(map(len, basis)) == {n}
+                     and set(map(sum, basis)) == {d}
+                     and min(set().union(*basis), default=0) >= 0)
+        if valid:
+            return
+        for m in basis:
             if want_mask != isinstance(m, int):
                 raise ValueError("basis representation does not match ring flavor")
-            if degree_of(m) != self.degree:
-                raise ValueError(f"basis element {m} is not of degree {self.degree}")
-        if want_mask and len(self.basis) > binom(self.ctx.n, self.degree):
-            raise ValueError("too many squarefree monomials for this degree")
+            as_exps(m, n)  # raises for a mask or exponent tuple outside the ring
+            if degree_of(m) != d:
+                raise ValueError(f"basis element {m} is not of degree {d}")
 
     @property
     def dim(self) -> int:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
+from .classify import stage_generators
 from .core import (
     MAX_VARS,
     POLY,
@@ -20,7 +21,6 @@ from .core import (
     MonomialIdeal,
     _all_monomials,
     binom,
-    iter_bits,
     mask_bitset,
     minimalize,
     poly_ring,
@@ -63,43 +63,39 @@ def fubini(n: int) -> int:
 
 @dataclass(frozen=True)
 class OrderedSetPartition:
-    """Disjoint nonempty blocks, in order, covering {1..n}."""
+    """Disjoint nonempty blocks, in order, covering {1..n}; each block is a
+    variable mask, element v at bit v - 1."""
 
-    blocks: tuple[frozenset, ...]
+    blocks: tuple[int, ...]
 
     def __post_init__(self):
-        seen: set[int] = set()
-        total = 0
+        seen = 0
         for block in self.blocks:
             if not block:
                 raise ValueError("blocks must be nonempty")
             if block & seen:
                 raise ValueError("blocks must be disjoint")
             seen |= block
-            total += len(block)
-        if seen and seen != set(range(1, total + 1)):
+        if seen < 0 or seen & (seen + 1):
             raise ValueError("blocks must cover an initial segment of the positive integers")
 
     @property
     def nu(self) -> int:
-        return sum(len(b) for b in self.blocks)
+        return sum(map(int.bit_count, self.blocks))
 
     @property
     def last_block_big(self) -> bool:
         """Whether the last block has more than one element (vacuous if empty)."""
-        return not self.blocks or len(self.blocks[-1]) > 1
+        return not self.blocks or self.blocks[-1].bit_count() > 1
 
 
 def enumerate_osp(n: int):
     """All ordered set partitions of {1..n}, deterministically: each first block
-    is a submask of the elements left, in ascending order, its frozenset built
-    once in a table indexed by mask."""
+    is a submask of the elements left, in ascending order."""
     if n < 0:
         raise ValueError(f"set size must be nonnegative, got {n}")
     if n > OSP_MAX_VARS:
         raise ValueError(f"ordered set partition enumeration is limited to {OSP_MAX_VARS}")
-    full = (1 << n) - 1
-    block_of = [frozenset(i + 1 for i in iter_bits(m)) for m in range(full + 1)]
 
     def rec(remaining: int):
         if not remaining:
@@ -107,59 +103,43 @@ def enumerate_osp(n: int):
             return
         block = remaining & -remaining
         while block:
-            head = (block_of[block],)
+            head = (block,)
             for tail in rec(remaining ^ block):
                 yield head + tail
             block = (block - remaining) & remaining
 
-    for blocks in rec(full):
+    for blocks in rec((1 << n) - 1):
         yield OrderedSetPartition(blocks)
 
 
 def osp_to_ideal(osp: OrderedSetPartition, family: str) -> MonomialIdeal:
     """Image of a big-last-block partition in one of the two counting families.
 
-    Blocks alternate between variable blocks and stage-monomial supports; the
-    with-linear family starts with a variable block, the without-linear family
-    with a monomial.  An odd tail becomes a lone principal generator.  The
-    image always has full support and the same weight as the partition.
+    Blocks alternate between stage-monomial supports and variable blocks, and
+    consecutive entries pair into supernova stages (m_j, B_j); the with-linear
+    family puts an empty monomial in front, so its first block holds the
+    linear generators.  An odd tail t becomes the stage (t without its lowest
+    variable, that variable), a lone principal generator.  The image always
+    has full support and the same weight as the partition.
     """
     if not osp.last_block_big:
         raise ValueError("the partition's last block must have more than one element")
-    n = osp.nu
-    ctx = poly_ring(n)
-    blocks = osp.blocks
-    k = len(blocks)
-
-    def block_mask(b):
-        mask = 0
-        for v in b:
-            mask |= 1 << (v - 1)
-        return mask
-
+    ctx = poly_ring(osp.nu)
     if family == WITH_LINEAR:
-        if k == 0:
+        if not osp.blocks:
             return unit_ideal(ctx)
-        gens = [1 << (v - 1) for v in blocks[0]]
-        acc = 0
-        j = 1
+        entries = (0,) + osp.blocks
     elif family == WITHOUT_LINEAR:
-        if k == 0:
+        if not osp.blocks:
             return zero_ideal(ctx)
-        gens = []
-        acc = 0
-        j = 0
+        entries = osp.blocks
     else:
         raise ValueError(f"unknown family {family!r}")
-    while j < k:
-        acc |= block_mask(blocks[j])
-        if j + 1 < k:
-            gens.extend(acc | (1 << (v - 1)) for v in blocks[j + 1])
-            j += 2
-        else:
-            gens.append(acc)
-            j += 1
-    ideal = minimalize(gens, ctx)
+    stages = list(zip(entries[::2], entries[1::2]))
+    if len(entries) % 2:
+        t = entries[-1]
+        stages.append((t & (t - 1), t & -t))
+    ideal = minimalize(stage_generators(stages), ctx)
     if ideal.support_mask != ctx.full_mask:
         raise InvariantViolation("partition image lost full support")
     return ideal
@@ -227,7 +207,11 @@ def enumerate_antichains(n: int, flavor: str = POLY):
 
 
 def _supernova_generator_sets(n: int) -> set:
-    """Generator sets (as sorted mask tuples) of every supernova form on <= n variables."""
+    """Generator sets (as sorted mask tuples) of every supernova form on <= n variables.
+
+    Each form is its parent form plus one stage, so its generators are the
+    parent's list extended by that stage's.
+    """
     out: set = set()
 
     def rec(pool, first, acc, gens):
@@ -238,11 +222,9 @@ def _supernova_generator_sets(n: int) -> set:
             for block in submasks(left):
                 if block == 0:
                     continue
-                prefix = acc | m
-                stage = [prefix | (1 << b) for b in iter_bits(block)]
-                new_gens = gens + stage
+                new_gens = gens + stage_generators(((m, block),), acc)
                 out.add(tuple(sorted(new_gens)))
-                rec(left & ~block, False, prefix, new_gens)
+                rec(left & ~block, False, acc | m, new_gens)
 
     rec((1 << n) - 1, True, 0, [])
     return out

@@ -116,14 +116,11 @@ def growth_equality(V: MonomialSpace, i: int, order=None) -> GrowthEquality:
     """Shadow size of V against the shadow size of its x_i-compression.
 
     Both are computed through the decomposition identity
-    |m V| = |n vhat| + |vhat + n vxi|, exposed for inspection.
+    |m V| = |n vhat| + |vhat + n vxi|, exposed for inspection; the right side
+    applies it to the decomposition of compress(V, i, order).
     """
-    dec = decompose(V, i)
-    lhs = shadow_up(dec.vhat).dim + len(dec.vhat.basis | shadow_up(dec.vxi).basis)
-    q = dec.vhat.ctx
-    hat_seg = lex_segment(dec.vhat.dim, dec.vhat.degree, q, order)
-    xi_seg = lex_segment(dec.vxi.dim, dec.vxi.degree, q, order)
-    rhs = shadow_up(hat_seg).dim + len(hat_seg.basis | shadow_up(xi_seg).basis)
+    lhs, rhs = (shadow_up(dec.vhat).dim + len(dec.vhat.basis | shadow_up(dec.vxi).basis)
+                for dec in (decompose(V, i), decompose(compress(V, i, order), i)))
     return GrowthEquality(lhs, rhs)
 
 

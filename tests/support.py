@@ -54,7 +54,8 @@ def osp_counts(n):
 
 def osp_by_frozensets(n):
     """Ordered set partitions of {1..n}: every first block of the remaining
-    elements, chosen by a position mask in ascending order, then the rest."""
+    elements, chosen by a position mask in ascending order, then the rest.
+    Blocks are frozensets until each partition is yielded with mask blocks."""
     def rec(remaining: tuple):
         if not remaining:
             yield ()
@@ -67,7 +68,7 @@ def osp_by_frozensets(n):
                 yield (block,) + tail
 
     for blocks in rec(tuple(range(1, n + 1))):
-        yield OrderedSetPartition(blocks)
+        yield OrderedSetPartition(tuple(sum(1 << (v - 1) for v in b) for b in blocks))
 
 
 def random_space(rng, ctx, d):

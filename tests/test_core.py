@@ -269,6 +269,25 @@ class TestComponentSpace:
             component_space(ideal("ab", R3), -1)
 
 
+class TestMonomialSpaceValidation:
+    def test_validation_messages(self):
+        cases = [
+            (R3, -1, set(), "degree must be nonnegative"),
+            (sqf_ring(2), 1, {4}, "mask 4 does not fit in 2 variables"),
+            (R3, 1, {-1}, "mask -1 does not fit in 3 variables"),
+            (R3, 1, {(1, 0, 0)}, "basis representation does not match ring flavor"),
+            (R3, 2, {1}, "basis element 1 is not of degree 2"),
+            (poly_ring(2), 1, {(1, 0, 0)}, "bad exponent tuple (1, 0, 0) for 2 variables"),
+            (S3, 1, {(2, -1, 0)}, "bad exponent tuple (2, -1, 0) for 3 variables"),
+            (S3, 1, {1}, "basis representation does not match ring flavor"),
+            (S3, 2, {(1, 0, 0), (1, 1, 0)}, "basis element (1, 0, 0) is not of degree 2"),
+        ]
+        for ctx, d, basis, message in cases:
+            with pytest.raises(ValueError) as err:
+                MonomialSpace(ctx, d, frozenset(basis))
+            assert str(err.value) == message, (ctx.flavor, d, basis)
+
+
 class TestShadow:
     def test_four_cycle_shadow(self):
         V = space(R4, 2, [mono(t, R4) for t in ("ab", "ac", "bd", "cd")])

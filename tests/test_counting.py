@@ -28,7 +28,8 @@ ANTICHAIN_COUNTS = [2, 3, 6, 20, 168, 7581]
 
 
 def osp(*blocks):
-    return OrderedSetPartition(tuple(frozenset(b) for b in blocks))
+    """A partition from blocks given as sets of 1-based elements."""
+    return OrderedSetPartition(tuple(sum(1 << (v - 1) for v in b) for b in blocks))
 
 
 class TestAntichains:
@@ -90,6 +91,25 @@ class TestEnumerateOsp:
         for n in range(7):
             assert list(enumerate_osp(n)) == list(osp_by_frozensets(n))
 
+    def test_blocks_are_masks(self):
+        o = osp({2}, {1, 3})
+        assert o.blocks == (0b010, 0b101)
+        assert o.nu == 3 and o.last_block_big
+        assert not osp({1, 2}, {3}).last_block_big
+
+    def test_validation_messages(self):
+        cases = [
+            ((0b01, 0), "blocks must be nonempty"),
+            ((0b011, 0b110), "blocks must be disjoint"),
+            ((0b101,), "blocks must cover an initial segment of the positive integers"),
+            ((0b10,), "blocks must cover an initial segment of the positive integers"),
+            ((-1,), "blocks must cover an initial segment of the positive integers"),
+        ]
+        for blocks, message in cases:
+            with pytest.raises(ValueError) as err:
+                OrderedSetPartition(blocks)
+            assert str(err.value) == message, blocks
+
 
 class TestOspImages:
     def test_with_linear_two_blocks(self):
@@ -103,6 +123,19 @@ class TestOspImages:
     def test_singleton_last_block_rejected(self):
         with pytest.raises(ValueError):
             osp_to_ideal(osp({1, 2}, {3}), WITH_LINEAR)
+
+    def test_unknown_family_rejected(self):
+        for o in (osp(), osp({1, 2})):
+            with pytest.raises(ValueError) as err:
+                osp_to_ideal(o, "linear")
+            assert str(err.value) == "unknown family 'linear'"
+
+    def test_entries_pair_into_stages(self):
+        o = osp({1}, {2}, {3, 4})
+        # with linear, stages (1, a), (b, cd): a, bc, bd
+        assert osp_to_ideal(o, WITH_LINEAR) == parse_ideal_inline("a,bc,bd", poly_ring(4))
+        # without linear, stage (a, b) and the odd tail cd: ab, acd
+        assert osp_to_ideal(o, WITHOUT_LINEAR) == parse_ideal_inline("ab,acd", poly_ring(4))
 
     def test_empty_partition_maps_to_the_trivial_ideals(self):
         assert osp_to_ideal(osp(), WITH_LINEAR).is_unit

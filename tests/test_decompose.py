@@ -114,6 +114,16 @@ class TestCompress:
         assert eq.lhs == shadow_up(V).dim
         assert eq.rhs == shadow_up(compress(V, 0)).dim
         assert eq.holds
+        rng = random.Random(91)
+        for _ in range(500):
+            n = rng.randint(2, 7)
+            d = rng.randint(1, n)
+            V = random_space(rng, sqf_ring(n), d)
+            i = rng.randrange(n)
+            order = tuple(rng.sample(range(n - 1), n - 1))
+            eq = growth_equality(V, i, order)
+            assert eq.lhs == shadow_up(V).dim
+            assert eq.rhs == shadow_up(compress(V, i, order)).dim
 
 
 class TestDecompositionGrowth:
