@@ -200,31 +200,19 @@ class MonomialSpace:
     basis: frozenset
 
     def __post_init__(self):
-        d = self.degree
-        if d < 0:
+        if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        basis = self.basis
-        if not basis:
-            return
         n = self.ctx.n
         want_mask = self.ctx.flavor == SQF
-        # one pass in C over the whole set for the common case; otherwise the
-        # loop names a bad element
-        if want_mask:
-            valid = (set(map(type, basis)) <= {int} and min(basis) >= 0
-                     and not max(basis) >> n and set(map(int.bit_count, basis)) == {d})
-        else:
-            valid = (set(map(type, basis)) <= {tuple} and set(map(len, basis)) == {n}
-                     and set(map(sum, basis)) == {d}
-                     and min(set().union(*basis), default=0) >= 0)
-        if valid:
-            return
-        for m in basis:
+        for m in self.basis:
             if want_mask != isinstance(m, int):
                 raise ValueError("basis representation does not match ring flavor")
-            as_exps(m, n)  # raises for a mask or exponent tuple outside the ring
-            if degree_of(m) != d:
-                raise ValueError(f"basis element {m} is not of degree {d}")
+            if not want_mask:
+                as_exps(m, n)  # raises for an exponent tuple outside the ring
+            elif m < 0 or m >> n:
+                raise ValueError(f"mask {m} does not fit in {n} variables")
+            if degree_of(m) != self.degree:
+                raise ValueError(f"basis element {m} is not of degree {self.degree}")
 
     @property
     def dim(self) -> int:

@@ -119,8 +119,10 @@ def growth_equality(V: MonomialSpace, i: int, order=None) -> GrowthEquality:
     |m V| = |n vhat| + |vhat + n vxi|, exposed for inspection; the right side
     applies it to the decomposition of compress(V, i, order).
     """
-    lhs, rhs = (shadow_up(dec.vhat).dim + len(dec.vhat.basis | shadow_up(dec.vxi).basis)
-                for dec in (decompose(V, i), decompose(compress(V, i, order), i)))
+    dec = decompose(V, i)
+    lhs = shadow_up(dec.vhat).dim + len(dec.vhat.basis | shadow_up(dec.vxi).basis)
+    lex = decompose(compress(V, i, order), i)
+    rhs = shadow_up(lex.vhat).dim + len(lex.vhat.basis | shadow_up(lex.vxi).basis)
     return GrowthEquality(lhs, rhs)
 
 
