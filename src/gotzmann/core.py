@@ -207,10 +207,11 @@ class MonomialSpace:
         for m in self.basis:
             if want_mask != isinstance(m, int):
                 raise ValueError("basis representation does not match ring flavor")
-            if not want_mask:
-                as_exps(m, n)  # raises for an exponent tuple outside the ring
-            elif m < 0 or m >> n:
-                raise ValueError(f"mask {m} does not fit in {n} variables")
+            if want_mask:
+                if m < 0 or m >> n:
+                    raise ValueError(f"mask {m} does not fit in {n} variables")
+            elif len(m) != n or n and min(m) < 0:
+                raise ValueError(f"bad exponent tuple {m} for {n} variables")
             if degree_of(m) != self.degree:
                 raise ValueError(f"basis element {m} is not of degree {self.degree}")
 
