@@ -57,7 +57,7 @@ def stage_generators(stages, acc: int = 0) -> list[int]:
     out = []
     for m, block in stages:
         acc |= m
-        out.extend(acc | (1 << b) for b in iter_bits(block))
+        out += [acc | (1 << b) for b in iter_bits(block)]
     return out
 
 

@@ -202,7 +202,7 @@ class MonomialSpace:
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        n = self.ctx.n
+        d, n = self.degree, self.ctx.n
         want_mask = self.ctx.flavor == SQF
         for m in self.basis:
             if want_mask != isinstance(m, int):
@@ -212,8 +212,8 @@ class MonomialSpace:
                     raise ValueError(f"mask {m} does not fit in {n} variables")
             elif len(m) != n or n and min(m) < 0:
                 raise ValueError(f"bad exponent tuple {m} for {n} variables")
-            if degree_of(m) != self.degree:
-                raise ValueError(f"basis element {m} is not of degree {self.degree}")
+            if (m.bit_count() if want_mask else sum(m)) != d:
+                raise ValueError(f"basis element {m} is not of degree {d}")
 
     @property
     def dim(self) -> int:

@@ -87,17 +87,20 @@ def reassemble(dec: Decomposition) -> MonomialSpace:
     return MonomialSpace(dec.rctx, dec.vhat.degree, frozenset(basis))
 
 
+def _lex_parts(dec: Decomposition, order=None) -> Decomposition:
+    """Both parts of dec replaced by lex segments of the same sizes in Q."""
+    q = dec.vhat.ctx
+    return Decomposition(dec.i, dec.rctx, lex_segment(dec.vhat.dim, dec.vhat.degree, q, order),
+                         lex_segment(dec.vxi.dim, dec.vxi.degree, q, order))
+
+
 def compress(V: MonomialSpace, i: int, order=None) -> MonomialSpace:
     """Replace both parts of the x_i-decomposition by lex segments in Q.
 
     The order permutes the remaining variables; by default the induced
     identity order is used, which keeps x_i conceptually last.
     """
-    dec = decompose(V, i)
-    q = dec.vhat.ctx
-    hat_seg = lex_segment(dec.vhat.dim, dec.vhat.degree, q, order)
-    xi_seg = lex_segment(dec.vxi.dim, dec.vxi.degree, q, order)
-    return reassemble(Decomposition(i, V.ctx, hat_seg, xi_seg))
+    return reassemble(_lex_parts(decompose(V, i), order))
 
 
 @dataclass(frozen=True)
@@ -117,11 +120,11 @@ def growth_equality(V: MonomialSpace, i: int, order=None) -> GrowthEquality:
 
     Both are computed through the decomposition identity
     |m V| = |n vhat| + |vhat + n vxi|, exposed for inspection; the right side
-    applies it to the decomposition of compress(V, i, order).
+    applies it to the lex parts that compress(V, i, order) reassembles.
     """
     dec = decompose(V, i)
     lhs = shadow_up(dec.vhat).dim + len(dec.vhat.basis | shadow_up(dec.vxi).basis)
-    lex = decompose(compress(V, i, order), i)
+    lex = _lex_parts(dec, order)
     rhs = shadow_up(lex.vhat).dim + len(lex.vhat.basis | shadow_up(lex.vxi).basis)
     return GrowthEquality(lhs, rhs)
 
