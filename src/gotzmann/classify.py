@@ -57,7 +57,10 @@ def stage_generators(stages, acc: int = 0) -> list[int]:
     out = []
     for m, block in stages:
         acc |= m
-        out += [acc | (1 << b) for b in iter_bits(block)]
+        while block:
+            low = block & -block
+            out.append(acc | low)
+            block ^= low
     return out
 
 
