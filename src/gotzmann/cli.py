@@ -1,8 +1,8 @@
 """Command-line surface: parse ideals, dispatch operations, render reports.
 
 Exit codes: 0 success, 1 negative answer under --quiet, 2 parse/usage error,
-3 runtime invariant failure (for example a dual that does not contain its own
-shadow).
+3 runtime invariant failure (for example a count mismatch in `count`, or a
+failing `selftest`).
 """
 
 from __future__ import annotations

@@ -270,6 +270,15 @@ def _minimal_masks(masks) -> list[int]:
     return kept
 
 
+def _minimal_exps(exps) -> list[tuple[int, ...]]:
+    """The exponent tuples that no other of the given distinct tuples divides, by rising degree."""
+    kept: list[tuple[int, ...]] = []
+    for e in sorted(exps, key=sum):
+        if not any(divides(g, e) for g in kept):
+            kept.append(e)
+    return kept
+
+
 @dataclass(frozen=True, slots=True)
 class MonomialIdeal:
     """A monomial ideal given by its minimal (antichain) generating set.
@@ -287,33 +296,25 @@ class MonomialIdeal:
     def __post_init__(self):
         n = self.ctx.n
         gens = self.gens
-        # one pass in C for the common case; otherwise the loop names the first
-        # bad generator in order, or finds a square in S
-        squarefree = set(map(len, gens)) <= {n} and set().union(*gens) <= {0, 1}
-        if not squarefree:
-            squarefree = True
-            for e in gens:
-                if len(e) != n or any(x < 0 for x in e):
-                    raise ValueError(f"bad generator {e} for {n} variables")
-                if not is_squarefree_exps(e):
+        masks: list[int] | None = []
+        for e in gens:
+            if len(e) != n or n and min(e) < 0:
+                raise ValueError(f"bad generator {e} for {n} variables")
+            if masks is not None:
+                try:
+                    masks.append(exps_to_mask(e))
+                except ValueError:  # an exponent above one
                     if self.ctx.flavor == SQF:
-                        raise ValueError(f"generator {e} is not squarefree")
-                    squarefree = False
+                        raise ValueError(f"generator {e} is not squarefree") from None
+                    masks = None
         if len(set(gens)) != len(gens):
             raise ValueError("generators must be distinct")
-        if squarefree:
-            masks = tuple(map(exps_to_mask, gens))
-            if len(_minimal_masks(masks)) != len(masks):
-                raise ValueError("generators must form a divisibility antichain")
-        else:
-            masks = None
-            for i, g in enumerate(gens):
-                for h in gens[i + 1:]:
-                    if divides(g, h) or divides(h, g):
-                        raise ValueError("generators must form a divisibility antichain")
+        minimal = _minimal_exps(gens) if masks is None else _minimal_masks(masks)
+        if len(minimal) != len(gens):
+            raise ValueError("generators must form a divisibility antichain")
         if list(gens) != _canonical_order(gens):
             raise ValueError("generators must be sorted canonically")
-        object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "_masks", None if masks is None else tuple(masks))
 
     @property
     def is_zero(self) -> bool:
@@ -369,36 +370,28 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
     """The divisibility antichain generating the same ideal as the given set.
 
     Accepts masks or exponent tuples in any mix; idempotent.  In flavor R any
-    input with an exponent above one is rejected.  Squarefree input is
-    filtered as masks and only the survivors become exponent tuples; input
-    that is all masks is validated as one set.
+    input with an exponent above one is rejected, and the first bad monomial
+    in input order is named.  Squarefree input is filtered as masks and only
+    the survivors become exponent tuples.
     """
     n = ctx.n
-    items = monomials if isinstance(monomials, (list, tuple)) else list(monomials)
-    exps: set = set()
-    if set(map(type, items)) <= {int}:
-        masks = set(items)
-        if masks and (min(masks) < 0 or max(masks) >> n):
-            for m in items:
-                as_mask(m, n)  # raises for the first mask, in input order, that does not fit
-    else:
-        masks = set()
-        for m in items:
-            if not isinstance(m, int):
-                m = as_exps(m, n)
-                if not is_squarefree_exps(m):
-                    if ctx.flavor == SQF:
-                        raise ValueError(f"monomial {m} is not squarefree")
-                    exps.add(m)
-                    continue
-            masks.add(as_mask(m, n))
+    masks: set[int] = set()
+    exps: set[tuple[int, ...]] = set()
+    for m in monomials:
+        if isinstance(m, int):
+            if m < 0 or m >> n:
+                raise ValueError(f"mask {m} does not fit in {n} variables")
+            masks.add(m)
+            continue
+        e = as_exps(m, n)
+        if is_squarefree_exps(e):
+            masks.add(exps_to_mask(e))
+        elif ctx.flavor == SQF:
+            raise ValueError(f"monomial {e} is not squarefree")
+        else:
+            exps.add(e)
     if exps:
-        exps |= {mask_to_exps(m, n) for m in masks}
-        kept: list = []
-        for m in sorted(exps, key=sum):
-            if not any(divides(g, m) for g in kept):
-                kept.append(m)
-        gens = kept
+        gens = _minimal_exps(exps | {mask_to_exps(m, n) for m in masks})
     else:
         gens = [mask_to_exps(m, n) for m in _minimal_masks(masks)]
     return MonomialIdeal(ctx, tuple(_canonical_order(gens)))
@@ -585,15 +578,19 @@ def divide_by_variable(I: MonomialIdeal, i: int) -> MonomialIdeal:
     return minimalize(out, I.ctx)
 
 
+def q_context(ctx: RingContext, i: int) -> RingContext:
+    """The ring of the same flavor with variable i removed."""
+    if not 0 <= i < ctx.n:
+        raise ValueError(f"variable index {i} out of range")
+    return RingContext(ctx.n - 1, ctx.flavor, ctx.names[:i] + ctx.names[i + 1:])
+
+
 def quotient_by_variable(I: MonomialIdeal, i: int) -> MonomialIdeal:
     """Image of the ideal in the ring with x_i set to zero.
 
-    The result lives over a context with variable i removed; generators
-    involving x_i map to zero and are dropped.
+    The result lives over q_context(I.ctx, i); generators involving x_i map
+    to zero and are dropped.
     """
-    if not 0 <= i < I.ctx.n:
-        raise ValueError(f"variable index {i} out of range")
-    ctx = I.ctx
-    small = RingContext(ctx.n - 1, ctx.flavor, ctx.names[:i] + ctx.names[i + 1:])
+    small = q_context(I.ctx, i)
     kept = [e[:i] + e[i + 1:] for e in I.gens if e[i] == 0]
     return minimalize(kept, small)

@@ -289,6 +289,8 @@ def count_table(n_max: int, include_brute: bool = True) -> list[dict]:
     The brute-force column filters every antichain through the Gotzmann test
     and is only available for n <= 5; the three routes must agree.
     """
+    if n_max < 0:
+        raise ValueError(f"variable count must be nonnegative, got {n_max}")
     if n_max > ENUMERATE_MAX_VARS:
         raise ValueError(f"counting is limited to {ENUMERATE_MAX_VARS} variables")
     T = max(DEFAULT_TRUNCATION, n_max)

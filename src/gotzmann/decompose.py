@@ -24,6 +24,7 @@ from .core import (
     gen_masks,
     ideal_from_up_set,
     mask_bitset,
+    q_context,
     reflect_bitset,
     shadow_up,
     up_set,
@@ -35,13 +36,6 @@ from .lex import is_gotzmann_space, lex_segment, minimal_growth
 def _require_sqf(ctx: RingContext):
     if ctx.flavor != SQF:
         raise ValueError("this operation lives in the squarefree ring")
-
-
-def q_context(ctx: RingContext, i: int) -> RingContext:
-    """The squarefree ring with variable i removed."""
-    if not 0 <= i < ctx.n:
-        raise ValueError(f"variable index {i} out of range")
-    return RingContext(ctx.n - 1, ctx.flavor, ctx.names[:i] + ctx.names[i + 1:])
 
 
 def squeeze_mask(mask: int, i: int) -> int:
@@ -239,13 +233,10 @@ def reconstruct(vxi: MonomialSpace, i: int, name: str | None = None) -> Monomial
     if not is_gotzmann_space(vxi):
         raise ValueError("reconstruction needs a Gotzmann space")
     if name is None:
-        name = next(c for c in ALPHABET if c not in q.names)
+        # None when the alphabet runs out; RingContext then rejects the ring size
+        name = next((c for c in ALPHABET if c not in q.names), None)
     rctx = RingContext(q.n + 1, SQF, q.names[:i] + (name,) + q.names[i:])
-    bit = 1 << i
-    hat = shadow_up(vxi)
-    basis = {unsqueeze_mask(m, i) for m in hat.basis}
-    basis |= {unsqueeze_mask(m, i) | bit for m in vxi.basis}
-    rebuilt = MonomialSpace(rctx, vxi.degree + 1, frozenset(basis))
+    rebuilt = reassemble(Decomposition(i, rctx, shadow_up(vxi), vxi))
     if not is_gotzmann_space(rebuilt):
         raise InvariantViolation("reconstruction produced a non-Gotzmann space")
     return rebuilt

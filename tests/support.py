@@ -42,6 +42,30 @@ def minimalize_by_tuples(monomials, ctx):
         minimal, key=lambda e: (sum(e), tuple(-x for x in e)))))
 
 
+def ideal_gens_error(ctx, gens):
+    """The first rule of a MonomialIdeal generating set that gens break, as
+    the constructor words it, or None when gens are valid.
+
+    The rules, checked in this order: each generator lies in the ring (n
+    nonnegative exponents) and, in R, is squarefree; the generators are
+    distinct; no generator divides another; they are sorted by rising degree,
+    then descending exponent tuple.
+    """
+    n = ctx.n
+    for e in gens:
+        if len(e) != n or any(x < 0 for x in e):
+            return f"bad generator {e} for {n} variables"
+        if ctx.flavor == SQF and not is_squarefree_exps(e):
+            return f"generator {e} is not squarefree"
+    if len(set(gens)) != len(gens):
+        return "generators must be distinct"
+    if any(g != h and divides(g, h) for g in gens for h in gens):
+        return "generators must form a divisibility antichain"
+    if list(gens) != sorted(gens, key=lambda e: (sum(e), tuple(-x for x in e))):
+        return "generators must be sorted canonically"
+    return None
+
+
 @functools.cache
 def osp_counts(n):
     """(all, big-last-block) ordered set partitions of [n], enumerated once per n."""

@@ -59,7 +59,7 @@ class TestSupernovaToIdeal:
         assert supernova_to_ideal(form(unit=True), S3).is_unit
 
     def test_variables_must_fit_ring(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="form uses variables outside the ring"):
             supernova_to_ideal(form((0b1000, 0b0001)), S3)
 
 

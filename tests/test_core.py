@@ -16,6 +16,7 @@ from gotzmann.core import (
     bitset_masks,
     component_space,
     divide_by_variable,
+    divides,
     exps_to_mask,
     gen_masks,
     generator_counts,
@@ -41,7 +42,7 @@ from gotzmann.core import (
 from gotzmann.lex import is_lex_segment, is_lex_some_order, sorted_monomials
 from gotzmann.textio import parse_ideal_inline, parse_monomial
 
-from support import direct_poly_dim, minimalize_by_tuples, random_sqf_ideal
+from support import direct_poly_dim, ideal_gens_error, minimalize_by_tuples, random_sqf_ideal
 
 R3 = sqf_ring(3)
 R4 = sqf_ring(4)
@@ -152,6 +153,48 @@ class TestMinimalize:
                 with pytest.raises(ValueError) as err:
                     minimalize(items, ctx)
                 assert str(err.value) == message, (ctx.flavor, items)
+
+
+class TestConstructorOracle:
+    """MonomialIdeal accepts and rejects exactly what the docstring rules say."""
+
+    @staticmethod
+    def _random_gens(rng, ctx):
+        n = ctx.n
+        top = 2 if ctx.flavor == "S" or rng.random() < 0.2 else 1
+        gens = [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(rng.randint(0, 4))]
+        if rng.random() < 0.5:
+            # mostly valid: the minimal ones, distinct and in canonical order
+            gens = [g for g in set(gens) if not any(h != g and divides(h, g) for h in gens)]
+            gens.sort(key=lambda e: (sum(e), tuple(-x for x in e)))
+        if gens and rng.random() < 0.2:
+            gens.insert(rng.randrange(len(gens) + 1), rng.choice(gens))
+        if gens and rng.random() < 0.2:
+            i, j = rng.randrange(len(gens)), rng.randrange(len(gens))
+            gens[i], gens[j] = gens[j], gens[i]
+        if rng.random() < 0.1:
+            # outside the ring: one entry too many, or a negative entry
+            outside = rng.choice(((0,) * (n + 1), (-1,) + (0,) * max(n - 1, 0)))
+            gens.insert(rng.randrange(len(gens) + 1), outside)
+        return tuple(gens)
+
+    def test_matches_oracle_predicate(self):
+        rng = random.Random(31)
+        accepted = 0
+        for _ in range(4000):
+            ctx = rng.choice((poly_ring, sqf_ring))(rng.randint(0, 4))
+            gens = self._random_gens(rng, ctx)
+            want = ideal_gens_error(ctx, gens)
+            try:
+                I = MonomialIdeal(ctx, gens)
+            except ValueError as err:
+                assert str(err) == want, (ctx.flavor, gens)
+                continue
+            assert want is None, (ctx.flavor, gens)
+            squarefree = all(max(e, default=0) <= 1 for e in gens)
+            assert I._masks == (tuple(map(exps_to_mask, gens)) if squarefree else None)
+            accepted += 1
+        assert 1000 < accepted < 3000
 
 
 class TestRecordedMasks:

@@ -274,3 +274,7 @@ class TestCountTable:
     def test_brute_column_optional(self):
         rows = count_table(3, include_brute=False)
         assert all(r["brute"] is None for r in rows)
+
+    def test_negative_max_rejected(self):
+        with pytest.raises(ValueError, match="variable count must be nonnegative, got -1"):
+            count_table(-1)

@@ -309,6 +309,11 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct(bad, 4)
 
+    def test_full_alphabet_ring_rejected(self):
+        # every default name is taken, so no ring one variable up can be named
+        with pytest.raises(ValueError, match="variable count must be in 0..16, got 17"):
+            reconstruct(space(sqf_ring(16), 1, [1]), 0)
+
 
 class TestStructureSweeps:
     """Exhaustive verification of the decomposition facts over small rings."""
