@@ -9,13 +9,9 @@ from .core import (
     RingContext,
     binom,
     component_space,
-    divide_by_variable,
-    full_space,
-    generator_counts,
     minimalize,
     poly_hilbert_from_sqf,
     poly_ring,
-    quotient_by_variable,
     shadow_up,
     space,
     sqf_hilbert,
@@ -28,7 +24,6 @@ from .lex import (
     is_gotzmann_space,
     is_lex_segment,
     is_lex_some_order,
-    lex_compare,
     lex_segment,
     lexify_in_R,
     macaulay_rep,
@@ -66,6 +61,6 @@ from .counting import (
     fubini,
     osp_to_ideal,
 )
-from .series import RationalSeries, egf_coefficient, series_exp, series_inverse, series_mul
+from .series import RationalSeries, egf_coefficient, series_exp
 
 __version__ = "0.1.0"

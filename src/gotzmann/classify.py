@@ -22,7 +22,7 @@ from .core import (
     unit_ideal,
 )
 
-CANONICALIZE_MAX_VARS = 8
+CANONICALIZE_MAX_VARS = 7
 
 
 @dataclass(frozen=True)
@@ -225,30 +225,18 @@ def _mask_relabel_tables(n: int):
 
 
 def canonicalize(I: MonomialIdeal):
-    """Least serialized generator set over all variable relabelings.
+    """Least sorted generator mask tuple over all variable relabelings.
 
     Two squarefree ideals get equal keys exactly when a permutation of the
-    variables carries one onto the other.  The factorial search is guarded.
+    variables carries one onto the other.  The factorial search reads one
+    relabeling table per permutation, so it is guarded at
+    CANONICALIZE_MAX_VARS variables: 5040 tables of 128 masks at n = 7.
     """
     n = I.ctx.n
     if n > CANONICALIZE_MAX_VARS:
         raise ValueError(f"canonicalization is limited to {CANONICALIZE_MAX_VARS} variables")
-    if I.squarefree:
-        masks = gen_masks(I)
-        if n <= 7:
-            return min(tuple(sorted(map(table.__getitem__, masks)))
-                       for table in _mask_relabel_tables(n))
-        return min(tuple(sorted(_remap_mask(m, perm) for m in masks))
-                   for perm in permutations(range(n)))
-    best = None
-    for perm in permutations(range(n)):
-        relabeled = []
-        for e in I.gens:
-            out = [0] * n
-            for i, x in enumerate(e):
-                out[perm[i]] = x
-            relabeled.append(tuple(out))
-        key = tuple(sorted((sum(e), e) for e in relabeled))
-        if best is None or key < best:
-            best = key
-    return best
+    if not I.squarefree:
+        raise ValueError("canonicalization needs a squarefree ideal")
+    masks = gen_masks(I)
+    return min(tuple(sorted(map(table.__getitem__, masks)))
+               for table in _mask_relabel_tables(n))

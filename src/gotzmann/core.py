@@ -136,10 +136,6 @@ def as_mask(m, n: int) -> int:
     return exps_to_mask(as_exps(m, n))
 
 
-def degree_of(m) -> int:
-    return m.bit_count() if isinstance(m, int) else sum(m)
-
-
 def divides(u, v) -> bool:
     """Whether monomial u divides monomial v (both masks or both tuples)."""
     if isinstance(u, int):
@@ -227,10 +223,6 @@ def space(ctx: RingContext, degree: int, monomials) -> MonomialSpace:
     else:
         basis = frozenset(as_exps(m, ctx.n) for m in monomials)
     return MonomialSpace(ctx, degree, basis)
-
-
-def full_space(ctx: RingContext, d: int) -> MonomialSpace:
-    return MonomialSpace(ctx, d, frozenset(all_monomials(ctx, d)))
 
 
 def shadow_up(V: MonomialSpace) -> MonomialSpace:
@@ -557,40 +549,8 @@ def poly_hilbert_from_sqf(sqf, d: int) -> int:
     return sum(sqf[k] * binom(d - 1, k - 1) for k in range(1, len(sqf)))
 
 
-def generator_counts(I: MonomialIdeal) -> dict[int, int]:
-    """Number of minimal generators in each degree."""
-    counts: dict[int, int] = {}
-    for e in I.gens:
-        d = sum(e)
-        counts[d] = counts.get(d, 0) + 1
-    return dict(sorted(counts.items()))
-
-
-def divide_by_variable(I: MonomialIdeal, i: int) -> MonomialIdeal:
-    """Divide every generator by x_i; all generators must be divisible by it."""
-    if not 0 <= i < I.ctx.n:
-        raise ValueError(f"variable index {i} out of range")
-    out = []
-    for e in I.gens:
-        if e[i] == 0:
-            raise ValueError(f"generator {e} is not divisible by variable {i}")
-        out.append(e[:i] + (e[i] - 1,) + e[i + 1:])
-    return minimalize(out, I.ctx)
-
-
 def q_context(ctx: RingContext, i: int) -> RingContext:
     """The ring of the same flavor with variable i removed."""
     if not 0 <= i < ctx.n:
         raise ValueError(f"variable index {i} out of range")
     return RingContext(ctx.n - 1, ctx.flavor, ctx.names[:i] + ctx.names[i + 1:])
-
-
-def quotient_by_variable(I: MonomialIdeal, i: int) -> MonomialIdeal:
-    """Image of the ideal in the ring with x_i set to zero.
-
-    The result lives over q_context(I.ctx, i); generators involving x_i map
-    to zero and are dropped.
-    """
-    small = q_context(I.ctx, i)
-    kept = [e[:i] + e[i + 1:] for e in I.gens if e[i] == 0]
-    return minimalize(kept, small)

@@ -36,7 +36,6 @@ from .series import (
     egf_coefficient,
     series_const,
     series_exp,
-    series_inverse,
     series_t,
 )
 
@@ -150,7 +149,7 @@ def osp_to_ideal(osp: OrderedSetPartition, family: str) -> MonomialIdeal:
 
 def osp_series(T: int = DEFAULT_TRUNCATION) -> RationalSeries:
     """E.g.f. of ordered set partitions, 1/(2 - e^t)."""
-    return series_inverse(series_const(2, T) - series_exp(T))
+    return (series_const(2, T) - series_exp(T)).inverse()
 
 
 def big_last_block_series(T: int = DEFAULT_TRUNCATION) -> RationalSeries:

@@ -20,9 +20,7 @@ from .core import (
     _all_monomials,
     binom,
     component_space,
-    degree_of,
     ideal_from_up_set,
-    iter_bits,
     mask_bitset,
     ordered_monomials,
     poly_hilbert_from_sqf,
@@ -43,33 +41,6 @@ def _check_order(order, n: int) -> tuple[int, ...]:
     if sorted(perm) != list(range(n)):
         raise ValueError(f"order {perm} is not a permutation of 0..{n - 1}")
     return perm
-
-
-def lex_key(m, n: int, order=None):
-    """Sort key under which ascending order is descending lex monomial order."""
-    perm = identity_order(n) if order is None else _check_order(order, n)
-    if isinstance(m, int):
-        rank = {v: k for k, v in enumerate(perm)}
-        return tuple(sorted(rank[i] for i in iter_bits(m)))
-    return tuple(-m[v] for v in perm)
-
-
-def lex_compare(u, v, order=None) -> int:
-    """Graded lex comparison: +1 if u is greater, -1 if smaller, 0 if equal.
-
-    u is greater when, at the greatest variable where the exponents differ,
-    u has the larger exponent.  Unequal degrees are an error.
-    """
-    if isinstance(u, int) != isinstance(v, int):
-        raise ValueError("cannot compare monomials of different representations")
-    if degree_of(u) != degree_of(v):
-        raise ValueError("lex comparison requires equal degrees")
-    if order is not None:
-        n = len(tuple(order))
-    else:
-        n = max(u.bit_length(), v.bit_length()) if isinstance(u, int) else len(u)
-    ku, kv = lex_key(u, n, order), lex_key(v, n, order)
-    return (ku < kv) - (ku > kv)
 
 
 def sorted_monomials(ctx: RingContext, d: int, order=None) -> tuple:
@@ -158,12 +129,6 @@ def is_lex_some_order(V: MonomialSpace):
     return search(basis, identity_order(V.ctx.n), V.degree)
 
 
-def is_lex_ideal(I: MonomialIdeal, order=None) -> bool:
-    """Whether every component of the ideal is a lex segment (in flavor R)."""
-    top = I.ctx.n if I.ctx.flavor == SQF else max(I.degrees(), default=0)
-    return all(is_lex_segment(component_space(I, d), order) for d in range(top + 1))
-
-
 # ---------------------------------------------------------------------------
 # minimal growth: the Macaulay (S) and Kruskal-Katona (R) bounds in closed form
 
@@ -184,10 +149,6 @@ def macaulay_rep(m: int, d: int) -> tuple[tuple[int, int], ...]:
     if rest:
         raise InvariantViolation(f"greedy representation of {m} failed")
     return tuple(terms)
-
-
-def macaulay_value(rep) -> int:
-    return sum(binom(a, i) for a, i in rep)
 
 
 def minimal_growth(dim: int, d: int, ctx: RingContext) -> int:

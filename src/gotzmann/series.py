@@ -65,14 +65,6 @@ def series_exp(T: int = DEFAULT_TRUNCATION) -> RationalSeries:
     return RationalSeries(tuple(Fraction(1, math.factorial(k)) for k in range(T + 1)))
 
 
-def series_mul(a: RationalSeries, b: RationalSeries) -> RationalSeries:
-    return a * b
-
-
-def series_inverse(s: RationalSeries) -> RationalSeries:
-    return s.inverse()
-
-
 def egf_coefficient(s: RationalSeries, n: int) -> int:
     """n! times the t^n coefficient; must come out an integer."""
     value = s.coeffs[n] * math.factorial(n)

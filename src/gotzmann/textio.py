@@ -70,11 +70,17 @@ def format_monomial(m, ctx: RingContext) -> str:
 
 
 def parse_ideal_inline(text: str, ctx: RingContext) -> MonomialIdeal:
-    """Comma-separated monomials; "0" is the zero ideal, "1" the unit ideal."""
+    """Comma-separated monomials; "0" is the zero ideal, "1" the unit ideal.
+
+    An empty list, bare or in parentheses, is an error rather than a second
+    spelling of the zero ideal.
+    """
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1].strip()
-    if body in ("", "0"):
+    if not body:
+        raise ValueError("empty ideal: write 0 for the zero ideal")
+    if body == "0":
         return minimalize([], ctx)
     return minimalize([parse_monomial(tok, ctx) for tok in body.split(",")], ctx)
 
@@ -157,9 +163,3 @@ def parse_order(text: str, ctx: RingContext) -> tuple[int, ...]:
         raise ValueError(f"order {text!r} is not a permutation of all variables")
     return perm
 
-
-def format_order(order, ctx: RingContext) -> str:
-    names = [ctx.names[i] for i in order]
-    if all(len(name) == 1 for name in names):
-        return "".join(names)
-    return ",".join(names)

@@ -15,6 +15,7 @@ from gotzmann.core import (
     is_squarefree_exps,
     minimalize,
     poly_ring,
+    q_context,
     shadow_up,
     sqf_ring,
 )
@@ -199,3 +200,26 @@ def lex_order_by_permutations(V: MonomialSpace):
 
 def contained_in_variable(I: MonomialIdeal, i: int) -> bool:
     return all(e[i] > 0 for e in I.gens)
+
+
+def divide_by_variable(I: MonomialIdeal, i: int) -> MonomialIdeal:
+    """Divide every generator by x_i; all generators must be divisible by it."""
+    if not 0 <= i < I.ctx.n:
+        raise ValueError(f"variable index {i} out of range")
+    out = []
+    for e in I.gens:
+        if e[i] == 0:
+            raise ValueError(f"generator {e} is not divisible by variable {i}")
+        out.append(e[:i] + (e[i] - 1,) + e[i + 1:])
+    return minimalize(out, I.ctx)
+
+
+def quotient_by_variable(I: MonomialIdeal, i: int) -> MonomialIdeal:
+    """Image of the ideal in the ring with x_i set to zero.
+
+    The result lives over q_context(I.ctx, i); generators involving x_i map
+    to zero and are dropped.
+    """
+    small = q_context(I.ctx, i)
+    kept = [e[:i] + e[i + 1:] for e in I.gens if e[i] == 0]
+    return minimalize(kept, small)

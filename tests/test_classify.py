@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -190,26 +191,31 @@ class TestCanonicalize:
         assert canonicalize(ideal("ab,ac,bd,cd", S4)) == canonicalize(ideal("ac,ab,cd,bd", S4))
 
     def test_orbit_invariance_random(self):
-        rng = random.Random(12)
-        from gotzmann.core import mask_to_exps, minimalize
-        from gotzmann.core import gen_masks
+        from gotzmann.core import gen_masks, iter_bits, mask_to_exps, minimalize
+        from support import random_sqf_ideal
 
+        rng = random.Random(12)
         for _ in range(100):
             n = rng.randint(1, 5)
             ctx = poly_ring(n)
-            from support import random_sqf_ideal
-
             I = random_sqf_ideal(rng, n)
             perm = list(range(n))
             rng.shuffle(perm)
             relabeled = minimalize(
                 [mask_to_exps(sum(1 << perm[i] for i in range(n) if m >> i & 1), n)
                  for m in gen_masks(I)], ctx)
-            assert canonicalize(I) == canonicalize(relabeled)
+            least = min(tuple(sorted(sum(1 << p[i] for i in iter_bits(m)) for m in gen_masks(I)))
+                        for p in permutations(range(n)))
+            assert canonicalize(I) == canonicalize(relabeled) == least
 
     def test_guard_on_large_rings(self):
-        with pytest.raises(ValueError):
-            canonicalize(zero_ideal(poly_ring(9)))
+        from gotzmann.core import minimalize
+
+        for I, message in ((zero_ideal(poly_ring(9)), "limited to 7 variables"),
+                           (zero_ideal(poly_ring(8)), "limited to 7 variables"),
+                           (minimalize([(2, 0, 0), (0, 1, 1)], S3), "squarefree")):
+            with pytest.raises(ValueError, match=message):
+                canonicalize(I)
 
 
 class TestClassificationEquivalence:
@@ -223,8 +229,7 @@ class TestClassificationEquivalence:
                     assert supernova_to_ideal(f, I.ctx) == I
 
     def test_reduction_by_division(self):
-        from gotzmann.core import divide_by_variable
-        from support import contained_in_variable
+        from support import contained_in_variable, divide_by_variable
 
         for n in range(1, 6):
             for I in enumerate_gotzmann(n):
@@ -236,7 +241,7 @@ class TestClassificationEquivalence:
                         assert is_gotzmann_ideal(divide_by_variable(I, i))
 
     def test_reduction_by_quotient(self):
-        from gotzmann.core import quotient_by_variable
+        from support import quotient_by_variable
 
         for n in range(1, 6):
             one_vars = [tuple(int(j == i) for j in range(n)) for i in range(n)]

@@ -42,6 +42,14 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--ring", "R", "ab,,zz")
         assert code == 2 and "error" in err
 
+    def test_empty_ideal_is_usage_error(self, capsys):
+        for text in ("", " ", "()"):
+            code, out, err = run(capsys, "check", "--ring", "R", text)
+            assert code == 2 and out == ""
+            assert "write 0 for the zero ideal" in err
+        code, out, _ = run(capsys, "check", "--ring", "R", "(0)")
+        assert code == 0 and "true" in out
+
     def test_unknown_indexed_variable_named_whole(self, capsys):
         for token in ("x0", "x01", "x17"):
             code, out, err = run(capsys, "check", "--ring", "S", token)

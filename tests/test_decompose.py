@@ -7,7 +7,6 @@ from gotzmann.core import (
     all_monomials,
     binom,
     component_space,
-    full_space,
     poly_ring,
     shadow_up,
     space,
@@ -93,7 +92,7 @@ class TestCompress:
         assert compress(V, 0) == V
 
     def test_full_component_fixed(self):
-        V = full_space(R4, 2)
+        V = space(R4, 2, all_monomials(R4, 2))
         assert compress(V, 2) == V
 
     def test_never_increases_shadow(self):
@@ -154,7 +153,7 @@ class TestDecompositionGrowth:
 class TestColon:
     def test_full_gives_full(self):
         q = sqf_ring(3)
-        assert colon_with_n1(full_space(q, 2)) == full_space(q, 1)
+        assert colon_with_n1(space(q, 2, all_monomials(q, 2))) == space(q, 1, all_monomials(q, 1))
 
     def test_empty_gives_empty_below_top(self):
         q = sqf_ring(3)
@@ -203,8 +202,9 @@ class TestAlexanderDuality:
 
     def test_full_and_zero_components_dualize_to_each_other(self):
         for d in range(5):
-            assert alexander_dual_space(full_space(R4, d)).dim == 0
-            assert alexander_dual_space(space(R4, d, [])) == full_space(R4, 4 - d)
+            assert alexander_dual_space(space(R4, d, all_monomials(R4, d))).dim == 0
+            assert alexander_dual_space(space(R4, d, [])) == \
+                space(R4, 4 - d, all_monomials(R4, 4 - d))
 
     def test_involution(self):
         rng = random.Random(41)
@@ -249,7 +249,7 @@ class TestAlexanderDuality:
 
     def test_full_component_is_gdual(self):
         for d in range(5):
-            assert is_gdual(full_space(R4, d))
+            assert is_gdual(space(R4, d, all_monomials(R4, d)))
 
     def test_gdual_components_of_mixed_ideal(self):
         I = ideal("bc,abd,abe,acd,ace,ade", R5)
@@ -292,7 +292,7 @@ class TestReconstruct:
 
     def test_full_input(self):
         q = sqf_ring(3)
-        V = reconstruct(full_space(q, 1), 3)
+        V = reconstruct(space(q, 1, all_monomials(q, 1)), 3)
         assert is_gotzmann_space(V)
         assert V.dim == binom(3, 2) + 3
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,15 +18,14 @@ from gotzmann.lex import (
     is_gotzmann_space,
     is_lex_segment,
     is_lex_some_order,
-    lex_compare,
     lex_segment,
     lexify_in_R,
     macaulay_rep,
-    macaulay_value,
     minimal_growth,
+    sorted_monomials,
     sqf_lexify_in_S,
 )
-from gotzmann.core import generator_counts, minimalize, sqf_degree_table, sqf_hilbert
+from gotzmann.core import minimalize, sqf_degree_table, sqf_hilbert
 from gotzmann.counting import enumerate_antichains
 from gotzmann.textio import parse_ideal_inline, parse_monomial
 
@@ -54,29 +54,28 @@ def mask(text, ctx):
     return exps_to_mask(parse_monomial(text, ctx))
 
 
+def lex_greater(u, v, ctx, order=None):
+    """Whether u comes before v in the degree listing under the order."""
+    listing = sorted_monomials(ctx, u.bit_count() if isinstance(u, int) else sum(u), order)
+    return listing.index(u) < listing.index(v)
+
+
 class TestLexCompare:
     def test_shared_leading_variable(self):
-        assert lex_compare(mask("ab", R4), mask("ac", R4)) == 1
+        assert lex_greater(mask("ab", R4), mask("ac", R4), R4)
 
     def test_leading_variable_wins(self):
-        assert lex_compare(mask("ad", R4), mask("bc", R4)) == 1
-
-    def test_equal(self):
-        assert lex_compare(mask("ab", R4), mask("ab", R4)) == 0
-
-    def test_unequal_degrees_error(self):
-        with pytest.raises(ValueError):
-            lex_compare(mask("ab", R4), mask("abc", R4))
+        assert lex_greater(mask("ad", R4), mask("bc", R4), R4)
 
     def test_poly_monomials(self):
-        assert lex_compare((2, 0, 0), (1, 1, 0)) == 1
-        assert lex_compare((0, 1, 1), (0, 2, 0)) == -1
+        assert lex_greater((2, 0, 0), (1, 1, 0), S3)
+        assert lex_greater((0, 2, 0), (0, 1, 1), S3)
 
     def test_respects_custom_order(self):
-        # under b > a: ab vs b^2 -> b^2 is greater
-        assert lex_compare((1, 1), (0, 2), order=(1, 0)) == -1
+        # under b > a: b^2 is greater than ab
+        assert lex_greater((0, 2), (1, 1), poly_ring(2), order=(1, 0))
         # masks under d > c > b > a: cd beats ab
-        assert lex_compare(mask("ab", R4), mask("cd", R4), order=(3, 2, 1, 0)) == -1
+        assert lex_greater(mask("cd", R4), mask("ab", R4), R4, order=(3, 2, 1, 0))
 
 
 class TestLexSegment:
@@ -183,17 +182,15 @@ class TestIsLexSomeOrder:
 
 class TestIsLexIdeal:
     def test_lex_ideal_recognized(self):
-        from gotzmann.lex import is_lex_ideal
-
-        assert is_lex_ideal(ideal("ab,ac,ad,bc", R4))
-        assert not is_lex_ideal(ideal("ab,ac,bd,cd", R4))
+        I = ideal("ab,ac,ad,bc", R4)
+        assert lexify_in_R(I) == I
+        J = ideal("ab,ac,bd,cd", R4)
+        assert lexify_in_R(J) != J
 
     def test_order_parameter(self):
-        from gotzmann.lex import is_lex_ideal
-
         I = ideal("bc", R4)  # lex once b is the greatest variable
-        assert not is_lex_ideal(I)
-        assert is_lex_ideal(I, (1, 2, 0, 3))
+        assert not all(is_lex_segment(component_space(I, d)) for d in range(5))
+        assert all(is_lex_segment(component_space(I, d), (1, 2, 0, 3)) for d in range(5))
 
 
 class TestMacaulay:
@@ -212,7 +209,7 @@ class TestMacaulay:
             m = rng.randint(0, 4000)
             d = rng.randint(1, 8)
             rep = macaulay_rep(m, d)
-            assert macaulay_value(rep) == m
+            assert sum(binom(a, i) for a, i in rep) == m
             tops = [a for a, _ in rep]
             lows = [i for _, i in rep]
             assert tops == sorted(tops, reverse=True)
@@ -413,7 +410,7 @@ class TestStructuralLemmas:
     def test_generator_counts_characterize_gotzmann_in_R(self):
         for I in enumerate_antichains(4, flavor="R"):
             L = lexify_in_R(I)
-            same = generator_counts(I) == generator_counts(L)
+            same = Counter(map(sum, I.gens)) == Counter(map(sum, L.gens))
             assert same == is_gotzmann_ideal(I)
 
     def test_gotzmann_in_S_implies_gotzmann_in_R(self):
