@@ -279,6 +279,12 @@ class MonomialIdeal:
     generators; the unit ideal is generated by 1, the all-zero tuple.  When
     every generator is squarefree, construction records their bit masks, in
     the order of gens, and gen_masks and the squarefree properties read them.
+
+    The constructor validates its input: generators in the ring, distinct, an
+    antichain, in canonical order.  Inside the package a mask antichain that
+    is already verified is built by _ideal_from_antichain instead, which skips
+    these checks; minimalize is the way to build an ideal from unchecked
+    monomials.
     """
 
     ctx: RingContext
@@ -358,13 +364,32 @@ def gen_masks(I: MonomialIdeal) -> tuple[int, ...]:
     return I._masks
 
 
+def _ideal_from_antichain(masks, ctx: RingContext) -> MonomialIdeal:
+    """The ideal generated by distinct masks that fit in ctx and form an antichain.
+
+    Every ideal the package builds from a mask antichain comes from here: the
+    caller has verified the masks, so none of the constructor's checks runs
+    again.  One sort puts them in canonical order, each mask becomes its
+    exponent tuple once, and the masks are recorded in the order of gens.
+    """
+    n = ctx.n
+    keyed = sorted([(-m.bit_count(), mask_to_exps(m, n), m) for m in masks], reverse=True)
+    ideal = object.__new__(MonomialIdeal)
+    object.__setattr__(ideal, "ctx", ctx)
+    object.__setattr__(ideal, "gens", tuple([k[1] for k in keyed]))
+    object.__setattr__(ideal, "_masks", tuple([k[2] for k in keyed]))
+    return ideal
+
+
 def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
     """The divisibility antichain generating the same ideal as the given set.
 
     Accepts masks or exponent tuples in any mix; idempotent.  In flavor R any
     input with an exponent above one is rejected, and the first bad monomial
-    in input order is named.  Squarefree input is filtered as masks and only
-    the survivors become exponent tuples.
+    in input order is named.  Squarefree input is filtered once, as masks,
+    and the survivors go to _ideal_from_antichain, so only they become
+    exponent tuples and nothing is checked twice; input of S with a square is
+    filtered as exponent tuples and built by the validating constructor.
     """
     n = ctx.n
     masks: set[int] = set()
@@ -384,9 +409,8 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
             exps.add(e)
     if exps:
         gens = _minimal_exps(exps | {mask_to_exps(m, n) for m in masks})
-    else:
-        gens = [mask_to_exps(m, n) for m in _minimal_masks(masks)]
-    return MonomialIdeal(ctx, tuple(_canonical_order(gens)))
+        return MonomialIdeal(ctx, tuple(_canonical_order(gens)))
+    return _ideal_from_antichain(_minimal_masks(masks), ctx)
 
 
 def ideal_from_up_set(bits: int, ctx: RingContext) -> MonomialIdeal:
@@ -396,7 +420,7 @@ def ideal_from_up_set(bits: int, ctx: RingContext) -> MonomialIdeal:
     monomials of an ideal; the masks outside that shadow are the minimal
     generators.  A bitset that misses part of its shadow raises
     InvariantViolation, naming the lowest degree of a gap, rather than being
-    repaired.
+    repaired; a bit beyond the 2^n masks raises ValueError naming the lowest.
     """
     n = ctx.n
     shadow = upper_shadow(bits, n)
@@ -405,15 +429,19 @@ def ideal_from_up_set(bits: int, ctx: RingContext) -> MonomialIdeal:
         d = next(k for k, level in enumerate(_mask_level_bitsets(n)[0]) if gaps & level)
         raise InvariantViolation(
             f"degree {d} does not contain the shadow of degree {d - 1}")
-    return minimalize(bitset_masks(bits & ~shadow), ctx)
+    outside = bits >> (1 << n) << (1 << n)
+    if outside:
+        raise ValueError(f"mask {(outside & -outside).bit_length() - 1} "
+                         f"does not fit in {n} variables")
+    return _ideal_from_antichain(bitset_masks(bits & ~shadow), ctx)
 
 
 def zero_ideal(ctx: RingContext) -> MonomialIdeal:
-    return MonomialIdeal(ctx, ())
+    return _ideal_from_antichain((), ctx)
 
 
 def unit_ideal(ctx: RingContext) -> MonomialIdeal:
-    return MonomialIdeal(ctx, ((0,) * ctx.n,))
+    return _ideal_from_antichain((0,), ctx)
 
 
 def component_space(I: MonomialIdeal, d: int) -> MonomialSpace:

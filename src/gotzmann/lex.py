@@ -18,8 +18,10 @@ from .core import (
     MonomialSpace,
     RingContext,
     _all_monomials,
+    _ideal_from_antichain,
     binom,
     component_space,
+    gen_masks,
     ideal_from_up_set,
     mask_bitset,
     ordered_monomials,
@@ -228,4 +230,4 @@ def lexify_in_R(I: MonomialIdeal) -> MonomialIdeal:
 def sqf_lexify_in_S(I: MonomialIdeal) -> MonomialIdeal:
     """The squarefree lexification: the S-ideal on the same generators as lexify_in_R."""
     L = lexify_in_R(I)
-    return MonomialIdeal(reflavor(L.ctx, POLY), L.gens)
+    return _ideal_from_antichain(gen_masks(L), reflavor(L.ctx, POLY))

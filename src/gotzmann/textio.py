@@ -92,15 +92,21 @@ def format_ideal(I: MonomialIdeal) -> str:
 
 
 def parse_ideal_lines(lines, ctx: RingContext) -> MonomialIdeal:
-    """One monomial per line; comments and blank lines are skipped."""
+    """One monomial per line; comments and blank lines are skipped.
+
+    A line "0" stands for the zero ideal; lines with no monomial and no "0"
+    are an error, as an empty inline list is.
+    """
     monomials = []
+    zero = False
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
         if line == "0":
-            continue
-        monomials.append(parse_monomial(line, ctx))
+            zero = True
+        elif line:
+            monomials.append(parse_monomial(line, ctx))
+    if not (monomials or zero):
+        raise ValueError("empty ideal: write 0 for the zero ideal")
     return minimalize(monomials, ctx)
 
 

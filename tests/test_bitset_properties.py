@@ -1,4 +1,4 @@
-"""Property tests of the up-set bitset kernel against brute-force definitions."""
+"""Property tests of minimalize and the up-set bitset kernel against brute-force definitions."""
 
 import pytest
 
@@ -10,6 +10,7 @@ from gotzmann.core import (  # noqa: E402
     MonomialSpace,
     all_monomials,
     ideal_from_up_set,
+    minimalize,
     poly_ring,
     sqf_ring,
     up_set,
@@ -30,11 +31,31 @@ def mask_lists(draw):
     return ctx, masks
 
 
+@st.composite
+def monomial_lists(draw):
+    """A ring on n <= 8 variables in either flavor and a list of masks, exponent
+    tuples or a mix of both in it; only tuples of S have squares."""
+    n = draw(st.integers(0, 8))
+    ctx = draw(st.sampled_from((sqf_ring(n), poly_ring(n))))
+    mask = st.integers(0, (1 << n) - 1)
+    exps = st.tuples(*[st.integers(0, 2 if ctx.flavor == "S" else 1)] * n)
+    item = draw(st.sampled_from((mask, exps, mask | exps)))
+    return ctx, draw(st.lists(item, max_size=12))
+
+
+@SETTINGS
+@given(monomial_lists())
+def test_minimalize_matches_tuple_oracle(case):
+    ctx, items = case
+    assert minimalize(items, ctx) == minimalize_by_tuples(items, ctx)
+
+
 @SETTINGS
 @given(mask_lists())
 def test_ideal_from_up_set_is_minimalize(case):
     ctx, masks = case
-    assert ideal_from_up_set(up_set(masks, ctx.n), ctx) == minimalize_by_tuples(masks, ctx)
+    assert (ideal_from_up_set(up_set(masks, ctx.n), ctx) == minimalize(masks, ctx)
+            == minimalize_by_tuples(masks, ctx))
 
 
 @SETTINGS

@@ -37,7 +37,23 @@ from gotzmann.core import (
     upper_shadow,
     zero_ideal,
 )
-from gotzmann.lex import is_lex_segment, is_lex_some_order, sorted_monomials
+from gotzmann.classify import recognize_supernova, supernova_to_ideal
+from gotzmann.counting import (
+    WITH_LINEAR,
+    WITHOUT_LINEAR,
+    enumerate_antichains,
+    enumerate_gotzmann,
+    enumerate_osp,
+    osp_to_ideal,
+)
+from gotzmann.decompose import alexander_dual_ideal, is_gdual_ideal
+from gotzmann.lex import (
+    is_lex_segment,
+    is_lex_some_order,
+    lexify_in_R,
+    sorted_monomials,
+    sqf_lexify_in_S,
+)
 from gotzmann.textio import parse_ideal_inline, parse_monomial
 
 from support import (
@@ -259,6 +275,58 @@ class TestRecordedMasks:
                 assert K == I and hash(K) == hash(I)
                 assert K._masks == I._masks
             assert not hasattr(I, "__dict__")
+
+
+class TestInternalBuilder:
+    """Every route through the package's mask-antichain builder yields an ideal
+    the public constructor accepts, equal to it and with the same mask record."""
+
+    @staticmethod
+    def _check(I):
+        assert ideal_gens_error(I.ctx, I.gens) is None, I
+        assert MonomialIdeal(I.ctx, I.gens) == I
+        assert I._masks == tuple(map(exps_to_mask, I.gens))
+
+    def test_minimalize_and_up_set(self):
+        rng = random.Random(51)
+        for _ in range(400):
+            n = rng.randint(0, 8)
+            ctx = rng.choice((poly_ring, sqf_ring))(n)
+            masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 2 * n + 2))]
+            for I in (minimalize(masks, ctx), ideal_from_up_set(up_set(masks, n), ctx)):
+                self._check(I)
+
+    def test_lexification(self):
+        rng = random.Random(52)
+        for _ in range(200):
+            I = random_sqf_ideal(rng, rng.randint(0, 8), rng.choice("SR"))
+            for L in (lexify_in_R(I), sqf_lexify_in_S(I)):
+                self._check(L)
+
+    def test_alexander_duals(self):
+        duals = 0
+        for n in range(5):
+            for I in enumerate_antichains(n, "R"):
+                if is_gdual_ideal(I):
+                    self._check(alexander_dual_ideal(I))
+                    duals += 1
+        assert duals > 100
+
+    def test_enumerated_and_supernova_ideals(self):
+        for I in enumerate_gotzmann(5):
+            self._check(I)
+            if not (I.is_zero or I.is_unit):
+                self._check(supernova_to_ideal(recognize_supernova(I), I.ctx))
+
+    def test_partition_images(self):
+        for osp in enumerate_osp(6):
+            if osp.last_block_big:
+                self._check(osp_to_ideal(osp, WITH_LINEAR))
+                self._check(osp_to_ideal(osp, WITHOUT_LINEAR))
+
+    def test_outside_bits_rejected(self):
+        with pytest.raises(ValueError, match="^mask 9 does not fit in 3 variables$"):
+            ideal_from_up_set(1 << 7 | 1 << 9 | 1 << 12, R3)
 
 
 class TestMaskLevelBitsets:

@@ -69,6 +69,13 @@ class TestIdeals:
         I = parse_ideal_lines(["# the four cycle", "ab", "ac  # one more", "", "bd", "cd"], R4)
         assert I == parse_ideal_inline("ab,ac,bd,cd", R4)
 
+    def test_lines_without_monomial_rejected(self):
+        for lines in ([], [""], ["# only a comment", ""], ["  # x", "   "]):
+            with pytest.raises(ValueError, match="^empty ideal: write 0 for the zero ideal$"):
+                parse_ideal_lines(lines, R4)
+        assert parse_ideal_lines(["# the zero ideal", "0"], R4).is_zero
+        assert parse_ideal_lines(["0", "ab"], R4) == parse_ideal_inline("ab", R4)
+
     def test_inline_round_trip(self):
         for text in ("0", "1", "a", "ab,ac,bd,cd", "a,bc"):
             I = parse_ideal_inline(text, R4)
