@@ -420,7 +420,7 @@ def ideal_from_up_set(bits: int, ctx: RingContext) -> MonomialIdeal:
     monomials of an ideal; the masks outside that shadow are the minimal
     generators.  A bitset that misses part of its shadow raises
     InvariantViolation, naming the lowest degree of a gap, rather than being
-    repaired; a bit beyond the 2^n masks raises ValueError naming the lowest.
+    repaired.
     """
     n = ctx.n
     shadow = upper_shadow(bits, n)
@@ -429,19 +429,15 @@ def ideal_from_up_set(bits: int, ctx: RingContext) -> MonomialIdeal:
         d = next(k for k, level in enumerate(_mask_level_bitsets(n)[0]) if gaps & level)
         raise InvariantViolation(
             f"degree {d} does not contain the shadow of degree {d - 1}")
-    outside = bits >> (1 << n) << (1 << n)
-    if outside:
-        raise ValueError(f"mask {(outside & -outside).bit_length() - 1} "
-                         f"does not fit in {n} variables")
-    return _ideal_from_antichain(bitset_masks(bits & ~shadow), ctx)
+    return minimalize(bitset_masks(bits & ~shadow), ctx)
 
 
 def zero_ideal(ctx: RingContext) -> MonomialIdeal:
-    return _ideal_from_antichain((), ctx)
+    return MonomialIdeal(ctx, ())
 
 
 def unit_ideal(ctx: RingContext) -> MonomialIdeal:
-    return _ideal_from_antichain((0,), ctx)
+    return MonomialIdeal(ctx, ((0,) * ctx.n,))
 
 
 def component_space(I: MonomialIdeal, d: int) -> MonomialSpace:

@@ -8,19 +8,11 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .core import MonomialIdeal, component_space, poly_ring, space, sqf_ring
+from .core import component_space, poly_ring, space, sqf_ring
 from .lex import is_gotzmann_ideal, is_lex_segment, is_lex_some_order
 from .classify import recognize_supernova
 from .decompose import alexander_dual_ideal, is_gdual_ideal, reconstruct
-from .counting import (
-    WITH_LINEAR,
-    WITHOUT_LINEAR,
-    count_table,
-    count_up_to_symmetry,
-    enumerate_gotzmann,
-    enumerate_osp,
-    osp_to_ideal,
-)
+from .counting import count_table, count_up_to_symmetry
 from .textio import parse_ideal_inline
 
 
@@ -103,15 +95,6 @@ def check_recognizer_roundtrip() -> bool:
     return recognize_supernova(bad) is None
 
 
-def check_internal_constructions() -> bool:
-    """The public constructor accepts what the package builds without it, and
-    records the same generator masks."""
-    ideals = enumerate_gotzmann(4)
-    ideals += [osp_to_ideal(osp, family) for osp in enumerate_osp(5) if osp.last_block_big
-               for family in (WITH_LINEAR, WITHOUT_LINEAR)]
-    return all(MonomialIdeal(I.ctx, I.gens)._masks == I._masks for I in ideals)
-
-
 CHECKS = [
     ("four-cycle Gotzmann in R, not lex in any order", check_four_cycle_gotzmann_not_lex),
     ("four-cycle separates S from R", check_four_cycle_separates_rings),
@@ -122,8 +105,6 @@ CHECKS = [
     ("counts for n <= 3 agree across all routes", check_small_counts),
     ("orbit buckets are 2^(n-2) for n = 2..12", check_orbit_buckets),
     ("supernova recognizer accepts and rejects correctly", check_recognizer_roundtrip),
-    ("internal constructions satisfy the public constructor's rules",
-     check_internal_constructions),
 ]
 
 
