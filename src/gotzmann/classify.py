@@ -150,6 +150,8 @@ class FacetComplex:
         for f in self.facets:
             if f <= 0 or f >> self.n:
                 raise ValueError(f"facet {f} is not a nonempty subset of the vertices")
+        if len(set(self.facets)) != len(self.facets):
+            raise ValueError("facets must be distinct")
         for f in self.facets:
             for g in self.facets:
                 if f != g and f & g == f:

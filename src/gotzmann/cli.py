@@ -62,11 +62,11 @@ def _context(args, text=None):
     return sqf_ring(n) if ring == "R" else poly_ring(n)
 
 
-def _report(args, ctx, gens, result, diagnostics):
+def _report(ctx, gens, result, diagnostics):
     payload = {
         "gens": gens,
-        "ring": ctx.flavor if ctx else None,
-        "n": ctx.n if ctx else None,
+        "ring": ctx.flavor,
+        "n": ctx.n,
         "result": result,
         "diagnostics": diagnostics,
     }
@@ -89,7 +89,7 @@ def cmd_check(args) -> int:
     if args.quiet:
         return 0 if result else 1
     if args.json:
-        _report(args, ctx, [format_monomial(e, ctx) for e in I.gens], result, {})
+        _report(ctx, [format_monomial(e, ctx) for e in I.gens], result, {})
     else:
         print(f"Gotzmann: {'true' if result else 'false'}")
     return 0
@@ -104,7 +104,7 @@ def cmd_classify(args) -> int:
     gens = [format_monomial(e, ctx) for e in I.gens]
     if form is None:
         if args.json:
-            _report(args, ctx, gens, None, {})
+            _report(ctx, gens, None, {})
         else:
             print("not a supernova (not Gotzmann)")
         return 1
@@ -112,8 +112,7 @@ def cmd_classify(args) -> int:
         stages = [{"monomial": format_monomial(mask_to_exps(m, ctx.n), ctx),
                    "block": [ctx.name(i) for i in iter_bits(block)]}
                   for m, block in form.stages]
-        _report(args, ctx, gens, format_supernova(form, ctx),
-                {"stages": stages, "unit": form.unit})
+        _report(ctx, gens, format_supernova(form, ctx), {"stages": stages, "unit": form.unit})
     else:
         print(format_supernova(form, ctx))
     return 0
@@ -124,22 +123,19 @@ def cmd_lexify(args) -> int:
     I = parse_ideal_inline(args.ideal, ctx)
     L = lexify_in_R(I) if args.ring == "R" else sqf_lexify_in_S(I)
     if args.json:
-        _report(args, L.ctx, [format_monomial(e, L.ctx) for e in L.gens],
-                format_ideal(L), {})
+        _report(L.ctx, [format_monomial(e, L.ctx) for e in L.gens], format_ideal(L), {})
     else:
         print(format_ideal(L))
     return 0
 
 
 def cmd_dual(args) -> int:
-    args.ring = "R"
     ctx = _context(args, args.ideal)
     I = parse_ideal_inline(args.ideal, ctx)
     D = alexander_dual_ideal(I)
     diagnostics = {"gotzmann": is_gotzmann_ideal(D), "gdual_input": is_gdual_ideal(I)}
     if args.json:
-        _report(args, ctx, [format_monomial(e, ctx) for e in D.gens],
-                format_ideal(D), diagnostics)
+        _report(ctx, [format_monomial(e, ctx) for e in D.gens], format_ideal(D), diagnostics)
     else:
         print(format_ideal(D))
     return 0
@@ -156,7 +152,6 @@ def _variable_index(name, ctx) -> int:
 
 
 def cmd_decompose(args) -> int:
-    args.ring = "R"
     ctx = _context(args, args.monomials)
     V = _parse_space(args.monomials, ctx)
     i = _variable_index(args.var, ctx)
@@ -168,13 +163,11 @@ def cmd_decompose(args) -> int:
     }
     diagnostics = {"dim": V.dim, "dim_vhat": dec.vhat.dim, "dim_vxi": dec.vxi.dim,
                    "degree": V.degree}
-    _report(args, ctx, sorted(format_monomial(m, ctx) for m in V.basis),
-            result, diagnostics)
+    _report(ctx, sorted(format_monomial(m, ctx) for m in V.basis), result, diagnostics)
     return 0
 
 
 def cmd_compress(args) -> int:
-    args.ring = "R"
     ctx = _context(args, args.monomials)
     V = _parse_space(args.monomials, ctx)
     i = _variable_index(args.var, ctx)
@@ -184,8 +177,7 @@ def cmd_compress(args) -> int:
     result = sorted(format_monomial(m, ctx) for m in T.basis)
     diagnostics = {"shadow_of_input": eq.lhs, "shadow_of_compression": eq.rhs,
                    "growth_equality_holds": eq.holds}
-    _report(args, ctx, sorted(format_monomial(m, ctx) for m in V.basis),
-            result, diagnostics)
+    _report(ctx, sorted(format_monomial(m, ctx) for m in V.basis), result, diagnostics)
     return 0
 
 
@@ -270,16 +262,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ideal")
 
     p = add("dual", cmd_dual, help="Alexander dual of a squarefree ideal of R")
+    p.set_defaults(ring="R")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("ideal")
 
     p = add("decompose", cmd_decompose, help="split a monomial space by a variable")
+    p.set_defaults(ring="R")
     p.add_argument("--var", required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("monomials")
 
     p = add("compress", cmd_compress, help="replace both parts by lex segments")
+    p.set_defaults(ring="R")
     p.add_argument("--var", required=True)
     p.add_argument("--order", default=None)
     p.add_argument("--n", type=int, default=None)

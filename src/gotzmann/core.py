@@ -469,17 +469,6 @@ def _mask_level_bitsets(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(levels), tuple(without)
 
 
-def _close_up(bits: int, without) -> int:
-    """The up-set of a bitset: one shift per variable, each closing under x_i.
-
-    Once a step has closed the set under x_i, later steps keep it closed, so
-    one pass over the variables suffices.
-    """
-    for i, rest in enumerate(without):
-        bits |= (bits & rest) << (1 << i)
-    return bits
-
-
 def mask_bitset(masks) -> int:
     """Bitset with bit m set for each of the given masks."""
     bits = 0
@@ -489,8 +478,16 @@ def mask_bitset(masks) -> int:
 
 
 def up_set(masks, n: int) -> int:
-    """Bitset over the 2^n masks of every squarefree multiple of the masks."""
-    return _close_up(mask_bitset(masks), _mask_level_bitsets(n)[1])
+    """Bitset over the 2^n masks of every squarefree multiple of the masks.
+
+    One shift per variable, each closing the set under x_i.  Once a step has
+    closed the set under x_i, later steps keep it closed, so one pass over the
+    variables suffices.
+    """
+    bits = mask_bitset(masks)
+    for i, rest in enumerate(_mask_level_bitsets(n)[1]):
+        bits |= (bits & rest) << (1 << i)
+    return bits
 
 
 def upper_shadow(bits: int, n: int) -> int:
@@ -524,39 +521,12 @@ def bitset_masks(bits: int) -> list[int]:
     return out
 
 
-def sqf_degree_table(I: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
-    """Squarefree monomials of I by their degree and their first generator degree.
-
-    Entry [k][e] counts the squarefree degree-k monomials whose smallest
-    dividing generator has degree e, so the prefix sums of row k count the
-    degree-k monomials of the ideal generated in degrees <= e.  Requires a
-    squarefree ideal.
-
-    One pass over the generator degrees, rising: the up-set of the generators
-    seen so far is a bitset over all 2^n masks (bit m set when the monomial
-    with mask m is in it), closed upward by one shift per variable and
-    counted per degree against the bitset of each level.
-    """
-    n = I.ctx.n
-    by_degree: dict[int, list[int]] = {}
-    for g in gen_masks(I):
-        by_degree.setdefault(g.bit_count(), []).append(g)
-    levels, without = _mask_level_bitsets(n)
-    table = [[0] * (n + 1) for _ in range(n + 1)]
-    seen = [0] * (n + 1)
-    up = 0
-    for e in sorted(by_degree):
-        up = _close_up(up | mask_bitset(by_degree[e]), without)
-        for k, level in enumerate(levels):
-            count = (up & level).bit_count()
-            table[k][e] = count - seen[k]
-            seen[k] = count
-    return tuple(tuple(row) for row in table)
-
-
 def sqf_hilbert(I: MonomialIdeal) -> tuple[int, ...]:
-    """Counts of squarefree monomials in I per degree 0..n."""
-    return tuple(sum(row) for row in sqf_degree_table(I))
+    """Counts of squarefree monomials in I per degree 0..n: the level counts of
+    the up-set of its generators.  Requires a squarefree ideal."""
+    n = I.ctx.n
+    bits = up_set(gen_masks(I), n)
+    return tuple((bits & level).bit_count() for level in _mask_level_bitsets(n)[0])
 
 
 def poly_hilbert_from_sqf(sqf, d: int) -> int:

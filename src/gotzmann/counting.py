@@ -96,19 +96,16 @@ def enumerate_osp(n: int):
     if n > OSP_MAX_VARS:
         raise ValueError(f"ordered set partition enumeration is limited to {OSP_MAX_VARS}")
 
-    def rec(remaining: int):
+    def rec(remaining: int, head: tuple):
         if not remaining:
-            yield ()
+            yield OrderedSetPartition(head)
             return
         block = remaining & -remaining
         while block:
-            head = (block,)
-            for tail in rec(remaining ^ block):
-                yield head + tail
+            yield from rec(remaining ^ block, head + (block,))
             block = (block - remaining) & remaining
 
-    for blocks in rec((1 << n) - 1):
-        yield OrderedSetPartition(blocks)
+    yield from rec((1 << n) - 1, ())
 
 
 def osp_to_ideal(osp: OrderedSetPartition, family: str) -> MonomialIdeal:

@@ -30,7 +30,7 @@ from .core import (
     up_set,
     upper_shadow,
 )
-from .lex import is_gotzmann_space, lex_segment, minimal_growth
+from .lex import _grows_minimally, is_gotzmann_space, lex_segment
 
 
 def _require_sqf(ctx: RingContext):
@@ -192,16 +192,12 @@ def is_gdual_ideal(I: MonomialIdeal) -> bool:
     """Whether every componentwise Alexander dual of the ideal is Gotzmann.
 
     The dual of the degree-(n - k) component of I is the degree-k piece of
-    the dual bitset, whose shadow is compared with the Kruskal-Katona bound.
+    the dual bitset.  That bitset is the reflected complement of an up-set, so
+    it is an up-set too, and lex._grows_minimally tests its pieces in every
+    degree 0..n against the Kruskal-Katona bound.
     """
     _require_sqf(I.ctx)
-    n = I.ctx.n
-    dual = _dual_bitset(I)
-    for k, level in enumerate(_mask_level_bitsets(n)[0]):
-        piece = dual & level
-        if upper_shadow(piece, n).bit_count() != minimal_growth(piece.bit_count(), k, I.ctx):
-            return False
-    return True
+    return _grows_minimally(_dual_bitset(I), range(I.ctx.n + 1), I.ctx)
 
 
 # ---------------------------------------------------------------------------

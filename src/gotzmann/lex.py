@@ -19,6 +19,7 @@ from .core import (
     RingContext,
     _all_monomials,
     _ideal_from_antichain,
+    _mask_level_bitsets,
     binom,
     component_space,
     gen_masks,
@@ -28,9 +29,10 @@ from .core import (
     poly_hilbert_from_sqf,
     reflavor,
     shadow_up,
-    sqf_degree_table,
     sqf_hilbert,
     unit_ideal,
+    up_set,
+    upper_shadow,
 )
 
 
@@ -176,38 +178,47 @@ def is_gotzmann_space(V: MonomialSpace) -> bool:
     return shadow_up(V).dim == minimal_growth(V.dim, V.degree, V.ctx)
 
 
+def _grows_minimally(bits: int, degrees, ctx: RingContext) -> bool:
+    """Whether the degree-d piece of a squarefree up-set grows minimally in each given degree.
+
+    bits is a bitset over the 2^n masks that contains its own shadow: the
+    squarefree monomials of an ideal.  Its degree-d piece I_d is
+    bits & levels[d], and upper_shadow(I_d) holds the squarefree degree-(d+1)
+    monomials of the ideal generated in degrees <= d.  In R that shadow is the
+    grown piece; in S both dimensions come from squarefree counts through
+    poly_hilbert_from_sqf, so S_d is never listed.
+    """
+    n = ctx.n
+    levels = _mask_level_bitsets(n)[0]
+    counts = [(bits & level).bit_count() for level in levels]
+    for d in degrees:
+        shadow = upper_shadow(bits & levels[d], n).bit_count()
+        if ctx.flavor == SQF:
+            dim_d, grown = counts[d], shadow
+        else:
+            dim_d = poly_hilbert_from_sqf(counts, d)
+            grown = poly_hilbert_from_sqf(counts[:d + 1] + [shadow], d + 1)
+        if grown != minimal_growth(dim_d, d, ctx):
+            return False
+    return True
+
+
 def is_gotzmann_ideal(I: MonomialIdeal) -> bool:
     """Whether every component of the ideal has minimal shadow growth.
 
     By persistence it is enough to look at degrees between the smallest and
-    largest generator degrees; all later components stay Gotzmann.  For
-    squarefree ideals both dimensions come from one table of squarefree
-    counts: in degree d only the generators of degree <= d matter, and in S
-    the counts turn into dimensions through the Hilbert series substitution,
-    avoiding materialization of S_d.
+    largest generator degrees; all later components stay Gotzmann.  A
+    squarefree ideal, of S or R, is read off the up-set of its generators by
+    _grows_minimally, without materializing S_d; an ideal of S with a square
+    is tested on its materialized components.
     """
     if I.is_zero:
         return True
-    ctx = I.ctx
     degs = I.degrees()
-    lo, hi = degs[0], degs[-1]
-    if ctx.flavor == POLY and not I.squarefree:
-        return all(is_gotzmann_space(component_space(I, d)) for d in range(lo, hi + 1))
-    table = sqf_degree_table(I)
-    # squarefree counts of the ideal generated in degrees <= d, carried from one
-    # degree to the next; the columns below lo are zero and R has no degree n + 1
-    counts = [0] * (len(table) + 1)
-    for d in range(lo, hi + 1):
-        for k, row in enumerate(table):
-            counts[k] += row[d]
-        if ctx.flavor == SQF:
-            dim_d, grown = counts[d], counts[d + 1]
-        else:
-            dim_d = poly_hilbert_from_sqf(counts, d)
-            grown = poly_hilbert_from_sqf(counts, d + 1)
-        if grown != minimal_growth(dim_d, d, ctx):
-            return False
-    return True
+    degrees = range(degs[0], degs[-1] + 1)
+    if not I.squarefree:
+        return all(is_gotzmann_space(component_space(I, d)) for d in degrees)
+    return _grows_minimally(up_set(gen_masks(I), I.ctx.n), degrees, I.ctx)
 
 
 # ---------------------------------------------------------------------------

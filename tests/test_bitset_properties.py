@@ -1,4 +1,5 @@
-"""Property tests of minimalize and the up-set bitset kernel against brute-force definitions."""
+"""Property tests of minimalize and the up-set bitset kernel against brute-force definitions,
+and of the up-set Gotzmann test against the recognizer and materialized components."""
 
 import pytest
 
@@ -9,15 +10,18 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from gotzmann.core import (  # noqa: E402
     MonomialSpace,
     all_monomials,
+    gen_masks,
     ideal_from_up_set,
     minimalize,
     poly_ring,
     sqf_ring,
     up_set,
 )
+from gotzmann.classify import recognize_supernova, stage_generators  # noqa: E402
 from gotzmann.decompose import colon_with_n1  # noqa: E402
+from gotzmann.lex import is_gotzmann_ideal, lexify_in_R  # noqa: E402
 
-from support import minimalize_by_tuples  # noqa: E402
+from support import gotzmann_by_components, minimalize_by_tuples  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
 
@@ -41,6 +45,59 @@ def monomial_lists(draw):
     exps = st.tuples(*[st.integers(0, 2 if ctx.flavor == "S" else 1)] * n)
     item = draw(st.sampled_from((mask, exps, mask | exps)))
     return ctx, draw(st.lists(item, max_size=12))
+
+
+def nonunit_masks(n):
+    """Masks on n variables, the unit mask 0 only when n = 0."""
+    full = (1 << n) - 1
+    return st.integers(min(1, full), full)
+
+
+@st.composite
+def supernova_masks(draw, n):
+    """Generator masks of a random supernova form on at most n variables:
+    consecutive runs of a shuffled variable list become the stage monomials
+    and blocks."""
+    perm = draw(st.permutations(range(n)))
+    used = draw(st.integers(0, n))
+    stages, pos = [], 0
+    while pos < used:
+        m_size = draw(st.integers(0, used - pos - 1))
+        b_size = draw(st.integers(1, used - pos - m_size))
+        m = sum(1 << v for v in perm[pos:pos + m_size])
+        block = sum(1 << v for v in perm[pos + m_size:pos + m_size + b_size])
+        stages.append((m, block))
+        pos += m_size + b_size
+    return stage_generators(stages)
+
+
+@st.composite
+def sqf_poly_ideals(draw):
+    """A squarefree ideal of S on n <= 10 variables: a random antichain, a
+    supernova ideal, or a supernova ideal with extra random generators, so
+    that Gotzmann and non-Gotzmann ideals both occur."""
+    n = draw(st.integers(0, 10))
+    ctx = poly_ring(n)
+    extra = draw(st.lists(nonunit_masks(n), max_size=12))
+    kind = draw(st.sampled_from(("antichain", "supernova", "perturbed")))
+    if kind == "antichain":
+        return minimalize(extra, ctx)
+    gens = draw(supernova_masks(n))
+    return minimalize(gens + (extra[:2] if kind == "perturbed" else []), ctx)
+
+
+@st.composite
+def sqf_ring_ideals(draw):
+    """An ideal of R on n <= 8 variables: a random antichain, the lexification
+    of one, which is Gotzmann, or that lexification with extra random generators."""
+    n = draw(st.integers(0, 8))
+    ctx = sqf_ring(n)
+    extra = draw(st.lists(nonunit_masks(n), max_size=12))
+    kind = draw(st.sampled_from(("antichain", "lex", "perturbed")))
+    if kind == "antichain":
+        return minimalize(extra, ctx)
+    gens = list(gen_masks(lexify_in_R(minimalize(extra[2:], ctx))))
+    return minimalize(gens + (extra[:2] if kind == "perturbed" else []), ctx)
 
 
 @SETTINGS
@@ -69,3 +126,15 @@ def test_colon_matches_definition(n, data):
     want = {m for m in all_monomials(ctx, d - 1)
             if all(m | 1 << j in basis for j in range(n) if not m >> j & 1)}
     assert got == want
+
+
+@SETTINGS
+@given(sqf_poly_ideals())
+def test_gotzmann_in_S_iff_supernova(I):
+    assert is_gotzmann_ideal(I) == (recognize_supernova(I) is not None)
+
+
+@SETTINGS
+@given(sqf_ring_ideals())
+def test_gotzmann_in_R_matches_components(I):
+    assert is_gotzmann_ideal(I) == gotzmann_by_components(I)

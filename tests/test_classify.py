@@ -147,6 +147,12 @@ class TestComplexes:
         with pytest.raises(ValueError):
             FacetComplex(3, (0b001, 0b011))
 
+    def test_repeated_facet_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            FacetComplex(3, (0b011, 0b011))
+        with pytest.raises(ValueError, match="distinct"):
+            FacetComplex(4, (0b0011, 0b1100, 0b0011))
+
     def test_supernova_complex_from_forms(self):
         rng = random.Random(5)
         count = 0

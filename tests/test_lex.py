@@ -25,7 +25,7 @@ from gotzmann.lex import (
     sorted_monomials,
     sqf_lexify_in_S,
 )
-from gotzmann.core import minimalize, sqf_degree_table, sqf_hilbert
+from gotzmann.core import minimalize, sqf_hilbert
 from gotzmann.counting import enumerate_antichains
 from gotzmann.textio import parse_ideal_inline, parse_monomial
 
@@ -332,7 +332,7 @@ class TestGotzmannIdeals:
 
 
 class TestCountingKernel:
-    """The one-pass squarefree count table against direct counts and materialized components."""
+    """Up-set level counts and the up-set Gotzmann test against direct counts and components."""
 
     @staticmethod
     def check(I):
@@ -350,16 +350,6 @@ class TestCountingKernel:
             for n in range(5):
                 for I in enumerate_antichains(n, flavor=flavor):
                     self.check(I)
-
-    def test_table_columns_split_by_first_generator_degree(self):
-        rng = random.Random(77)
-        for _ in range(100):
-            n = rng.randint(0, 8)
-            I = random_sqf_ideal(rng, n, "R")
-            table = sqf_degree_table(I)
-            for e in range(n + 1):
-                low = minimalize([g for g in I.gens if sum(g) <= e], I.ctx)
-                assert tuple(sum(row[:e + 1]) for row in table) == direct_sqf_counts(low)
 
 
 class TestLexify:
