@@ -72,12 +72,25 @@ class RingContext:
         return self.names[i]
 
 
+@lru_cache(maxsize=2 * (MAX_VARS + 1), typed=True)
+def _default_ring(n: int, flavor: str) -> RingContext:
+    """The one shared context per (n, flavor) with default names; an invalid
+    n raises in RingContext and is not cached."""
+    return RingContext(n, flavor, default_names(n))
+
+
 def poly_ring(n: int, names=None) -> RingContext:
-    return RingContext(n, POLY, tuple(names) if names is not None else default_names(n))
+    """The polynomial ring; with default names the same shared context each time."""
+    if names is None:
+        return _default_ring(n, POLY)
+    return RingContext(n, POLY, tuple(names))
 
 
 def sqf_ring(n: int, names=None) -> RingContext:
-    return RingContext(n, SQF, tuple(names) if names is not None else default_names(n))
+    """The squarefree ring; with default names the same shared context each time."""
+    if names is None:
+        return _default_ring(n, SQF)
+    return RingContext(n, SQF, tuple(names))
 
 
 def reflavor(ctx: RingContext, flavor: str) -> RingContext:
@@ -94,14 +107,21 @@ def iter_bits(mask: int):
         mask ^= low
 
 
-_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+# the exponent tuple of each byte value, bit i at index i
+_BYTE_EXPS = tuple(tuple(b >> i & 1 for i in range(8)) for b in range(256))
 
 
 def mask_to_exps(mask: int, n: int) -> tuple[int, ...]:
-    """Exponent tuple of the low n bits of a mask, bit i at index i."""
-    top = 1 << n
-    # binary digits below the marker bit n, lowest first, as bytes of value 0 and 1
-    return tuple(format(mask & (top - 1) | top, "b")[:0:-1].encode().translate(_DIGIT_VALUES))
+    """Exponent tuple of the low n bits of a mask, bit i at index i.
+
+    One slice of a byte table for n <= 8 and two joined slices up to MAX_VARS;
+    any other n raises ValueError.
+    """
+    if 0 <= n <= 8:
+        return _BYTE_EXPS[mask & 255][:n]
+    if 8 < n <= MAX_VARS:
+        return _BYTE_EXPS[mask & 255] + _BYTE_EXPS[mask >> 8 & 255][:n - 8]
+    raise ValueError(f"variable count must be in 0..{MAX_VARS}, got {n}")
 
 
 def exps_to_mask(exps) -> int:
@@ -367,10 +387,14 @@ def gen_masks(I: MonomialIdeal) -> tuple[int, ...]:
 def _ideal_from_antichain(masks, ctx: RingContext) -> MonomialIdeal:
     """The ideal generated by distinct masks that fit in ctx and form an antichain.
 
-    Every ideal the package builds from a mask antichain comes from here: the
-    caller has verified the masks, so none of the constructor's checks runs
-    again.  One sort puts them in canonical order, each mask becomes its
-    exponent tuple once, and the masks are recorded in the order of gens.
+    Every ideal the package builds from a mask antichain comes from here, and
+    none of the constructor's checks runs again.  Each caller knows its masks
+    are an antichain: minimalize has just filtered them, sqf_lexify_in_S reads
+    them off an ideal already built, and the three counting routes
+    (osp_to_ideal, enumerate_gotzmann, enumerate_antichains) build them as
+    one, for the reasons their docstrings give.  One sort puts the masks in
+    canonical order, each becomes its exponent tuple once, and they are
+    recorded in the order of gens.
     """
     n = ctx.n
     keyed = sorted([(-m.bit_count(), mask_to_exps(m, n), m) for m in masks], reverse=True)

@@ -20,9 +20,9 @@ from .core import (
     InvariantViolation,
     MonomialIdeal,
     _all_monomials,
+    _ideal_from_antichain,
     binom,
     mask_bitset,
-    minimalize,
     poly_ring,
     sqf_ring,
     unit_ideal,
@@ -117,6 +117,14 @@ def osp_to_ideal(osp: OrderedSetPartition, family: str) -> MonomialIdeal:
     linear generators.  An odd tail t becomes the stage (t without its lowest
     variable, that variable), a lone principal generator.  The image always
     has full support and the same weight as the partition.
+
+    The stage generators are an antichain by construction, so they go to the
+    builder unfiltered.  The partition's blocks are nonempty and pairwise
+    disjoint, so every stage monomial after the first is nonempty and no block
+    meets any stage monomial or another block.  With A_j = m_1...m_j, a stage-j
+    generator A_j*x (x in B_j) cannot divide a later A_k*y: x is not in
+    A_k or {y}.  The later one cannot divide it either: y is not in A_j or
+    {x}.  Two generators of one stage are distinct masks of one degree.
     """
     if not osp.last_block_big:
         raise ValueError("the partition's last block must have more than one element")
@@ -135,7 +143,7 @@ def osp_to_ideal(osp: OrderedSetPartition, family: str) -> MonomialIdeal:
     if len(entries) % 2:
         t = entries[-1]
         stages.append((t & (t - 1), t & -t))
-    ideal = minimalize(stage_generators(stages), ctx)
+    ideal = _ideal_from_antichain(stage_generators(stages), ctx)
     if ideal.support_mask != ctx.full_mask:
         raise InvariantViolation("partition image lost full support")
     return ideal
@@ -182,8 +190,15 @@ def enumerate_antichains(n: int, flavor: str = POLY):
 
     Walks the up-sets of the subset lattice level by level: beyond the forced
     shadow of earlier levels every choice of new monomials is free, and those
-    choices are exactly the minimal generators.
+    choices are exactly the minimal generators.  They are an antichain by
+    construction and go to the builder unfiltered: each level's choices lie
+    outside the shadow of the earlier levels, so no earlier choice divides
+    them, and distinct masks of one degree cannot divide each other.
+
+    The flavor must be POLY or SQF; anything else raises ValueError.
     """
+    if flavor not in (POLY, SQF):
+        raise ValueError(f"flavor must be {POLY!r} or {SQF!r}, got {flavor!r}")
     if n > ANTICHAIN_MAX_VARS:
         raise ValueError(f"antichain enumeration is limited to {ANTICHAIN_MAX_VARS} variables")
     ctx = poly_ring(n) if flavor == POLY else sqf_ring(n)
@@ -191,7 +206,7 @@ def enumerate_antichains(n: int, flavor: str = POLY):
 
     def rec(d, forced, gens):
         if d > n:
-            yield minimalize(gens, ctx)
+            yield _ideal_from_antichain(gens, ctx)
             return
         free = [m for m in levels[d] if not forced >> m & 1]
         for r in range(len(free) + 1):
@@ -230,14 +245,17 @@ def enumerate_gotzmann(n: int) -> list[MonomialIdeal]:
     """All Gotzmann squarefree ideals of S on n variables, zero and unit included.
 
     Generated structurally from supernova forms over every variable subset and
-    deduplicated by minimal generator set.
+    deduplicated by minimal generator set.  Each set is the stage generators
+    of a form, an antichain by the argument in osp_to_ideal (disjoint stage
+    monomials and nonempty blocks, only the first monomial empty), so it goes
+    to the builder unfiltered.
     """
     if n > ENUMERATE_MAX_VARS:
         raise ValueError(f"enumeration is limited to {ENUMERATE_MAX_VARS} variables")
     ctx = poly_ring(n)
     keys = _supernova_generator_sets(n)
     ideals = [zero_ideal(ctx), unit_ideal(ctx)]
-    ideals.extend(minimalize(masks, ctx) for masks in keys)
+    ideals.extend(_ideal_from_antichain(masks, ctx) for masks in keys)
     ideals.sort(key=lambda I: (len(I.gens), I.gens))
     return ideals
 

@@ -218,6 +218,70 @@ class TestConstructorOracle:
         assert 1000 < accepted < 3000
 
 
+class TestMaskToExps:
+    """The byte-table form agrees with the digit definition: bit i of the low
+    n bits at index i, whatever bits lie above them."""
+
+    @staticmethod
+    def _digits(mask, n):
+        return tuple(mask >> i & 1 for i in range(n))
+
+    def test_every_mask_up_to_12(self):
+        for n in range(13):
+            for m in range(1 << n):
+                assert mask_to_exps(m, n) == self._digits(m, n), (m, n)
+
+    def test_random_masks_13_to_16(self):
+        rng = random.Random(61)
+        for n in range(13, 17):
+            for _ in range(2000):
+                m = rng.randrange(1 << n)
+                assert mask_to_exps(m, n) == self._digits(m, n), (m, n)
+
+    def test_negative_and_oversized_masks_keep_the_low_bits(self):
+        rng = random.Random(62)
+        for n in range(17):
+            for _ in range(200):
+                m = rng.randrange(-(1 << 40), 1 << 40)
+                assert mask_to_exps(m, n) == self._digits(m, n), (m, n)
+            assert mask_to_exps(-1, n) == (1,) * n
+            assert mask_to_exps(1 << n, n) == (0,) * n
+
+    def test_variable_count_out_of_range(self):
+        for n in (17, 40, -1):
+            with pytest.raises(ValueError, match=f"^variable count must be in 0..16, got {n}$"):
+                mask_to_exps(1, n)
+
+
+class TestSharedRings:
+    """Rings with default names are one shared context per (n, flavor)."""
+
+    def test_default_names_share_one_context(self):
+        for n in range(17):
+            assert poly_ring(n) is poly_ring(n)
+            assert sqf_ring(n) is sqf_ring(n)
+            assert poly_ring(n) != sqf_ring(n)
+            assert poly_ring(n).names == sqf_ring(n).names == tuple("abcdefghijklmnop"[:n])
+
+    def test_named_rings_are_fresh_and_validated(self):
+        named = poly_ring(2, "xy")
+        assert named is not poly_ring(2, "xy") and named == poly_ring(2, ["x", "y"])
+        assert named != poly_ring(2)
+        assert sqf_ring(3, "abc") is not sqf_ring(3) and sqf_ring(3, "abc") == sqf_ring(3)
+        with pytest.raises(ValueError, match="distinct and nonempty"):
+            poly_ring(2, "xx")
+        with pytest.raises(ValueError, match="one name per variable"):
+            sqf_ring(3, "xy")
+
+    def test_invalid_counts_raise_every_time(self):
+        for ring in (poly_ring, sqf_ring):
+            for n in (17, -1):
+                for _ in range(2):
+                    with pytest.raises(ValueError,
+                                       match=f"^variable count must be in 0..16, got {n}$"):
+                        ring(n)
+
+
 class TestRecordedMasks:
     """Squarefree ideals record their generator masks when they are built."""
 
@@ -317,6 +381,12 @@ class TestInternalBuilder:
             self._check(I)
             if not (I.is_zero or I.is_unit):
                 self._check(supernova_to_ideal(recognize_supernova(I), I.ctx))
+
+    def test_antichains(self):
+        for flavor in "SR":
+            for n in range(6):
+                for I in enumerate_antichains(n, flavor):
+                    self._check(I)
 
     def test_partition_images(self):
         for osp in enumerate_osp(6):

@@ -63,6 +63,11 @@ class TestAntichains:
         with pytest.raises(ValueError):
             next(enumerate_antichains(6))
 
+    def test_unknown_flavor(self):
+        for flavor in ("X", "s", "r", "", None):
+            with pytest.raises(ValueError, match="^flavor must be 'S' or 'R', got "):
+                next(enumerate_antichains(3, flavor))
+
 
 class TestEnumerateGotzmann:
     def test_counts(self):
