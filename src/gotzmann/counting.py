@@ -2,8 +2,8 @@
 
 Three independent routes are kept side by side: direct generation of all
 supernova forms, coefficient extraction from exponential generating functions
-over exact rationals, and a brute-force filter of every antichain at small n.
-Counts include the zero and unit ideals.
+over exact rationals, and at small n a brute-force walk over every antichain,
+cut by Gotzmann persistence.  Counts include the zero and unit ideals.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .core import (
     SQF,
     InvariantViolation,
     MonomialIdeal,
+    RingContext,
     _all_monomials,
     _ideal_from_antichain,
     binom,
@@ -29,7 +30,7 @@ from .core import (
     upper_shadow,
     zero_ideal,
 )
-from .lex import is_gotzmann_ideal
+from .lex import _grows_at
 from .series import (
     DEFAULT_TRUNCATION,
     RationalSeries,
@@ -185,15 +186,60 @@ def submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def enumerate_antichains(n: int, flavor: str = POLY):
-    """Every antichain of subsets of the variables, once, as squarefree ideals.
+def _antichain_walk(n: int, cut: RingContext | None = None):
+    """Every antichain of subsets of the variables, once, as a list of generator masks.
 
     Walks the up-sets of the subset lattice level by level: beyond the forced
     shadow of earlier levels every choice of new monomials is free, and those
     choices are exactly the minimal generators.  They are an antichain by
-    construction and go to the builder unfiltered: each level's choices lie
-    outside the shadow of the earlier levels, so no earlier choice divides
-    them, and distinct masks of one degree cannot divide each other.
+    construction: each level's choices lie outside the shadow of the earlier
+    levels, so no earlier choice divides them, and distinct masks of one
+    degree cannot divide each other.
+
+    With cut a ring context on n variables, only the generator sets of the
+    Gotzmann ideals of that ring are yielded.  A branch ends right after
+    level d is chosen when it takes new generators in degree d and
+    lex._grows_at fails at d; the level's shadow, which it tests against, is
+    the next level's forced set.  This yields exactly the Gotzmann ideals:
+
+    - The test at d reads only levels <= d, which are fixed in the branch,
+      and every leaf below it has a generator of degree d.  So d lies between
+      the leaf's smallest and largest generator degrees, where
+      is_gotzmann_ideal tests it, and the leaf is not Gotzmann.
+    - A level that takes no new generators is not tested.  Its piece is the
+      shadow of the level below, so the ideal up to it is generated in lower
+      degrees; by persistence (Gotzmann in S, Aramova-Herzog-Hibi in R) it
+      grows minimally if the level below did.  By induction from the
+      smallest generator degree, a leaf that passes every test grows
+      minimally in every degree from there on, so it is Gotzmann.
+    - A Gotzmann leaf passes every test, since each tested degree lies
+      between its smallest and largest generator degrees.
+    """
+    levels = [_all_monomials(n, SQF, d) for d in range(n + 1)]
+
+    def rec(d, forced, counts, gens):
+        if d > n:
+            yield gens
+            return
+        free = [m for m in levels[d] if not forced >> m & 1]
+        base = forced.bit_count()
+        for r in range(len(free) + 1):
+            for chosen in combinations(free, r):
+                shadow = upper_shadow(forced | mask_bitset(chosen), n)
+                here = counts + [base + r]
+                if cut is not None and chosen and \
+                        not _grows_at(here, shadow.bit_count(), d, cut):
+                    continue
+                yield from rec(d + 1, shadow, here, gens + list(chosen))
+
+    yield from rec(0, 0, [], [])
+
+
+def enumerate_antichains(n: int, flavor: str = POLY):
+    """Every antichain of subsets of the variables, once, as squarefree ideals.
+
+    The generator lists of _antichain_walk, uncut, in its order; each is an
+    antichain by construction and goes to the builder unfiltered.
 
     The flavor must be POLY or SQF; anything else raises ValueError.
     """
@@ -202,19 +248,8 @@ def enumerate_antichains(n: int, flavor: str = POLY):
     if n > ANTICHAIN_MAX_VARS:
         raise ValueError(f"antichain enumeration is limited to {ANTICHAIN_MAX_VARS} variables")
     ctx = poly_ring(n) if flavor == POLY else sqf_ring(n)
-    levels = [_all_monomials(n, SQF, d) for d in range(n + 1)]
-
-    def rec(d, forced, gens):
-        if d > n:
-            yield _ideal_from_antichain(gens, ctx)
-            return
-        free = [m for m in levels[d] if not forced >> m & 1]
-        for r in range(len(free) + 1):
-            for chosen in combinations(free, r):
-                yield from rec(d + 1, upper_shadow(forced | mask_bitset(chosen), n),
-                               gens + list(chosen))
-
-    yield from rec(0, 0, [])
+    for gens in _antichain_walk(n):
+        yield _ideal_from_antichain(gens, ctx)
 
 
 def _supernova_generator_sets(n: int) -> set:
@@ -300,8 +335,10 @@ def count_up_to_symmetry(n: int) -> dict:
 def count_table(n_max: int, include_brute: bool = True) -> list[dict]:
     """Per-n counts from enumeration, series coefficients, and brute force.
 
-    The brute-force column filters every antichain through the Gotzmann test
-    and is only available for n <= 5; the three routes must agree.
+    The brute-force column counts the leaves of the persistence-cut antichain
+    walk, _antichain_walk(n, poly_ring(n)): no ideal is built, and a branch
+    is dropped at its first degree that fails to grow minimally.  It is only
+    available for n <= 5; the three routes must agree.
     """
     if n_max < 0:
         raise ValueError(f"variable count must be nonnegative, got {n_max}")
@@ -316,7 +353,7 @@ def count_table(n_max: int, include_brute: bool = True) -> list[dict]:
         full = (1 << n) - 1
         brute = None
         if include_brute and n <= ANTICHAIN_MAX_VARS:
-            brute = sum(1 for A in enumerate_antichains(n) if is_gotzmann_ideal(A))
+            brute = sum(1 for _ in _antichain_walk(n, poly_ring(n)))
         rows.append({
             "n": n,
             "enumerated": len(ideals),

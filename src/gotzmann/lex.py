@@ -178,27 +178,36 @@ def is_gotzmann_space(V: MonomialSpace) -> bool:
     return shadow_up(V).dim == minimal_growth(V.dim, V.degree, V.ctx)
 
 
+def _grows_at(counts, shadow: int, d: int, ctx: RingContext) -> bool:
+    """Whether the degree-d piece of a squarefree ideal grows minimally.
+
+    counts[k] is the number of squarefree degree-k monomials of the ideal,
+    for every k <= d at least, and shadow is the size of the squarefree
+    shadow of its degree-d piece: the squarefree degree-(d+1) monomials of
+    the ideal generated in degrees <= d.  In R that shadow is the grown
+    piece; in S both dimensions come from squarefree counts through
+    poly_hilbert_from_sqf, so S_d is never listed.
+    """
+    if ctx.flavor == SQF:
+        dim_d, grown = counts[d], shadow
+    else:
+        dim_d = poly_hilbert_from_sqf(counts, d)
+        grown = poly_hilbert_from_sqf(counts[:d + 1] + [shadow], d + 1)
+    return grown == minimal_growth(dim_d, d, ctx)
+
+
 def _grows_minimally(bits: int, degrees, ctx: RingContext) -> bool:
     """Whether the degree-d piece of a squarefree up-set grows minimally in each given degree.
 
     bits is a bitset over the 2^n masks that contains its own shadow: the
     squarefree monomials of an ideal.  Its degree-d piece I_d is
-    bits & levels[d], and upper_shadow(I_d) holds the squarefree degree-(d+1)
-    monomials of the ideal generated in degrees <= d.  In R that shadow is the
-    grown piece; in S both dimensions come from squarefree counts through
-    poly_hilbert_from_sqf, so S_d is never listed.
+    bits & levels[d], and _grows_at tests it against upper_shadow(I_d).
     """
     n = ctx.n
     levels = _mask_level_bitsets(n)[0]
     counts = [(bits & level).bit_count() for level in levels]
     for d in degrees:
-        shadow = upper_shadow(bits & levels[d], n).bit_count()
-        if ctx.flavor == SQF:
-            dim_d, grown = counts[d], shadow
-        else:
-            dim_d = poly_hilbert_from_sqf(counts, d)
-            grown = poly_hilbert_from_sqf(counts[:d + 1] + [shadow], d + 1)
-        if grown != minimal_growth(dim_d, d, ctx):
+        if not _grows_at(counts, upper_shadow(bits & levels[d], n).bit_count(), d, ctx):
             return False
     return True
 

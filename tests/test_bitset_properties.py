@@ -1,5 +1,6 @@
 """Property tests of minimalize and the up-set bitset kernel against brute-force definitions,
-and of the up-set Gotzmann test against the recognizer and materialized components."""
+of the up-set Gotzmann test against the recognizer and materialized components, and of
+the persistence the antichain walk's cut rests on."""
 
 import pytest
 
@@ -19,7 +20,7 @@ from gotzmann.core import (  # noqa: E402
 )
 from gotzmann.classify import recognize_supernova, stage_generators  # noqa: E402
 from gotzmann.decompose import colon_with_n1  # noqa: E402
-from gotzmann.lex import is_gotzmann_ideal, lexify_in_R  # noqa: E402
+from gotzmann.lex import _grows_minimally, is_gotzmann_ideal, lexify_in_R  # noqa: E402
 
 from support import gotzmann_by_components, minimalize_by_tuples  # noqa: E402
 
@@ -138,3 +139,28 @@ def test_gotzmann_in_S_iff_supernova(I):
 @given(sqf_ring_ideals())
 def test_gotzmann_in_R_matches_components(I):
     assert is_gotzmann_ideal(I) == gotzmann_by_components(I)
+
+
+@st.composite
+def mixed_antichains(draw):
+    """An ideal of S or R on 3 <= n <= 8 variables from at least two random
+    generators of degree two or more; most are not Gotzmann."""
+    n = draw(st.integers(3, 8))
+    ctx = draw(st.sampled_from((sqf_ring(n), poly_ring(n))))
+    mask = st.integers(3, (1 << n) - 1).filter(lambda m: m.bit_count() >= 2)
+    return minimalize(draw(st.lists(mask, min_size=2, max_size=12)), ctx)
+
+
+@SETTINGS
+@given(st.one_of(sqf_poly_ideals().filter(lambda I: I.ctx.n <= 8), sqf_ring_ideals(),
+                 mixed_antichains()))
+def test_growth_tests_agree_by_persistence(I):
+    """Testing every degree from the first generator degree up to n, or only the
+    degrees that hold generators, agrees with is_gotzmann_ideal, which stops at
+    the top generator degree."""
+    n = I.ctx.n
+    bits = up_set(gen_masks(I), n)
+    degrees = I.degrees()
+    first = degrees[0] if degrees else 0
+    assert _grows_minimally(bits, range(first, n + 1), I.ctx) == is_gotzmann_ideal(I)
+    assert _grows_minimally(bits, degrees, I.ctx) == is_gotzmann_ideal(I)

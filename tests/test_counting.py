@@ -1,13 +1,15 @@
+import os
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from gotzmann.core import gen_masks, poly_ring
+from gotzmann.core import gen_masks, poly_ring, sqf_ring
 from gotzmann.counting import (
     WITH_LINEAR,
     WITHOUT_LINEAR,
     OrderedSetPartition,
+    _antichain_walk,
     _supernova_signatures,
     count_table,
     count_up_to_symmetry,
@@ -25,6 +27,7 @@ from support import osp_by_frozensets
 
 GOTZMANN_COUNTS = [2, 3, 6, 19, 96, 669]
 ANTICHAIN_COUNTS = [2, 3, 6, 20, 168, 7581]
+R_GOTZMANN_COUNTS = [2, 3, 6, 20, 149, 3882]
 
 
 def osp(*blocks):
@@ -67,6 +70,28 @@ class TestAntichains:
         for flavor in ("X", "s", "r", "", None):
             with pytest.raises(ValueError, match="^flavor must be 'S' or 'R', got "):
                 next(enumerate_antichains(3, flavor))
+
+
+class TestPersistenceCutWalk:
+    """The cut walk against the unpruned filter of every antichain."""
+
+    def test_matches_filtered_antichains(self):
+        for flavor, ring, counts in (("S", poly_ring, GOTZMANN_COUNTS),
+                                     ("R", sqf_ring, R_GOTZMANN_COUNTS)):
+            for n in range(6):
+                got = [frozenset(gens) for gens in _antichain_walk(n, ring(n))]
+                want = {frozenset(gen_masks(A)) for A in enumerate_antichains(n, flavor)
+                        if is_gotzmann_ideal(A)}
+                assert set(got) == want, (flavor, n)
+                assert len(got) == len(want) == counts[n], (flavor, n)
+
+    @pytest.mark.skipif(os.environ.get("GOTZ_SLOW_TESTS") != "1",
+                        reason="set GOTZ_SLOW_TESTS=1 to run the n = 6 walks")
+    def test_six_variables(self):
+        # 7,828,354 antichains put the unpruned filter out of reach here
+        walked = sum(1 for _ in _antichain_walk(6, poly_ring(6)))
+        assert walked == len(enumerate_gotzmann(6)) == 5754
+        assert sum(1 for _ in _antichain_walk(6, sqf_ring(6))) == 505330
 
 
 class TestEnumerateGotzmann:
