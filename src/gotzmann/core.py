@@ -302,9 +302,10 @@ class MonomialIdeal:
 
     The constructor validates its input: generators in the ring, distinct, an
     antichain, in canonical order.  Inside the package a mask antichain that
-    is already verified is built by _ideal_from_antichain instead, which skips
-    these checks; minimalize is the way to build an ideal from unchecked
-    monomials.
+    is already verified and already in canonical order is built by
+    _ideal_from_antichain instead, which skips these checks and sorts
+    nothing; minimalize is the way to build an ideal from unchecked
+    monomials in any order.
     """
 
     ctx: RingContext
@@ -384,25 +385,31 @@ def gen_masks(I: MonomialIdeal) -> tuple[int, ...]:
     return I._masks
 
 
-def _ideal_from_antichain(masks, ctx: RingContext) -> MonomialIdeal:
-    """The ideal generated by distinct masks that fit in ctx and form an antichain.
-
-    Every ideal the package builds from a mask antichain comes from here, and
-    none of the constructor's checks runs again.  Each caller knows its masks
-    are an antichain: minimalize has just filtered them, sqf_lexify_in_S reads
-    them off an ideal already built, and the three counting routes
-    (osp_to_ideal, enumerate_gotzmann, enumerate_antichains) build them as
-    one, for the reasons their docstrings give.  One sort puts the masks in
-    canonical order, each becomes its exponent tuple once, and they are
-    recorded in the order of gens.
-    """
-    n = ctx.n
-    keyed = sorted([(-m.bit_count(), mask_to_exps(m, n), m) for m in masks], reverse=True)
+def _record_ideal(ctx: RingContext, gens: tuple, masks: tuple) -> MonomialIdeal:
+    """The ideal object on canonical generators and their masks, unchecked."""
     ideal = object.__new__(MonomialIdeal)
     object.__setattr__(ideal, "ctx", ctx)
-    object.__setattr__(ideal, "gens", tuple([k[1] for k in keyed]))
-    object.__setattr__(ideal, "_masks", tuple([k[2] for k in keyed]))
+    object.__setattr__(ideal, "gens", gens)
+    object.__setattr__(ideal, "_masks", masks)
     return ideal
+
+
+def _ideal_from_antichain(masks, ctx: RingContext) -> MonomialIdeal:
+    """The ideal generated by distinct masks that fit in ctx, form an antichain
+    and come in canonical order: rising degree, then descending exponent tuple.
+
+    Every ideal the package builds from a mask antichain it already holds in
+    canonical order comes from here, and none of the constructor's checks
+    runs again; nothing is sorted either.
+    Each caller knows its masks are a canonical antichain, for the reasons
+    its docstring gives: sqf_lexify_in_S reads them off an ideal already
+    built, and the three counting routes (osp_to_ideal, enumerate_gotzmann,
+    enumerate_antichains) build them as one, in order.  Each mask becomes its
+    exponent tuple once, and the masks are recorded in the order of gens.
+    """
+    n = ctx.n
+    masks = tuple(masks)
+    return _record_ideal(ctx, tuple([mask_to_exps(m, n) for m in masks]), masks)
 
 
 def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
@@ -410,10 +417,11 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
 
     Accepts masks or exponent tuples in any mix; idempotent.  In flavor R any
     input with an exponent above one is rejected, and the first bad monomial
-    in input order is named.  Squarefree input is filtered once, as masks,
-    and the survivors go to _ideal_from_antichain, so only they become
-    exponent tuples and nothing is checked twice; input of S with a square is
-    filtered as exponent tuples and built by the validating constructor.
+    in input order is named.  Squarefree input is filtered once, as masks;
+    only the survivors become exponent tuples, one keyed sort puts them in
+    canonical order, and they are recorded unchecked, as _ideal_from_antichain
+    records them.  Input of S with a square is filtered as exponent tuples
+    and built by the validating constructor.
     """
     n = ctx.n
     masks: set[int] = set()
@@ -434,7 +442,9 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
     if exps:
         gens = _minimal_exps(exps | {mask_to_exps(m, n) for m in masks})
         return MonomialIdeal(ctx, tuple(_canonical_order(gens)))
-    return _ideal_from_antichain(_minimal_masks(masks), ctx)
+    keyed = sorted([(-m.bit_count(), mask_to_exps(m, n), m) for m in _minimal_masks(masks)],
+                   reverse=True)
+    return _record_ideal(ctx, tuple([k[1] for k in keyed]), tuple([k[2] for k in keyed]))
 
 
 def ideal_from_up_set(bits: int, ctx: RingContext) -> MonomialIdeal:

@@ -91,22 +91,34 @@ class OrderedSetPartition:
 
 def enumerate_osp(n: int):
     """All ordered set partitions of {1..n}, deterministically: each first block
-    is a submask of the elements left, in ascending order."""
+    is a submask of the elements left, in ascending order.
+
+    One explicit stack of (remaining, block) pairs, the next first block to
+    try for each level of the partition being built, and the list of the
+    blocks chosen above the top level: O(n) state.  A level's last choice is
+    all that remains, which ends a partition.
+    """
     if n < 0:
         raise ValueError(f"set size must be nonnegative, got {n}")
     if n > OSP_MAX_VARS:
         raise ValueError(f"ordered set partition enumeration is limited to {OSP_MAX_VARS}")
-
-    def rec(remaining: int, head: tuple):
-        if not remaining:
-            yield OrderedSetPartition(head)
-            return
-        block = remaining & -remaining
-        while block:
-            yield from rec(remaining ^ block, head + (block,))
-            block = (block - remaining) & remaining
-
-    yield from rec((1 << n) - 1, ())
+    full = (1 << n) - 1
+    if not full:
+        yield OrderedSetPartition(())
+        return
+    stack = [(full, full & -full)]
+    head: list[int] = []
+    while stack:
+        remaining, block = stack.pop()
+        if block == remaining:
+            yield OrderedSetPartition((*head, block))
+            if head:
+                head.pop()
+            continue
+        stack.append((remaining, (block - remaining) & remaining))
+        head.append(block)
+        rest = remaining ^ block
+        stack.append((rest, rest & -rest))
 
 
 def osp_to_ideal(osp: OrderedSetPartition, family: str) -> MonomialIdeal:
@@ -119,13 +131,17 @@ def osp_to_ideal(osp: OrderedSetPartition, family: str) -> MonomialIdeal:
     variable, that variable), a lone principal generator.  The image always
     has full support and the same weight as the partition.
 
-    The stage generators are an antichain by construction, so they go to the
-    builder unfiltered.  The partition's blocks are nonempty and pairwise
-    disjoint, so every stage monomial after the first is nonempty and no block
-    meets any stage monomial or another block.  With A_j = m_1...m_j, a stage-j
-    generator A_j*x (x in B_j) cannot divide a later A_k*y: x is not in
-    A_k or {y}.  The later one cannot divide it either: y is not in A_j or
-    {x}.  Two generators of one stage are distinct masks of one degree.
+    The stage generators are an antichain in canonical order by construction,
+    so they go to the builder unfiltered and unsorted.  The partition's blocks
+    are nonempty and pairwise disjoint, so every stage monomial after the
+    first is nonempty and no block meets any stage monomial or another block.
+    With A_j = m_1...m_j, a stage-j generator A_j*x (x in B_j) cannot divide
+    a later A_k*y: x is not in A_k or {y}.  The later one cannot divide it
+    either: y is not in A_j or {x}.  Two generators of one stage are distinct
+    masks of one degree.  Since only the first stage monomial may be empty,
+    the degree |A_j| + 1 rises strictly from stage to stage; within a stage
+    stage_generators takes the block's bits in ascending order, and A_j*x
+    before A_j*y for x < y is descending exponent tuple.
     """
     if not osp.last_block_big:
         raise ValueError("the partition's last block must have more than one element")
@@ -194,7 +210,9 @@ def _antichain_walk(n: int, cut: RingContext | None = None):
     choices are exactly the minimal generators.  They are an antichain by
     construction: each level's choices lie outside the shadow of the earlier
     levels, so no earlier choice divides them, and distinct masks of one
-    degree cannot divide each other.
+    degree cannot divide each other.  Each list is in canonical order: the
+    levels rise in degree, and each level's choices keep the order of
+    _all_monomials, which is descending exponent tuple.
 
     With cut a ring context on n variables, only the generator sets of the
     Gotzmann ideals of that ring are yielded.  A branch ends right after
@@ -239,7 +257,8 @@ def enumerate_antichains(n: int, flavor: str = POLY):
     """Every antichain of subsets of the variables, once, as squarefree ideals.
 
     The generator lists of _antichain_walk, uncut, in its order; each is an
-    antichain by construction and goes to the builder unfiltered.
+    antichain in canonical order by construction and goes to the builder
+    unfiltered and unsorted.
 
     The flavor must be POLY or SQF; anything else raises ValueError.
     """
@@ -253,10 +272,14 @@ def enumerate_antichains(n: int, flavor: str = POLY):
 
 
 def _supernova_generator_sets(n: int) -> set:
-    """Generator sets (as sorted mask tuples) of every supernova form on <= n variables.
+    """Generator sets (as mask tuples in canonical order) of every supernova
+    form on <= n variables.
 
     Each form is its parent form plus one stage, so its generators are the
-    parent's list extended by that stage's.
+    parent's list extended by that stage's.  Only the first stage monomial may
+    be empty, so by the argument in osp_to_ideal each list is already in
+    canonical order; that order is a function of the set, so keying on the
+    list as it stands deduplicates the sets.
     """
     out: set = set()
 
@@ -269,7 +292,7 @@ def _supernova_generator_sets(n: int) -> set:
                 if block == 0:
                     continue
                 new_gens = gens + stage_generators(((m, block),), acc)
-                out.add(tuple(sorted(new_gens)))
+                out.add(tuple(new_gens))
                 rec(left & ~block, False, acc | m, new_gens)
 
     rec((1 << n) - 1, True, 0, [])
@@ -281,9 +304,9 @@ def enumerate_gotzmann(n: int) -> list[MonomialIdeal]:
 
     Generated structurally from supernova forms over every variable subset and
     deduplicated by minimal generator set.  Each set is the stage generators
-    of a form, an antichain by the argument in osp_to_ideal (disjoint stage
-    monomials and nonempty blocks, only the first monomial empty), so it goes
-    to the builder unfiltered.
+    of a form, an antichain in canonical order by the argument in
+    osp_to_ideal (disjoint stage monomials and nonempty blocks, only the first
+    monomial empty), so it goes to the builder unfiltered and unsorted.
     """
     if n > ENUMERATE_MAX_VARS:
         raise ValueError(f"enumeration is limited to {ENUMERATE_MAX_VARS} variables")
@@ -363,28 +386,3 @@ def count_table(n_max: int, include_brute: bool = True) -> list[dict]:
             "full_support_egf": egf_coefficient(h, n),
         })
     return rows
-
-
-def full_support_class(I: MonomialIdeal):
-    """Which of the five full-support families an ideal falls in, else None.
-
-    The split is by having a linear generator and by whether the top degree
-    carries one generator or several; the one-variable ideal stands alone.
-    """
-    n = I.ctx.n
-    if I.is_zero or I.is_unit or I.support_mask != (1 << n) - 1:
-        return None
-    top = max(I.degrees())
-    top_count = sum(1 for e in I.gens if sum(e) == top)
-    linear = I.has_linear_gen
-    if n == 1:
-        return "single_variable"
-    if linear and top_count == 1 and top != 1:
-        return "linear_principal_top"
-    if linear and top_count > 1:
-        return "linear_wide_top"
-    if not linear and top_count == 1:
-        return "no_linear_principal_top"
-    if not linear and top_count > 1:
-        return "no_linear_wide_top"
-    return None

@@ -96,6 +96,31 @@ def osp_by_frozensets(n):
         yield OrderedSetPartition(tuple(sum(1 << (v - 1) for v in b) for b in blocks))
 
 
+def full_support_class(I: MonomialIdeal):
+    """Which of the five full-support families an ideal falls in, else None.
+
+    The split is by having a linear generator and by whether the top degree
+    carries one generator or several; the one-variable ideal stands alone.
+    """
+    n = I.ctx.n
+    if I.is_zero or I.is_unit or I.support_mask != (1 << n) - 1:
+        return None
+    top = max(I.degrees())
+    top_count = sum(1 for e in I.gens if sum(e) == top)
+    linear = I.has_linear_gen
+    if n == 1:
+        return "single_variable"
+    if linear and top_count == 1 and top != 1:
+        return "linear_principal_top"
+    if linear and top_count > 1:
+        return "linear_wide_top"
+    if not linear and top_count == 1:
+        return "no_linear_principal_top"
+    if not linear and top_count > 1:
+        return "no_linear_wide_top"
+    return None
+
+
 def random_space(rng, ctx, d):
     mons = all_monomials(ctx, d)
     k = rng.randint(0, len(mons))

@@ -1,6 +1,7 @@
 """Property tests of minimalize and the up-set bitset kernel against brute-force definitions,
-of the up-set Gotzmann test against the recognizer and materialized components, and of
-the persistence the antichain walk's cut rests on."""
+of the canonical order of stage generators the mask builder relies on, of the up-set
+Gotzmann test against the recognizer and materialized components, and of the
+persistence the antichain walk's cut rests on."""
 
 import pytest
 
@@ -8,17 +9,26 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from gotzmann import classify  # noqa: E402
 from gotzmann.core import (  # noqa: E402
+    MonomialIdeal,
     MonomialSpace,
+    _ideal_from_antichain,
     all_monomials,
     gen_masks,
     ideal_from_up_set,
+    mask_to_exps,
     minimalize,
     poly_ring,
     sqf_ring,
     up_set,
 )
-from gotzmann.classify import recognize_supernova, stage_generators  # noqa: E402
+from gotzmann.classify import (  # noqa: E402
+    SupernovaForm,
+    recognize_supernova,
+    stage_generators,
+    supernova_to_ideal,
+)
 from gotzmann.decompose import colon_with_n1  # noqa: E402
 from gotzmann.lex import _grows_minimally, is_gotzmann_ideal, lexify_in_R  # noqa: E402
 
@@ -55,15 +65,19 @@ def nonunit_masks(n):
 
 
 @st.composite
-def supernova_masks(draw, n):
+def supernova_masks(draw, n, later_empty=True):
     """Generator masks of a random supernova form on at most n variables:
     consecutive runs of a shuffled variable list become the stage monomials
-    and blocks."""
+    and blocks.  With later_empty false every stage monomial after the first
+    is nonempty, so stage_generators yields the masks in canonical order."""
     perm = draw(st.permutations(range(n)))
     used = draw(st.integers(0, n))
     stages, pos = [], 0
     while pos < used:
-        m_size = draw(st.integers(0, used - pos - 1))
+        low = 0 if later_empty or not stages else 1
+        if used - pos - 1 < low:
+            break
+        m_size = draw(st.integers(low, used - pos - 1))
         b_size = draw(st.integers(1, used - pos - m_size))
         m = sum(1 << v for v in perm[pos:pos + m_size])
         block = sum(1 << v for v in perm[pos + m_size:pos + m_size + b_size])
@@ -114,6 +128,38 @@ def test_ideal_from_up_set_is_minimalize(case):
     ctx, masks = case
     assert (ideal_from_up_set(up_set(masks, ctx.n), ctx) == minimalize(masks, ctx)
             == minimalize_by_tuples(masks, ctx))
+
+
+@SETTINGS
+@given(st.integers(0, 16), st.sampled_from("SR"), st.data())
+def test_stage_generators_are_canonical(n, flavor, data):
+    """Stage generators with every stage monomial after the first nonempty are
+    what the builder takes unsorted: the validating constructor accepts them
+    in the order given, and the builder makes the same ideal."""
+    ctx = poly_ring(n) if flavor == "S" else sqf_ring(n)
+    masks = data.draw(supernova_masks(n, later_empty=False))
+    built = _ideal_from_antichain(masks, ctx)
+    assert MonomialIdeal(ctx, tuple(mask_to_exps(m, n) for m in masks)) == built
+    assert gen_masks(built) == tuple(masks)
+
+
+def test_later_empty_stage_monomial_is_not_canonical(monkeypatch):
+    """An empty stage monomial after the first puts a later stage's generator
+    first in canonical order, so supernova forms, which allow it, still go
+    through minimalize."""
+    stages = ((0, 0b10), (0, 0b01))
+    masks = stage_generators(stages)
+    assert masks == [0b10, 0b01]
+    ctx = poly_ring(2)
+    with pytest.raises(ValueError, match="^generators must be sorted canonically$"):
+        MonomialIdeal(ctx, tuple(mask_to_exps(m, 2) for m in masks))
+    calls = []
+    monkeypatch.setattr(classify, "minimalize",
+                        lambda *args: calls.append(args) or minimalize(*args))
+    I = supernova_to_ideal(SupernovaForm(stages), ctx)
+    assert calls == [(masks, ctx)]
+    assert I == MonomialIdeal(ctx, ((1, 0), (0, 1)))
+    assert gen_masks(I) == (0b01, 0b10)
 
 
 @SETTINGS

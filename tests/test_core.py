@@ -389,7 +389,7 @@ class TestInternalBuilder:
                     self._check(I)
 
     def test_partition_images(self):
-        for osp in enumerate_osp(6):
+        for osp in enumerate_osp(7):
             if osp.last_block_big:
                 self._check(osp_to_ideal(osp, WITH_LINEAR))
                 self._check(osp_to_ideal(osp, WITHOUT_LINEAR))

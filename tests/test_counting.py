@@ -16,14 +16,13 @@ from gotzmann.counting import (
     enumerate_antichains,
     enumerate_gotzmann,
     enumerate_osp,
-    full_support_class,
     osp_to_ideal,
 )
 from gotzmann.classify import SupernovaForm, canonicalize, supernova_to_ideal
 from gotzmann.lex import is_gotzmann_ideal
 from gotzmann.textio import parse_ideal_inline
 
-from support import osp_by_frozensets
+from support import full_support_class, osp_by_frozensets
 
 GOTZMANN_COUNTS = [2, 3, 6, 19, 96, 669]
 ANTICHAIN_COUNTS = [2, 3, 6, 20, 168, 7581]
@@ -118,7 +117,7 @@ class TestEnumerateGotzmann:
 
 class TestEnumerateOsp:
     def test_order_matches_frozenset_recursion(self):
-        for n in range(7):
+        for n in range(8):
             assert list(enumerate_osp(n)) == list(osp_by_frozensets(n))
 
     def test_blocks_are_masks(self):
