@@ -31,11 +31,8 @@ from .lex import (
     sqf_lexify_in_S,
 )
 from .classify import (
-    FacetComplex,
     SupernovaForm,
     canonicalize,
-    is_star_shaped,
-    is_supernova_complex,
     recognize_supernova,
     supernova_to_ideal,
 )

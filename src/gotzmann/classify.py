@@ -1,4 +1,4 @@
-"""Supernova normal forms, star-shaped and supernova complexes, canonical keys.
+"""Supernova normal forms and canonical keys under variable relabeling.
 
 A supernova form is a list of stages (m_j, B_j) with all supports pairwise
 disjoint; it generates the ideal whose stage-j generators are m_1...m_j * x
@@ -8,7 +8,6 @@ when they admit such a form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
@@ -16,6 +15,8 @@ from .core import (
     InvariantViolation,
     MonomialIdeal,
     RingContext,
+    _Record,
+    _setattr,
     gen_masks,
     iter_bits,
     minimalize,
@@ -25,27 +26,27 @@ from .core import (
 CANONICALIZE_MAX_VARS = 7
 
 
-@dataclass(frozen=True)
-class SupernovaForm:
+class SupernovaForm(_Record):
     """Stages (monomial mask, block mask) with pairwise disjoint supports.
 
     The empty form generates the zero ideal.  The unit flag marks the one
     degenerate form whose ideal is the whole ring; it carries no stages.
     """
 
-    stages: tuple[tuple[int, int], ...]
-    unit: bool = False
+    __slots__ = _fields = ("stages", "unit")
 
-    def __post_init__(self):
-        if self.unit and self.stages:
+    def __init__(self, stages: tuple[tuple[int, int], ...], unit: bool = False):
+        if unit and stages:
             raise ValueError("the unit form carries no stages")
         used = 0
-        for m, block in self.stages:
+        for m, block in stages:
             if not block:
                 raise ValueError("every stage needs a nonempty variable block")
             if (m | block) & used or m & block:
                 raise ValueError("stage supports must be pairwise disjoint")
             used |= m | block
+        _setattr(self, "stages", stages)
+        _setattr(self, "unit", unit)
 
 
 def stage_generators(stages, acc: int = 0) -> list[int]:
@@ -134,77 +135,6 @@ def format_supernova(form: SupernovaForm, ctx: RingContext) -> str:
         prefix = "*".join(names) + "*" if names else ""
         parts.append(f"{prefix}({block_names})")
     return " + ".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# facet complexes
-
-@dataclass(frozen=True)
-class FacetComplex:
-    """A simplicial complex given by its facets (a hypergraph edge set)."""
-
-    n: int
-    facets: tuple[int, ...]
-
-    def __post_init__(self):
-        for f in self.facets:
-            if f <= 0 or f >> self.n:
-                raise ValueError(f"facet {f} is not a nonempty subset of the vertices")
-        if len(set(self.facets)) != len(self.facets):
-            raise ValueError("facets must be distinct")
-        for f in self.facets:
-            for g in self.facets:
-                if f != g and f & g == f:
-                    raise ValueError("facets must form an antichain")
-
-    @property
-    def dimension(self) -> int:
-        return max((f.bit_count() for f in self.facets), default=-1) - 1
-
-
-def facet_complex_of(I: MonomialIdeal) -> FacetComplex:
-    """Facets = minimal generators of a squarefree ideal (no unit generator)."""
-    if I.is_unit:
-        raise ValueError("the unit ideal has no facet complex")
-    return FacetComplex(I.ctx.n, gen_masks(I))
-
-
-def is_star_shaped(h: FacetComplex) -> bool:
-    """Whether some common face one vertex smaller sits inside every facet.
-
-    Requires a pure complex (all facets the same size).
-    """
-    if not h.facets:
-        return True
-    sizes = {f.bit_count() for f in h.facets}
-    if len(sizes) > 1:
-        raise ValueError("star-shaped test requires a pure complex")
-    k = sizes.pop()
-    common = ~0
-    for f in h.facets:
-        common &= f
-    return common.bit_count() >= k - 1
-
-
-def is_supernova_complex(h: FacetComplex) -> bool:
-    """Whether a nested chain of faces F_0 < F_1 < ... pins every facet.
-
-    Every facet on i+1 vertices must contain the i-vertex face of the chain;
-    sizes with no facets impose no constraint.  Processing constrained sizes
-    from the top down, intersecting as we go, decides existence.
-    """
-    by_size: dict[int, int] = {}
-    for f in h.facets:
-        s = f.bit_count()
-        by_size[s] = by_size.get(s, ~0) & f
-    acc = ~0
-    for s in sorted(by_size, reverse=True):
-        if s < 2:
-            continue  # one-vertex facets only need the empty face
-        acc &= by_size[s]
-        if acc.bit_count() < s - 1:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .counting import (
     gotzmann_count_series,
     osp_series,
 )
-from . import selftest as selftest_mod
 from .series import egf_coefficient
 from .textio import (
     format_ideal,
@@ -228,7 +227,9 @@ def cmd_series(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    failures = selftest_mod.run(verbose=True)
+    from . import selftest  # imported here so that no other command pays for it
+
+    failures = selftest.run(verbose=True)
     return 0 if failures == 0 else 3
 
 

@@ -13,9 +13,9 @@ the module is safe to use from multiple threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
+from operator import attrgetter
 
 POLY = "S"
 SQF = "R"
@@ -25,6 +25,60 @@ ALPHABET = "abcdefghijklmnop"
 
 class InvariantViolation(Exception):
     """A structural fact the theory promises has failed to hold at runtime."""
+
+
+_setattr = object.__setattr__
+
+
+def _restore(cls, values):
+    """A record with the given slot values, in the order of cls.__slots__, unchecked."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        _setattr(obj, name, value)
+    return obj
+
+
+class _Record:
+    """Base of the package's immutable values.
+
+    A record stores its attributes in __slots__, and _fields names those that
+    make up its value.  Its __init__ validates and then sets each slot with
+    object.__setattr__; assignment and deletion otherwise raise
+    AttributeError.  Equality holds between records of one type with equal
+    fields, the hash agrees with it, and the repr names the fields.  Copies
+    and pickles keep every slot and run no checks.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # the field values (one field: the value itself); an attrgetter is no
+        # descriptor, so the record is passed to it explicitly
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        key = type(self)._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(type(self)._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return _restore, (type(self), tuple(getattr(self, name) for name in self.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def binom(a: int, b: int) -> int:
@@ -38,23 +92,23 @@ def default_names(n: int) -> tuple[str, ...]:
     return tuple(ALPHABET[:n])
 
 
-@dataclass(frozen=True)
-class RingContext:
+class RingContext(_Record):
     """Ambient ring data: variable count, printable names, and flavor S or R."""
 
-    n: int
-    flavor: str
-    names: tuple[str, ...]
+    __slots__ = _fields = ("n", "flavor", "names")
 
-    def __post_init__(self):
-        if not 0 <= self.n <= MAX_VARS:
-            raise ValueError(f"variable count must be in 0..{MAX_VARS}, got {self.n}")
-        if self.flavor not in (POLY, SQF):
-            raise ValueError(f"flavor must be {POLY!r} or {SQF!r}, got {self.flavor!r}")
-        if len(self.names) != self.n:
+    def __init__(self, n: int, flavor: str, names: tuple[str, ...]):
+        if not 0 <= n <= MAX_VARS:
+            raise ValueError(f"variable count must be in 0..{MAX_VARS}, got {n}")
+        if flavor not in (POLY, SQF):
+            raise ValueError(f"flavor must be {POLY!r} or {SQF!r}, got {flavor!r}")
+        if len(names) != n:
             raise ValueError("need exactly one name per variable")
-        if len(set(self.names)) != self.n or not all(self.names):
+        if len(set(names)) != n or not all(names):
             raise ValueError("variable names must be distinct and nonempty")
+        _setattr(self, "n", n)
+        _setattr(self, "flavor", flavor)
+        _setattr(self, "names", names)
 
     @property
     def full_mask(self) -> int:
@@ -207,20 +261,17 @@ def all_monomials(ctx: RingContext, d: int) -> tuple:
 # ---------------------------------------------------------------------------
 # graded monomial vector spaces
 
-@dataclass(frozen=True)
-class MonomialSpace:
+class MonomialSpace(_Record):
     """A degree-homogeneous set of monomials inside S_d or R_d."""
 
-    ctx: RingContext
-    degree: int
-    basis: frozenset
+    __slots__ = _fields = ("ctx", "degree", "basis")
 
-    def __post_init__(self):
-        if self.degree < 0:
+    def __init__(self, ctx: RingContext, degree: int, basis: frozenset):
+        if degree < 0:
             raise ValueError("degree must be nonnegative")
-        d, n = self.degree, self.ctx.n
-        want_mask = self.ctx.flavor == SQF
-        for m in self.basis:
+        d, n = degree, ctx.n
+        want_mask = ctx.flavor == SQF
+        for m in basis:
             if want_mask != isinstance(m, int):
                 raise ValueError("basis representation does not match ring flavor")
             if want_mask:
@@ -230,6 +281,9 @@ class MonomialSpace:
                 raise ValueError(f"bad exponent tuple {m} for {n} variables")
             if (m.bit_count() if want_mask else sum(m)) != d:
                 raise ValueError(f"basis element {m} is not of degree {d}")
+        _setattr(self, "ctx", ctx)
+        _setattr(self, "degree", degree)
+        _setattr(self, "basis", basis)
 
     @property
     def dim(self) -> int:
@@ -291,8 +345,7 @@ def _minimal_exps(exps) -> list[tuple[int, ...]]:
     return kept
 
 
-@dataclass(frozen=True, slots=True)
-class MonomialIdeal:
+class MonomialIdeal(_Record):
     """A monomial ideal given by its minimal (antichain) generating set.
 
     Generators are exponent tuples regardless of flavor.  The zero ideal has no
@@ -305,14 +358,21 @@ class MonomialIdeal:
     is already verified and already in canonical order is built by
     _ideal_from_antichain instead, which skips these checks and sorts
     nothing; minimalize is the way to build an ideal from unchecked
-    monomials in any order.
+    monomials in any order.  The recorded masks are not part of the value:
+    equality, hash and repr leave them out.
     """
 
-    ctx: RingContext
-    gens: tuple
-    _masks: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
+    __slots__ = ("ctx", "gens", "_masks")
+    _fields = ("ctx", "gens")
+
+    def __init__(self, ctx: RingContext, gens: tuple):
+        _setattr(self, "ctx", ctx)
+        _setattr(self, "gens", gens)
+        self.__post_init__()
 
     def __post_init__(self):
+        """The constructor's checks, and the mask record; a method of its own
+        so that bench/tracer.py can time construction by wrapping it."""
         n = self.ctx.n
         gens = self.gens
         masks: list[int] | None = []
@@ -333,7 +393,7 @@ class MonomialIdeal:
             raise ValueError("generators must form a divisibility antichain")
         if list(gens) != _canonical_order(gens):
             raise ValueError("generators must be sorted canonically")
-        object.__setattr__(self, "_masks", None if masks is None else tuple(masks))
+        _setattr(self, "_masks", None if masks is None else tuple(masks))
 
     @property
     def is_zero(self) -> bool:
@@ -388,9 +448,9 @@ def gen_masks(I: MonomialIdeal) -> tuple[int, ...]:
 def _record_ideal(ctx: RingContext, gens: tuple, masks: tuple) -> MonomialIdeal:
     """The ideal object on canonical generators and their masks, unchecked."""
     ideal = object.__new__(MonomialIdeal)
-    object.__setattr__(ideal, "ctx", ctx)
-    object.__setattr__(ideal, "gens", gens)
-    object.__setattr__(ideal, "_masks", masks)
+    _setattr(ideal, "ctx", ctx)
+    _setattr(ideal, "gens", gens)
+    _setattr(ideal, "_masks", masks)
     return ideal
 
 

@@ -8,7 +8,6 @@ cut by Gotzmann persistence.  Counts include the zero and unit ideals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -20,8 +19,10 @@ from .core import (
     InvariantViolation,
     MonomialIdeal,
     RingContext,
+    _Record,
     _all_monomials,
     _ideal_from_antichain,
+    _setattr,
     binom,
     mask_bitset,
     poly_ring,
@@ -61,16 +62,15 @@ def fubini(n: int) -> int:
     return sum(binom(n, k) * fubini(n - k) for k in range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class OrderedSetPartition:
+class OrderedSetPartition(_Record):
     """Disjoint nonempty blocks, in order, covering {1..n}; each block is a
     variable mask, element v at bit v - 1."""
 
-    blocks: tuple[int, ...]
+    __slots__ = _fields = ("blocks",)
 
-    def __post_init__(self):
+    def __init__(self, blocks: tuple[int, ...]):
         seen = 0
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise ValueError("blocks must be nonempty")
             if block & seen:
@@ -78,6 +78,7 @@ class OrderedSetPartition:
             seen |= block
         if seen < 0 or seen & (seen + 1):
             raise ValueError("blocks must cover an initial segment of the positive integers")
+        _setattr(self, "blocks", blocks)
 
     @property
     def nu(self) -> int:

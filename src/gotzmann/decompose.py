@@ -9,8 +9,6 @@ complements-in-x of the monomials missing from V.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     ALPHABET,
     SQF,
@@ -19,6 +17,8 @@ from .core import (
     MonomialSpace,
     RingContext,
     _mask_level_bitsets,
+    _Record,
+    _setattr,
     all_monomials,
     bitset_masks,
     gen_masks,
@@ -48,14 +48,16 @@ def unsqueeze_mask(mask: int, i: int) -> int:
     return (mask & ((1 << i) - 1)) | ((mask >> i) << (i + 1))
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Record):
     """V = vhat + x_i * vxi with both parts over the smaller ring Q."""
 
-    i: int
-    rctx: RingContext
-    vhat: MonomialSpace
-    vxi: MonomialSpace
+    __slots__ = _fields = ("i", "rctx", "vhat", "vxi")
+
+    def __init__(self, i: int, rctx: RingContext, vhat: MonomialSpace, vxi: MonomialSpace):
+        _setattr(self, "i", i)
+        _setattr(self, "rctx", rctx)
+        _setattr(self, "vhat", vhat)
+        _setattr(self, "vxi", vxi)
 
 
 def decompose(V: MonomialSpace, i: int) -> Decomposition:
@@ -97,12 +99,14 @@ def compress(V: MonomialSpace, i: int, order=None) -> MonomialSpace:
     return reassemble(_lex_parts(decompose(V, i), order))
 
 
-@dataclass(frozen=True)
-class GrowthEquality:
+class GrowthEquality(_Record):
     """Both sides of the shadow-size identity relating V to its compression."""
 
-    lhs: int
-    rhs: int
+    __slots__ = _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs: int, rhs: int):
+        _setattr(self, "lhs", lhs)
+        _setattr(self, "rhs", rhs)
 
     @property
     def holds(self) -> bool:

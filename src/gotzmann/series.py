@@ -7,17 +7,18 @@ multiplication, inversion, and integer extraction of n! times a coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import InvariantViolation
+from .core import InvariantViolation, _Record, _setattr
 
 DEFAULT_TRUNCATION = 12
 
 
-@dataclass(frozen=True)
-class RationalSeries:
-    coeffs: tuple[Fraction, ...]
+class RationalSeries(_Record):
+    __slots__ = _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        _setattr(self, "coeffs", coeffs)
 
     @property
     def truncation(self) -> int:

@@ -2,8 +2,9 @@
 
 Monomials are concatenated single-letter names ("abd") or star-separated
 names ("x1*x2*x4"); the tokens x1..xn always address variables by position.
-Ideal files carry one monomial per line with "0" for the zero ideal and "1"
-for the unit ideal; '#' starts a comment.  Inline ideals are comma-separated.
+Inline ideals are comma-separated, with "0" for the zero ideal and "1" for
+the unit ideal; ideal files, as `gotz enumerate --output` writes them, carry
+one monomial per line and a blank line between ideals.
 """
 
 from __future__ import annotations
@@ -91,25 +92,6 @@ def format_ideal(I: MonomialIdeal) -> str:
     return ", ".join(format_monomial(e, I.ctx) for e in I.gens)
 
 
-def parse_ideal_lines(lines, ctx: RingContext) -> MonomialIdeal:
-    """One monomial per line; comments and blank lines are skipped.
-
-    A line "0" stands for the zero ideal; lines with no monomial and no "0"
-    are an error, as an empty inline list is.
-    """
-    monomials = []
-    zero = False
-    for raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if line == "0":
-            zero = True
-        elif line:
-            monomials.append(parse_monomial(line, ctx))
-    if not (monomials or zero):
-        raise ValueError("empty ideal: write 0 for the zero ideal")
-    return minimalize(monomials, ctx)
-
-
 def ideal_to_lines(I: MonomialIdeal) -> list[str]:
     if I.is_zero:
         return ["0"]
@@ -120,22 +102,6 @@ def write_ideal_stanzas(ideals) -> str:
     """Serialize many ideals, one blank-line-separated stanza each."""
     chunks = ["\n".join(ideal_to_lines(I)) for I in ideals]
     return "\n\n".join(chunks) + "\n"
-
-
-def read_ideal_stanzas(text: str, ctx: RingContext) -> list[MonomialIdeal]:
-    ideals = []
-    stanza: list[str] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            if stanza:
-                ideals.append(parse_ideal_lines(stanza, ctx))
-                stanza = []
-            continue
-        stanza.append(line)
-    if stanza:
-        ideals.append(parse_ideal_lines(stanza, ctx))
-    return ideals
 
 
 def infer_variable_count(text: str) -> int:

@@ -1,6 +1,7 @@
 """Shared helpers and brute-force oracles for the test suite."""
 
 import functools
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from gotzmann.core import (
@@ -12,6 +13,7 @@ from gotzmann.core import (
     component_space,
     divides,
     exps_to_mask,
+    gen_masks,
     is_squarefree_exps,
     minimalize,
     poly_ring,
@@ -20,6 +22,7 @@ from gotzmann.core import (
     sqf_ring,
 )
 from gotzmann.counting import OrderedSetPartition, enumerate_osp
+from gotzmann.textio import parse_monomial
 
 
 def random_sqf_ideal(rng, n, flavor="S", max_gens=None):
@@ -248,3 +251,112 @@ def quotient_by_variable(I: MonomialIdeal, i: int) -> MonomialIdeal:
     small = q_context(I.ctx, i)
     kept = [e[:i] + e[i + 1:] for e in I.gens if e[i] == 0]
     return minimalize(kept, small)
+
+
+@dataclass(frozen=True)
+class FacetComplex:
+    """A simplicial complex given by its facets (a hypergraph edge set).
+
+    With facet_complex_of, is_star_shaped and is_supernova_complex this is the
+    paper's theorem in facet-complex form, an oracle for recognize_supernova.
+    """
+
+    n: int
+    facets: tuple[int, ...]
+
+    def __post_init__(self):
+        for f in self.facets:
+            if f <= 0 or f >> self.n:
+                raise ValueError(f"facet {f} is not a nonempty subset of the vertices")
+        if len(set(self.facets)) != len(self.facets):
+            raise ValueError("facets must be distinct")
+        for f in self.facets:
+            for g in self.facets:
+                if f != g and f & g == f:
+                    raise ValueError("facets must form an antichain")
+
+    @property
+    def dimension(self) -> int:
+        return max((f.bit_count() for f in self.facets), default=-1) - 1
+
+
+def facet_complex_of(I: MonomialIdeal) -> FacetComplex:
+    """Facets = minimal generators of a squarefree ideal (no unit generator)."""
+    if I.is_unit:
+        raise ValueError("the unit ideal has no facet complex")
+    return FacetComplex(I.ctx.n, gen_masks(I))
+
+
+def is_star_shaped(h: FacetComplex) -> bool:
+    """Whether some common face one vertex smaller sits inside every facet.
+
+    Requires a pure complex (all facets the same size).
+    """
+    if not h.facets:
+        return True
+    sizes = {f.bit_count() for f in h.facets}
+    if len(sizes) > 1:
+        raise ValueError("star-shaped test requires a pure complex")
+    k = sizes.pop()
+    common = ~0
+    for f in h.facets:
+        common &= f
+    return common.bit_count() >= k - 1
+
+
+def is_supernova_complex(h: FacetComplex) -> bool:
+    """Whether a nested chain of faces F_0 < F_1 < ... pins every facet.
+
+    Every facet on i+1 vertices must contain the i-vertex face of the chain;
+    sizes with no facets impose no constraint.  Processing constrained sizes
+    from the top down, intersecting as we go, decides existence.
+    """
+    by_size: dict[int, int] = {}
+    for f in h.facets:
+        s = f.bit_count()
+        by_size[s] = by_size.get(s, ~0) & f
+    acc = ~0
+    for s in sorted(by_size, reverse=True):
+        if s < 2:
+            continue  # one-vertex facets only need the empty face
+        acc &= by_size[s]
+        if acc.bit_count() < s - 1:
+            return False
+    return True
+
+
+def parse_ideal_lines(lines, ctx):
+    """One monomial per line; comments and blank lines are skipped.
+
+    A line "0" stands for the zero ideal; lines with no monomial and no "0"
+    are an error, as an empty inline list is.
+    """
+    monomials = []
+    zero = False
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if line == "0":
+            zero = True
+        elif line:
+            monomials.append(parse_monomial(line, ctx))
+    if not (monomials or zero):
+        raise ValueError("empty ideal: write 0 for the zero ideal")
+    return minimalize(monomials, ctx)
+
+
+def read_ideal_stanzas(text, ctx):
+    """The ideals of a file of blank-line-separated stanzas, one monomial per
+    line: the round-trip oracle for `gotz enumerate --output`."""
+    ideals = []
+    stanza = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            if stanza:
+                ideals.append(parse_ideal_lines(stanza, ctx))
+                stanza = []
+            continue
+        stanza.append(line)
+    if stanza:
+        ideals.append(parse_ideal_lines(stanza, ctx))
+    return ideals

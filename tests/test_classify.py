@@ -4,13 +4,9 @@ from itertools import permutations
 import pytest
 
 from gotzmann.classify import (
-    FacetComplex,
     SupernovaForm,
     canonicalize,
-    facet_complex_of,
     format_supernova,
-    is_star_shaped,
-    is_supernova_complex,
     recognize_supernova,
     supernova_to_ideal,
 )
@@ -18,6 +14,7 @@ from gotzmann.core import poly_ring, unit_ideal, zero_ideal
 from gotzmann.lex import is_gotzmann_ideal
 from gotzmann.counting import enumerate_antichains, enumerate_gotzmann
 from gotzmann.textio import parse_ideal_inline
+from support import FacetComplex, facet_complex_of, is_star_shaped, is_supernova_complex
 
 S3 = poly_ring(3)
 S4 = poly_ring(4)

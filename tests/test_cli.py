@@ -2,7 +2,7 @@ import json
 
 from gotzmann.cli import main
 from gotzmann.core import poly_ring
-from gotzmann.textio import read_ideal_stanzas
+from support import read_ideal_stanzas
 
 
 def run(capsys, *argv):

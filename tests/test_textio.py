@@ -7,12 +7,11 @@ from gotzmann.textio import (
     format_monomial,
     infer_variable_count,
     parse_ideal_inline,
-    parse_ideal_lines,
     parse_monomial,
     parse_order,
-    read_ideal_stanzas,
     write_ideal_stanzas,
 )
+from support import parse_ideal_lines, read_ideal_stanzas
 
 R4 = sqf_ring(4)
 S4 = poly_ring(4)
