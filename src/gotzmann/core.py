@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from operator import attrgetter
+from operator import attrgetter, mul
 
 POLY = "S"
 SQF = "R"
@@ -148,6 +148,10 @@ def sqf_ring(n: int, names=None) -> RingContext:
 
 
 def reflavor(ctx: RingContext, flavor: str) -> RingContext:
+    """The ring on the same variables in the given flavor; with default names
+    the shared context of that size and flavor."""
+    if ctx.names == default_names(ctx.n):
+        return _default_ring(ctx.n, flavor)
     return RingContext(ctx.n, flavor, ctx.names)
 
 
@@ -165,14 +169,26 @@ def iter_bits(mask: int):
 _BYTE_EXPS = tuple(tuple(b >> i & 1 for i in range(8)) for b in range(256))
 
 
+def _low_bits_exps(n: int) -> tuple[tuple[int, ...], ...]:
+    """The exponent tuple of the low n bits of each byte value, n <= 8: one
+    tuple object per monomial on n variables, repeated for the byte values
+    that agree in those bits."""
+    return tuple([e[:n] for e in _BYTE_EXPS[:1 << n]]) * (256 >> n)
+
+
+# _SMALL_EXPS[n][b] is the exponent tuple of the low n bits of byte b
+_SMALL_EXPS = tuple(map(_low_bits_exps, range(8))) + (_BYTE_EXPS,)
+
+
 def mask_to_exps(mask: int, n: int) -> tuple[int, ...]:
     """Exponent tuple of the low n bits of a mask, bit i at index i.
 
-    One slice of a byte table for n <= 8 and two joined slices up to MAX_VARS;
-    any other n raises ValueError.
+    For n <= 8 one lookup in a table built at import, so every ideal on at
+    most 8 variables shares one tuple object per monomial; up to MAX_VARS
+    two joined slices of the byte table; any other n raises ValueError.
     """
     if 0 <= n <= 8:
-        return _BYTE_EXPS[mask & 255][:n]
+        return _SMALL_EXPS[n][mask & 255]
     if 8 < n <= MAX_VARS:
         return _BYTE_EXPS[mask & 255] + _BYTE_EXPS[mask >> 8 & 255][:n - 8]
     raise ValueError(f"variable count must be in 0..{MAX_VARS}, got {n}")
@@ -634,7 +650,14 @@ def poly_hilbert_from_sqf(sqf, d: int) -> int:
         return 0
     if d == 0:
         return sqf[0]
-    return sum(sqf[k] * binom(d - 1, k - 1) for k in range(1, len(sqf)))
+    return sum(map(mul, sqf[1:], _binom_row(d - 1)))
+
+
+@lru_cache(maxsize=64)
+def _binom_row(a: int) -> tuple[int, ...]:
+    """C(a, j) for j = 0..MAX_VARS: a row of Pascal's triangle, as wide as
+    any squarefree count list; one entry per row asked for, 64 at most."""
+    return tuple(binom(a, j) for j in range(MAX_VARS + 1))
 
 
 def q_context(ctx: RingContext, i: int) -> RingContext:

@@ -98,6 +98,11 @@ def enumerate_osp(n: int):
     try for each level of the partition being built, and the list of the
     blocks chosen above the top level: O(n) state.  A level's last choice is
     all that remains, which ends a partition.
+
+    Each partition is built without the constructor's checks, which it
+    passes by construction: every block is a nonempty submask of the
+    elements still remaining, so it is disjoint from the blocks before it,
+    and the last block is all that remains, so together they cover {1..n}.
     """
     if n < 0:
         raise ValueError(f"set size must be nonnegative, got {n}")
@@ -107,12 +112,15 @@ def enumerate_osp(n: int):
     if not full:
         yield OrderedSetPartition(())
         return
+    new = object.__new__
     stack = [(full, full & -full)]
     head: list[int] = []
     while stack:
         remaining, block = stack.pop()
         if block == remaining:
-            yield OrderedSetPartition((*head, block))
+            osp = new(OrderedSetPartition)
+            _setattr(osp, "blocks", (*head, block))
+            yield osp
             if head:
                 head.pop()
             continue

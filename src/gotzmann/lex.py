@@ -8,6 +8,7 @@ which is the minimum possible.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
 from .core import (
@@ -27,9 +28,11 @@ from .core import (
     mask_bitset,
     ordered_monomials,
     poly_hilbert_from_sqf,
+    poly_ring,
     reflavor,
     shadow_up,
     sqf_hilbert,
+    sqf_ring,
     unit_ideal,
     up_set,
     upper_shadow,
@@ -163,13 +166,28 @@ def minimal_growth(dim: int, d: int, ctx: RingContext) -> int:
     sum C(a_i, i); the complement of the shadow then has dimension
     sum C(a_i + 1, i + 1) in S (Macaulay) and sum C(a_i, i + 1) in R
     (Kruskal-Katona).  In degree 0 the shadow of the unit is every variable.
+
+    The value is read from _growth_bound, a bounded memo of the closed form;
+    an out-of-range dim raises there on every call, since a raise is never
+    remembered.
     """
+    return _growth_bound(dim, d, ctx.n, ctx.flavor)
+
+
+@lru_cache(maxsize=4096)
+def _growth_bound(dim: int, d: int, n: int, flavor: str) -> int:
+    """minimal_growth on the ring with n variables and the given flavor.
+
+    The persistence-cut walk asks for a few hundred keys millions of times
+    at n = 6, so a few thousand entries hold them all.
+    """
+    ctx = poly_ring(n) if flavor == POLY else sqf_ring(n)
     total = ctx.dim_component(d)
     if not 0 <= dim <= total:
         raise ValueError(f"dimension {dim} out of range 0..{total}")
     if d == 0:
-        return ctx.n * dim
-    shift = 0 if ctx.flavor == SQF else 1
+        return n * dim
+    shift = 0 if flavor == SQF else 1
     rep = macaulay_rep(total - dim, d)
     return ctx.dim_component(d + 1) - sum(comb(a + shift, i + 1) for a, i in rep)
 

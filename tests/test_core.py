@@ -7,10 +7,13 @@ from itertools import permutations
 import pytest
 
 from gotzmann.core import (
+    POLY,
+    SQF,
     InvariantViolation,
     MonomialIdeal,
     MonomialSpace,
     _all_monomials,
+    _binom_row,
     _mask_level_bitsets,
     all_monomials,
     binom,
@@ -26,6 +29,7 @@ from gotzmann.core import (
     minimalize,
     poly_hilbert_from_sqf,
     poly_ring,
+    reflavor,
     reflect_bitset,
     shadow_up,
     space,
@@ -229,7 +233,11 @@ class TestMaskToExps:
     def test_every_mask_up_to_12(self):
         for n in range(13):
             for m in range(1 << n):
-                assert mask_to_exps(m, n) == self._digits(m, n), (m, n)
+                e = mask_to_exps(m, n)
+                assert e == self._digits(m, n), (m, n)
+                if n <= 8:
+                    # one shared tuple object per monomial
+                    assert e is mask_to_exps(m, n) is mask_to_exps(m + (5 << n), n), (m, n)
 
     def test_random_masks_13_to_16(self):
         rng = random.Random(61)
@@ -272,6 +280,23 @@ class TestSharedRings:
             poly_ring(2, "xx")
         with pytest.raises(ValueError, match="one name per variable"):
             sqf_ring(3, "xy")
+
+    def test_reflavor_keeps_default_rings_shared(self):
+        for n in range(17):
+            assert reflavor(poly_ring(n), SQF) is sqf_ring(n)
+            assert reflavor(sqf_ring(n), POLY) is poly_ring(n)
+            assert reflavor(poly_ring(n), POLY) is poly_ring(n)
+        I = parse_ideal_inline("ab,ac,bc", poly_ring(3))
+        assert lexify_in_R(I).ctx is sqf_ring(3)
+        assert sqf_lexify_in_S(I).ctx is poly_ring(3)
+
+    def test_reflavor_of_named_ring_is_fresh(self):
+        named = poly_ring(3, "xyz")
+        other = reflavor(named, SQF)
+        assert other == sqf_ring(3, "xyz") and other is not reflavor(named, SQF)
+        assert other.names == ("x", "y", "z") and other != sqf_ring(3)
+        with pytest.raises(ValueError, match="flavor must be"):
+            reflavor(poly_ring(2), "T")
 
     def test_invalid_counts_raise_every_time(self):
         for ring in (poly_ring, sqf_ring):
@@ -604,6 +629,15 @@ class TestHilbert:
         sqf = sqf_hilbert(unit_ideal(S4))
         for d in range(8):
             assert poly_hilbert_from_sqf(sqf, d) == binom(4 + d - 1, d)
+
+    def test_transform_beyond_the_variable_count(self):
+        # degrees well above n, and more rows than the binomial-row memo keeps
+        rng = random.Random(77)
+        ideals = [random_sqf_ideal(rng, n) for n in (1, 2, 3) for _ in range(3)]
+        for d in [*range(4, 80), *range(4, 12)]:
+            for I in ideals:
+                assert poly_hilbert_from_sqf(sqf_hilbert(I), d) == direct_poly_dim(I, d), d
+        assert _binom_row.cache_info().maxsize is not None
 
     def test_transform_identity_on_random_ideals(self):
         # 200 random squarefree ideals, all degrees through 8

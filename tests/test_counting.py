@@ -1,3 +1,4 @@
+import inspect
 import os
 from collections import Counter
 from itertools import combinations
@@ -117,8 +118,18 @@ class TestEnumerateGotzmann:
 
 class TestEnumerateOsp:
     def test_order_matches_frozenset_recursion(self):
+        # the partitions are built unchecked; each must still be one that the
+        # validating constructor accepts and equals
         for n in range(8):
-            assert list(enumerate_osp(n)) == list(osp_by_frozensets(n))
+            built = list(enumerate_osp(n))
+            assert built == list(osp_by_frozensets(n))
+            for p in built:
+                assert type(p.blocks) is tuple and p == OrderedSetPartition(p.blocks)
+
+    def test_generator_with_the_empty_partition_at_zero(self):
+        # bench/tracer.py times a generator function inside each next()
+        assert inspect.isgeneratorfunction(enumerate_osp)
+        assert list(enumerate_osp(0)) == [OrderedSetPartition(())]
 
     def test_blocks_are_masks(self):
         o = osp({2}, {1, 3})
@@ -198,6 +209,13 @@ class TestOspImages:
                 # at weight zero both trivial ideals count as full support
                 target = {I.gens for I in enumerate_gotzmann(0)}
             assert image == target
+
+    def test_images_share_one_exponent_tuple_per_monomial(self):
+        # all 29024 images at n = 7 hold at most 2^7 tuple objects between them
+        big = [o for o in enumerate_osp(7) if o.last_block_big]
+        images = [osp_to_ideal(o, family) for o in big for family in (WITH_LINEAR, WITHOUT_LINEAR)]
+        assert len(images) == 29024
+        assert len({id(e) for I in images for e in I.gens}) <= 1 << 7
 
     def test_five_classes_partition_full_support(self):
         for n in range(1, 6):

@@ -14,6 +14,7 @@ from gotzmann.core import (
     sqf_ring,
 )
 from gotzmann.lex import (
+    _growth_bound,
     is_gotzmann_ideal,
     is_gotzmann_space,
     is_lex_segment,
@@ -236,23 +237,39 @@ class TestMinimalGrowth:
             assert minimal_growth(dim, 2, S3) == brute_min_shadow(S3, 2, dim)
 
     def test_closed_form_cross_check(self):
-        # the lex-segment construction is the definition; the closed forms must agree
+        # the lex-segment construction is the definition; the closed forms must
+        # agree, on the first call and on the memoized second one
+        _growth_bound.cache_clear()
         for n in range(8):
             ctx = sqf_ring(n)
             for d in range(n + 1):
                 for dim in range(binom(n, d) + 1):
-                    assert minimal_growth(dim, d, ctx) == growth_by_construction(dim, d, ctx)
+                    want = growth_by_construction(dim, d, ctx)
+                    assert minimal_growth(dim, d, ctx) == want
+                    assert minimal_growth(dim, d, ctx) == want
         for n in range(7):
             ctx = poly_ring(n)
             for d in range(5):
                 for dim in range(ctx.dim_component(d) + 1):
-                    assert minimal_growth(dim, d, ctx) == growth_by_construction(dim, d, ctx)
+                    want = growth_by_construction(dim, d, ctx)
+                    assert minimal_growth(dim, d, ctx) == want
+                    assert minimal_growth(dim, d, ctx) == want
 
     def test_dimension_out_of_range(self):
-        with pytest.raises(ValueError):
-            minimal_growth(7, 2, R4)
-        with pytest.raises(ValueError):
-            minimal_growth(-1, 2, S3)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^dimension 7 out of range 0\.\.6$"):
+                minimal_growth(7, 2, R4)
+            with pytest.raises(ValueError, match=r"^dimension -1 out of range 0\.\.6$"):
+                minimal_growth(-1, 2, S3)
+
+    def test_named_rings_share_the_bound(self):
+        named = sqf_ring(4, "wxyz")
+        for d in range(5):
+            for dim in range(binom(4, d) + 1):
+                assert minimal_growth(dim, d, named) == minimal_growth(dim, d, R4)
+
+    def test_bound_memo_is_bounded(self):
+        assert _growth_bound.cache_info().maxsize is not None
 
     def test_kruskal_katona_lower_bound_random(self):
         rng = random.Random(2024)
