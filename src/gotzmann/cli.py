@@ -13,6 +13,7 @@ import sys
 
 from .core import (
     InvariantViolation,
+    MonomialSpace,
     iter_bits,
     mask_to_exps,
     poly_ring,
@@ -44,6 +45,7 @@ from .textio import (
     parse_ideal_inline,
     parse_monomial,
     parse_order,
+    var_index,
     write_ideal_stanzas,
 )
 
@@ -55,128 +57,108 @@ def _nonnegative(text: str) -> int:
     return int(text)
 
 
-def _context(args, text=None):
-    n = args.n if args.n is not None else (infer_variable_count(text) if text else 0)
-    ring = getattr(args, "ring", "S") or "S"
-    return sqf_ring(n) if ring == "R" else poly_ring(n)
+def _ring(args, text: str):
+    """The --ring of the command on --n variables, or on as many as text mentions."""
+    n = args.n if args.n is not None else infer_variable_count(text)
+    return sqf_ring(n) if args.ring == "R" else poly_ring(n)
 
 
-def _report(ctx, gens, result, diagnostics):
-    payload = {
-        "gens": gens,
-        "ring": ctx.flavor,
-        "n": ctx.n,
-        "result": result,
-        "diagnostics": diagnostics,
-    }
-    print(json.dumps(payload))
+def _ideal(args):
+    """The inline ideal of an ideal command."""
+    return parse_ideal_inline(args.ideal, _ring(args, args.ideal))
 
 
-def _parse_space(text, ctx):
-    """Comma-separated monomials of one degree, every one of them kept."""
-    monomials = [parse_monomial(tok, ctx) for tok in text.split(",")]
+def _space(args):
+    """The space of a space command, and the index of its --var.
+
+    The space is spanned by comma-separated monomials of one degree, every
+    one of them kept; --var is a variable name, x1..xn, or a 0-based index.
+    """
+    ctx = _ring(args, args.monomials)
+    monomials = [parse_monomial(tok, ctx) for tok in args.monomials.split(",")]
     degrees = {sum(e) for e in monomials}
     if len(degrees) != 1:
         raise ValueError("expected monomials of a single degree")
-    return space(ctx, degrees.pop(), monomials)
+    i = int(args.var) if args.var.isdecimal() else var_index(args.var, ctx)
+    return space(ctx, degrees.pop(), monomials), i
+
+
+def _basis(V):
+    return sorted(format_monomial(m, V.ctx) for m in V.basis)
+
+
+def _report(args, x, result, diagnostics=None, text=None):
+    """Print text, or the JSON envelope under --json and for a command without
+    a text form: x's generators (an ideal) or sorted basis (a space), its
+    ring and variable count, the result and the diagnostics."""
+    if text is not None and not args.json:
+        print(text)
+        return
+    gens = _basis(x) if isinstance(x, MonomialSpace) else [
+        format_monomial(e, x.ctx) for e in x.gens]
+    print(json.dumps({"gens": gens, "ring": x.ctx.flavor, "n": x.ctx.n,
+                      "result": result, "diagnostics": diagnostics or {}}))
 
 
 def cmd_check(args) -> int:
-    ctx = _context(args, args.ideal)
-    I = parse_ideal_inline(args.ideal, ctx)
+    I = _ideal(args)
     result = is_gotzmann_ideal(I)
     if args.quiet:
         return 0 if result else 1
-    if args.json:
-        _report(ctx, [format_monomial(e, ctx) for e in I.gens], result, {})
-    else:
-        print(f"Gotzmann: {'true' if result else 'false'}")
+    _report(args, I, result, text=f"Gotzmann: {'true' if result else 'false'}")
     return 0
 
 
 def cmd_classify(args) -> int:
-    ctx = _context(args, args.ideal)
-    I = parse_ideal_inline(args.ideal, ctx)
+    I = _ideal(args)
     form = recognize_supernova(I)
     if args.quiet:
         return 0 if form is not None else 1
-    gens = [format_monomial(e, ctx) for e in I.gens]
     if form is None:
-        if args.json:
-            _report(ctx, gens, None, {})
-        else:
-            print("not a supernova (not Gotzmann)")
+        _report(args, I, None, text="not a supernova (not Gotzmann)")
         return 1
-    if args.json:
-        stages = [{"monomial": format_monomial(mask_to_exps(m, ctx.n), ctx),
-                   "block": [ctx.name(i) for i in iter_bits(block)]}
-                  for m, block in form.stages]
-        _report(ctx, gens, format_supernova(form, ctx), {"stages": stages, "unit": form.unit})
-    else:
-        print(format_supernova(form, ctx))
+    ctx = I.ctx
+    stages = [{"monomial": format_monomial(mask_to_exps(m, ctx.n), ctx),
+               "block": [ctx.name(i) for i in iter_bits(block)]}
+              for m, block in form.stages]
+    text = format_supernova(form, ctx)
+    _report(args, I, text, {"stages": stages, "unit": form.unit}, text)
     return 0
 
 
 def cmd_lexify(args) -> int:
-    ctx = _context(args, args.ideal)
-    I = parse_ideal_inline(args.ideal, ctx)
+    I = _ideal(args)
     L = lexify_in_R(I) if args.ring == "R" else sqf_lexify_in_S(I)
-    if args.json:
-        _report(L.ctx, [format_monomial(e, L.ctx) for e in L.gens], format_ideal(L), {})
-    else:
-        print(format_ideal(L))
+    text = format_ideal(L)
+    _report(args, L, text, text=text)
     return 0
 
 
 def cmd_dual(args) -> int:
-    ctx = _context(args, args.ideal)
-    I = parse_ideal_inline(args.ideal, ctx)
+    I = _ideal(args)
     D = alexander_dual_ideal(I)
     diagnostics = {"gotzmann": is_gotzmann_ideal(D), "gdual_input": is_gdual_ideal(I)}
-    if args.json:
-        _report(ctx, [format_monomial(e, ctx) for e in D.gens], format_ideal(D), diagnostics)
-    else:
-        print(format_ideal(D))
+    text = format_ideal(D)
+    _report(args, D, text, diagnostics, text)
     return 0
 
 
-def _variable_index(name, ctx) -> int:
-    """Index of --var: a variable name of the ring, or a decimal index."""
-    if name in ctx.names:
-        return ctx.names.index(name)
-    if name.isdecimal():
-        return int(name)
-    raise ValueError(f"unknown variable {name!r}: expected one of "
-                     f"{', '.join(ctx.names)} or a decimal index")
-
-
 def cmd_decompose(args) -> int:
-    ctx = _context(args, args.monomials)
-    V = _parse_space(args.monomials, ctx)
-    i = _variable_index(args.var, ctx)
+    V, i = _space(args)
     dec = decompose(V, i)
-    q = dec.vhat.ctx
-    result = {
-        "vhat": sorted(format_monomial(m, q) for m in dec.vhat.basis),
-        "vxi": sorted(format_monomial(m, q) for m in dec.vxi.basis),
-    }
-    diagnostics = {"dim": V.dim, "dim_vhat": dec.vhat.dim, "dim_vxi": dec.vxi.dim,
-                   "degree": V.degree}
-    _report(ctx, sorted(format_monomial(m, ctx) for m in V.basis), result, diagnostics)
+    result = {"vhat": _basis(dec.vhat), "vxi": _basis(dec.vxi)}
+    _report(args, V, result, {"dim": V.dim, "dim_vhat": dec.vhat.dim,
+                              "dim_vxi": dec.vxi.dim, "degree": V.degree})
     return 0
 
 
 def cmd_compress(args) -> int:
-    ctx = _context(args, args.monomials)
-    V = _parse_space(args.monomials, ctx)
-    i = _variable_index(args.var, ctx)
-    order = parse_order(args.order, q_context(ctx, i)) if args.order is not None else None
-    T = compress(V, i, order)
+    V, i = _space(args)
+    order = None if args.order is None else parse_order(args.order, q_context(V.ctx, i))
     eq = growth_equality(V, i, order)
-    result = sorted(format_monomial(m, ctx) for m in T.basis)
-    diagnostics = {"shadow_of_input": eq.lhs, "shadow_of_compression": eq.rhs,
-                   "growth_equality_holds": eq.holds}
-    _report(ctx, sorted(format_monomial(m, ctx) for m in V.basis), result, diagnostics)
+    _report(args, V, _basis(compress(V, i, order)),
+            {"shadow_of_input": eq.lhs, "shadow_of_compression": eq.rhs,
+             "growth_equality_holds": eq.holds})
     return 0
 
 
@@ -220,7 +202,7 @@ def cmd_count(args) -> int:
 def cmd_series(args) -> int:
     builders = {"osp": osp_series, "fullsupport": full_support_series,
                 "gotzmann": gotzmann_count_series}
-    s = builders[args.name](max(args.terms, 12))
+    s = builders[args.name](args.terms)
     for n in range(args.terms + 1):
         print(f"{n} {egf_coefficient(s, n)}")
     return 0
@@ -229,7 +211,7 @@ def cmd_series(args) -> int:
 def cmd_selftest(args) -> int:
     from . import selftest  # imported here so that no other command pays for it
 
-    failures = selftest.run(verbose=True)
+    failures = selftest.run()
     return 0 if failures == 0 else 3
 
 
@@ -238,63 +220,54 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Gotzmann squarefree ideal toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
+    def add(name, fn, help, *parents, **defaults):
+        p = sub.add_parser(name, help=help, parents=list(parents))
+        p.set_defaults(fn=fn, **defaults)
         return p
 
-    p = add("check", cmd_check, help="test the Gotzmann property of an ideal")
+    def shared(*parents):
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+    sized = shared()
+    sized.add_argument("--n", type=_nonnegative, default=None,
+                       help="number of variables (default: inferred from the input)")
+    ideal = shared(sized)
+    ideal.add_argument("--json", action="store_true")
+    ideal.add_argument("ideal")
+    quiet = shared()
+    quiet.add_argument("--quiet", action="store_true")
+    spanned = shared(sized)
+    spanned.add_argument("--var", required=True,
+                         help="a variable name, x1..xn, or a 0-based index")
+    spanned.add_argument("monomials")
+
+    p = add("check", cmd_check, "test the Gotzmann property of an ideal", ideal, quiet)
     p.add_argument("--ring", choices=["S", "R"], required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--quiet", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("ideal")
-
-    p = add("classify", cmd_classify, help="find the supernova form of an ideal of S")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--quiet", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("ideal")
-
-    p = add("lexify", cmd_lexify, help="lexification with the same squarefree Hilbert function")
+    add("classify", cmd_classify, "find the supernova form of an ideal of S", ideal, quiet,
+        ring="S")
+    p = add("lexify", cmd_lexify, "lexification with the same squarefree Hilbert function",
+            ideal)
     p.add_argument("--ring", choices=["S", "R"], default="R")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("ideal")
+    add("dual", cmd_dual, "Alexander dual of a squarefree ideal of R", ideal, ring="R")
 
-    p = add("dual", cmd_dual, help="Alexander dual of a squarefree ideal of R")
-    p.set_defaults(ring="R")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("ideal")
-
-    p = add("decompose", cmd_decompose, help="split a monomial space by a variable")
-    p.set_defaults(ring="R")
-    p.add_argument("--var", required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("monomials")
-
-    p = add("compress", cmd_compress, help="replace both parts by lex segments")
-    p.set_defaults(ring="R")
-    p.add_argument("--var", required=True)
+    add("decompose", cmd_decompose, "split a monomial space by a variable", spanned, ring="R")
+    p = add("compress", cmd_compress, "replace both parts by lex segments", spanned, ring="R")
     p.add_argument("--order", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("monomials")
 
-    p = add("enumerate", cmd_enumerate, help="list all Gotzmann squarefree ideals of S")
-    p.add_argument("--n", type=int, required=True)
+    p = add("enumerate", cmd_enumerate, "list all Gotzmann squarefree ideals of S")
+    p.add_argument("--n", type=_nonnegative, required=True)
     p.add_argument("--output", default=None)
 
-    p = add("count", cmd_count, help="count Gotzmann squarefree ideals three ways")
+    p = add("count", cmd_count, "count Gotzmann squarefree ideals three ways")
     p.add_argument("--max-n", type=_nonnegative, default=5)
     p.add_argument("--format", choices=["table", "json", "csv"], default="table")
     p.add_argument("--no-brute", action="store_true")
 
-    p = add("series", cmd_series, help="integer coefficients of the counting series")
+    p = add("series", cmd_series, "integer coefficients of the counting series")
     p.add_argument("--name", choices=["osp", "fullsupport", "gotzmann"], required=True)
     p.add_argument("--terms", type=_nonnegative, default=8)
 
-    add("selftest", cmd_selftest, help="run the built-in regression suite")
+    add("selftest", cmd_selftest, "run the built-in regression suite")
 
     return parser
 

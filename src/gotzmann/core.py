@@ -88,6 +88,13 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
+def component_dim(n: int, flavor: str, d: int) -> int:
+    """Dimension of the degree-d component of the ring on n variables of the flavor."""
+    if flavor == SQF:
+        return binom(n, d)
+    return binom(n + d - 1, d) if d else 1
+
+
 def default_names(n: int) -> tuple[str, ...]:
     return tuple(ALPHABET[:n])
 
@@ -116,11 +123,7 @@ class RingContext(_Record):
 
     def dim_component(self, d: int) -> int:
         """Dimension of the full degree-d component of the ring."""
-        if d < 0:
-            return 0
-        if self.flavor == SQF:
-            return binom(self.n, d)
-        return binom(self.n + d - 1, d) if d > 0 else 1
+        return component_dim(self.n, self.flavor, d)
 
     def name(self, i: int) -> str:
         return self.names[i]
@@ -217,15 +220,6 @@ def as_exps(m, n: int) -> tuple[int, ...]:
     return e
 
 
-def as_mask(m, n: int) -> int:
-    """Normalize a squarefree monomial given as mask or exponent tuple to a mask."""
-    if isinstance(m, int):
-        if m < 0 or m >> n:
-            raise ValueError(f"mask {m} does not fit in {n} variables")
-        return m
-    return exps_to_mask(as_exps(m, n))
-
-
 def divides(u, v) -> bool:
     """Whether monomial u divides monomial v (both masks or both tuples)."""
     if isinstance(u, int):
@@ -309,7 +303,7 @@ class MonomialSpace(_Record):
 def space(ctx: RingContext, degree: int, monomials) -> MonomialSpace:
     """Build a MonomialSpace, normalizing monomials to the flavor's representation."""
     if ctx.flavor == SQF:
-        basis = frozenset(as_mask(m, ctx.n) for m in monomials)
+        basis = frozenset(exps_to_mask(as_exps(m, ctx.n)) for m in monomials)
     else:
         basis = frozenset(as_exps(m, ctx.n) for m in monomials)
     return MonomialSpace(ctx, degree, basis)

@@ -376,9 +376,8 @@ def count_table(n_max: int, include_brute: bool = True) -> list[dict]:
         raise ValueError(f"variable count must be nonnegative, got {n_max}")
     if n_max > ENUMERATE_MAX_VARS:
         raise ValueError(f"counting is limited to {ENUMERATE_MAX_VARS} variables")
-    T = max(DEFAULT_TRUNCATION, n_max)
-    g = gotzmann_count_series(T)
-    h = full_support_series(T)
+    g = gotzmann_count_series(n_max)
+    h = full_support_series(n_max)
     rows = []
     for n in range(n_max + 1):
         ideals = enumerate_gotzmann(n)

@@ -21,18 +21,16 @@ from .core import (
     _all_monomials,
     _ideal_from_antichain,
     _mask_level_bitsets,
-    binom,
+    component_dim,
     component_space,
     gen_masks,
     ideal_from_up_set,
     mask_bitset,
     ordered_monomials,
     poly_hilbert_from_sqf,
-    poly_ring,
     reflavor,
     shadow_up,
     sqf_hilbert,
-    sqf_ring,
     unit_ideal,
     up_set,
     upper_shadow,
@@ -95,26 +93,21 @@ def is_lex_some_order(V: MonomialSpace):
     else:
         width = V.degree.bit_length()
         basis = frozenset(sum(e << width * v for v, e in enumerate(m)) for m in V.basis)
+    flavor = V.ctx.flavor
     failed: set = set()
-
-    def size(k: int, d: int) -> int:
-        """The number of degree-d monomials on k variables."""
-        if squarefree:
-            return binom(k, d)
-        return binom(k + d - 1, d) if d else 1
 
     def after(basis: frozenset, x: int, rest: tuple, d: int):
         """The smallest order of rest that makes basis lex below the greatest x, or None."""
         unit = 1 << width * x
         field = unit * ((1 << width) - 1)
-        while basis and len(basis) < size(len(rest) + 1, d):
+        while basis and len(basis) < component_dim(len(rest) + 1, flavor, d):
             hit = [m for m in basis if m & field]
             if len(hit) == len(basis):  # (a)
                 basis = frozenset(m - unit for m in basis)
                 d -= 1
                 if squarefree:
                     return search(basis, rest, d)
-            elif len(hit) == size(len(rest) + (not squarefree), d - 1):  # (b)
+            elif len(hit) == component_dim(len(rest) + (not squarefree), flavor, d - 1):  # (b)
                 return search(basis.difference(hit), rest, d)
             else:
                 return None
@@ -122,7 +115,7 @@ def is_lex_some_order(V: MonomialSpace):
 
     def search(basis: frozenset, free: tuple, d: int):
         """The smallest order of the free variables that makes basis lex, or None."""
-        if not basis or len(basis) == size(len(free), d):
+        if not basis or len(basis) == component_dim(len(free), flavor, d):
             return free
         if (basis, free) in failed:
             return None
@@ -181,15 +174,14 @@ def _growth_bound(dim: int, d: int, n: int, flavor: str) -> int:
     The persistence-cut walk asks for a few hundred keys millions of times
     at n = 6, so a few thousand entries hold them all.
     """
-    ctx = poly_ring(n) if flavor == POLY else sqf_ring(n)
-    total = ctx.dim_component(d)
+    total = component_dim(n, flavor, d)
     if not 0 <= dim <= total:
         raise ValueError(f"dimension {dim} out of range 0..{total}")
     if d == 0:
         return n * dim
     shift = 0 if flavor == SQF else 1
     rep = macaulay_rep(total - dim, d)
-    return ctx.dim_component(d + 1) - sum(comb(a + shift, i + 1) for a, i in rep)
+    return component_dim(n, flavor, d + 1) - sum(comb(a + shift, i + 1) for a, i in rep)
 
 
 def is_gotzmann_space(V: MonomialSpace) -> bool:

@@ -108,8 +108,8 @@ CHECKS = [
 ]
 
 
-def run(verbose: bool = False) -> int:
-    """Run every check; returns the number of failures."""
+def run() -> int:
+    """Run every check, printing one line each; returns the number of failures."""
     failures = 0
     for name, fn in CHECKS:
         detail = ""
@@ -118,8 +118,7 @@ def run(verbose: bool = False) -> int:
         except Exception as exc:  # a crash is a failure, not an abort
             ok = False
             detail = f" ({exc})"
-        if verbose:
-            print(f"{'PASS' if ok else 'FAIL'} {name}{detail}")
+        print(f"{'PASS' if ok else 'FAIL'} {name}{detail}")
         if not ok:
             failures += 1
     return failures

@@ -25,7 +25,8 @@ _XVAR = re.compile(r"^x[0-9]+$")
 _XVAR_RUN = re.compile(r"^(x[0-9]+){2,}$")
 
 
-def _var_index(token: str, ctx: RingContext) -> int:
+def var_index(token: str, ctx: RingContext) -> int:
+    """Index of a variable named as in the ring, or as x1..xn by position."""
     if token in ctx.names:
         return ctx.names.index(token)
     if _XVAR.match(token) and token[1] != "0":
@@ -54,7 +55,7 @@ def parse_monomial(text: str, ctx: RingContext) -> tuple[int, ...]:
     else:
         tokens = list(text)
     for token in tokens:
-        exps[_var_index(token, ctx)] += 1
+        exps[var_index(token, ctx)] += 1
     return tuple(exps)
 
 
@@ -130,7 +131,7 @@ def parse_order(text: str, ctx: RingContext) -> tuple[int, ...]:
         tokens = list(text)
     else:
         raise ValueError(f"cannot read order {text!r}")
-    perm = tuple(_var_index(t, ctx) for t in tokens)
+    perm = tuple(var_index(t, ctx) for t in tokens)
     if sorted(perm) != list(range(ctx.n)):
         raise ValueError(f"order {text!r} is not a permutation of all variables")
     return perm

@@ -10,6 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from gotzmann import classify  # noqa: E402
+from gotzmann.classify import canonicalize  # noqa: E402
 from gotzmann.core import (  # noqa: E402
     MonomialIdeal,
     MonomialSpace,
@@ -65,11 +66,11 @@ def nonunit_masks(n):
 
 
 @st.composite
-def supernova_masks(draw, n, later_empty=True):
-    """Generator masks of a random supernova form on at most n variables:
-    consecutive runs of a shuffled variable list become the stage monomials
-    and blocks.  With later_empty false every stage monomial after the first
-    is nonempty, so stage_generators yields the masks in canonical order."""
+def supernova_stages(draw, n, later_empty=True):
+    """Stages (monomial mask, block mask) of a random supernova form on at most
+    n variables: consecutive runs of a shuffled variable list become the stage
+    monomials and blocks.  With later_empty false every stage monomial after
+    the first is nonempty."""
     perm = draw(st.permutations(range(n)))
     used = draw(st.integers(0, n))
     stages, pos = [], 0
@@ -83,7 +84,13 @@ def supernova_masks(draw, n, later_empty=True):
         block = sum(1 << v for v in perm[pos + m_size:pos + m_size + b_size])
         stages.append((m, block))
         pos += m_size + b_size
-    return stage_generators(stages)
+    return stages
+
+
+def supernova_masks(n, later_empty=True):
+    """Generator masks of a random supernova form on at most n variables.  With
+    later_empty false stage_generators yields them in canonical order."""
+    return supernova_stages(n, later_empty).map(stage_generators)
 
 
 @st.composite
@@ -210,3 +217,28 @@ def test_growth_tests_agree_by_persistence(I):
     first = degrees[0] if degrees else 0
     assert _grows_minimally(bits, range(first, n + 1), I.ctx) == is_gotzmann_ideal(I)
     assert _grows_minimally(bits, degrees, I.ctx) == is_gotzmann_ideal(I)
+
+
+def relabeled_stages(stages, n):
+    """The stages under a random permutation of the n variables."""
+    def move(perm, mask):
+        return sum(1 << perm[v] for v in range(n) if mask >> v & 1)
+    return st.permutations(range(n)).map(
+        lambda perm: [(move(perm, m), move(perm, b)) for m, b in stages])
+
+
+@settings(SETTINGS, max_examples=60)
+@given(st.integers(0, 7), st.data())
+def test_signature_decides_canonical_key(n, data):
+    """Two supernova forms on n <= 7 variables, every stage monomial after the
+    first nonempty, have the same signature ((|m_j|, |B_j|), ...) exactly when
+    canonicalize gives their ideals the same key.  The second form is an
+    independent draw or a relabeling of the first."""
+    first = data.draw(supernova_stages(n, later_empty=False))
+    second = data.draw(st.one_of(supernova_stages(n, later_empty=False),
+                                 relabeled_stages(first, n)))
+    signatures, keys = [], []
+    for stages in (first, second):
+        signatures.append(tuple((m.bit_count(), b.bit_count()) for m, b in stages))
+        keys.append(canonicalize(supernova_to_ideal(SupernovaForm(tuple(stages)), poly_ring(n))))
+    assert (signatures[0] == signatures[1]) == (keys[0] == keys[1])

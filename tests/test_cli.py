@@ -133,6 +133,18 @@ class TestDecomposeAndCompress:
             assert code == 2 and out == ""
             assert "expected monomials of a single degree" in err
 
+    def test_variable_by_name_position_or_index(self, capsys):
+        for command, extra in (("decompose", ()), ("compress", ("--order", "bcd"))):
+            reports = set()
+            for var in ("a", "x1", "0"):
+                code, out, err = run(capsys, command, "--var", var, *extra,
+                                     "--n", "4", "x1*x2,x1*x3,x2*x4,x3*x4")
+                assert code == 0 and err == ""
+                reports.add(out)
+            assert len(reports) == 1
+        code, out, _ = run(capsys, "decompose", "--var", "x1", "--n", "3", "x1*x2,x2*x3")
+        assert code == 0 and json.loads(out)["result"] == {"vhat": ["bc"], "vxi": ["b"]}
+
     def test_unknown_variable_rejected(self, capsys):
         for command in ("decompose", "compress"):
             code, out, err = run(capsys, command, "--var", "q", "--n", "3", "ab")
@@ -169,6 +181,21 @@ class TestEnumerateAndCount:
         code, out, err = run(capsys, "count", "--max-n", "-1")
         assert code == 2 and out == "" and "--max-n" in err
 
+    def test_negative_variable_count_is_usage_error(self, capsys):
+        for argv in (("check", "--ring", "R", "ab"), ("classify", "ab"), ("lexify", "ab"),
+                     ("dual", "ab"), ("decompose", "--var", "a", "ab"),
+                     ("compress", "--var", "a", "ab"), ("enumerate",)):
+            code, out, err = run(capsys, *argv, "--n", "-1")
+            assert code == 2 and out == "" and "argument --n" in err
+
+    def test_count_without_variables(self, capsys):
+        code, out, _ = run(capsys, "count", "--max-n", "0")
+        assert code == 0
+        assert out == ("  n   ideals      egf    brute     full\n"
+                       "  0        2        2        2        2\n")
+        code, out, _ = run(capsys, "count", "--max-n", "0", "--format", "csv")
+        assert out == "n,enumerated,egf,brute,full_support,full_support_egf\n0,2,2,2,2,2\n"
+
     def test_size_limit(self, capsys):
         for argv in (("enumerate", "--n", "7"), ("count", "--max-n", "7")):
             code, out, err = run(capsys, *argv)
@@ -181,6 +208,15 @@ class TestSeriesAndSelftest:
         code, out, _ = run(capsys, "series", "--name", "gotzmann", "--terms", "5")
         values = [int(line.split()[1]) for line in out.strip().splitlines()]
         assert values == [2, 3, 6, 19, 96, 669]
+
+    def test_series_sized_to_the_terms_asked(self, capsys):
+        for name, first in (("osp", 1), ("fullsupport", 2), ("gotzmann", 2)):
+            code, out, _ = run(capsys, "series", "--name", name, "--terms", "0")
+            assert code == 0 and out == f"0 {first}\n"
+            _, full, _ = run(capsys, "series", "--name", name, "--terms", "12")
+            for terms in range(10):
+                code, out, _ = run(capsys, "series", "--name", name, "--terms", str(terms))
+                assert code == 0 and out.splitlines() == full.splitlines()[:terms + 1]
 
     def test_negative_terms_is_usage_error(self, capsys):
         code, out, err = run(capsys, "series", "--name", "gotzmann", "--terms", "-3")
