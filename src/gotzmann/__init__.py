@@ -58,6 +58,6 @@ from .counting import (
     fubini,
     osp_to_ideal,
 )
-from .series import RationalSeries, egf_coefficient, series_exp
+from .series import egf_coefficient
 
 __version__ = "0.1.0"

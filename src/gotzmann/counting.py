@@ -1,15 +1,15 @@
 """Enumeration and exact counting of Gotzmann squarefree ideals of S.
 
 Three independent routes are kept side by side: direct generation of all
-supernova forms, coefficient extraction from exponential generating functions
-over exact rationals, and at small n a brute-force walk over every antichain,
-cut by Gotzmann persistence.  Counts include the zero and unit ideals.
+supernova forms, the coefficients of exponential generating functions, and at
+small n a brute-force walk over every antichain, cut by Gotzmann persistence.
+Counts include the zero and unit ideals.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from .classify import stage_generators
 from .core import (
@@ -23,7 +23,6 @@ from .core import (
     _all_monomials,
     _ideal_from_antichain,
     _setattr,
-    binom,
     mask_bitset,
     poly_ring,
     sqf_ring,
@@ -32,18 +31,11 @@ from .core import (
     zero_ideal,
 )
 from .lex import _grows_at
-from .series import (
-    DEFAULT_TRUNCATION,
-    RationalSeries,
-    egf_coefficient,
-    series_const,
-    series_exp,
-    series_t,
-)
 
 ENUMERATE_MAX_VARS = 6
 ANTICHAIN_MAX_VARS = 5
 OSP_MAX_VARS = 10
+DEFAULT_TRUNCATION = 12
 
 WITH_LINEAR = "with_linear"
 WITHOUT_LINEAR = "without_linear"
@@ -51,16 +43,6 @@ WITHOUT_LINEAR = "without_linear"
 
 # ---------------------------------------------------------------------------
 # ordered set partitions
-
-@lru_cache(maxsize=None)
-def fubini(n: int) -> int:
-    """Number of ordered set partitions of an n-set."""
-    if n < 0:
-        raise ValueError(f"set size must be nonnegative, got {n}")
-    if n == 0:
-        return 1
-    return sum(binom(n, k) * fubini(n - k) for k in range(1, n + 1))
-
 
 class OrderedSetPartition(_Record):
     """Disjoint nonempty blocks, in order, covering {1..n}; each block is a
@@ -176,26 +158,46 @@ def osp_to_ideal(osp: OrderedSetPartition, family: str) -> MonomialIdeal:
 
 
 # ---------------------------------------------------------------------------
-# generating functions
+# generating functions, each as its egf coefficients n! [t^n], n = 0..T
 
-def osp_series(T: int = DEFAULT_TRUNCATION) -> RationalSeries:
-    """E.g.f. of ordered set partitions, 1/(2 - e^t)."""
-    return (series_const(2, T) - series_exp(T)).inverse()
+def osp_series(T: int = DEFAULT_TRUNCATION) -> tuple[int, ...]:
+    """E.g.f. of ordered set partitions, 1/(2 - e^t).
+
+    From (2 - e^t) A = 1: a_0 = 1 and a_n = sum_{k=1..n} C(n, k) a_{n-k},
+    a first block of k elements followed by a partition of the rest.
+    """
+    a = [1]
+    for n in range(1, T + 1):
+        a.append(sum(comb(n, k) * a[n - k] for k in range(1, n + 1)))
+    return tuple(a)
 
 
-def big_last_block_series(T: int = DEFAULT_TRUNCATION) -> RationalSeries:
-    """E.g.f. of ordered set partitions whose last block is not a singleton."""
-    return (series_const(1, T) - series_t(T)) * osp_series(T)
+def fubini(n: int) -> int:
+    """Number of ordered set partitions of an n-set."""
+    if n < 0:
+        raise ValueError(f"set size must be nonnegative, got {n}")
+    return osp_series(n)[n]
 
 
-def full_support_series(T: int = DEFAULT_TRUNCATION) -> RationalSeries:
+def big_last_block_series(T: int = DEFAULT_TRUNCATION) -> tuple[int, ...]:
+    """E.g.f. of ordered set partitions whose last block is not a singleton,
+    (1 - t)/(2 - e^t): a_n - n a_{n-1}, all partitions less those ending in
+    one of n singletons."""
+    a = osp_series(T)
+    return (a[0],) + tuple(a[n] - n * a[n - 1] for n in range(1, T + 1))
+
+
+def full_support_series(T: int = DEFAULT_TRUNCATION) -> tuple[int, ...]:
     """E.g.f. of full-support Gotzmann squarefree ideals, 2(1-t)/(2-e^t) + t."""
-    return 2 * big_last_block_series(T) + series_t(T)
+    return tuple(2 * b + (n == 1) for n, b in enumerate(big_last_block_series(T)))
 
 
-def gotzmann_count_series(T: int = DEFAULT_TRUNCATION) -> RationalSeries:
-    """E.g.f. of all Gotzmann squarefree ideals: e^t times the full-support series."""
-    return series_exp(T) * full_support_series(T)
+def gotzmann_count_series(T: int = DEFAULT_TRUNCATION) -> tuple[int, ...]:
+    """E.g.f. of all Gotzmann squarefree ideals: e^t times the full-support
+    series, the binomial transform sum_k C(n, k) h_k (the support is any
+    k-subset of the variables)."""
+    h = full_support_series(T)
+    return tuple(sum(comb(n, k) * h[k] for k in range(n + 1)) for n in range(T + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +366,15 @@ def count_up_to_symmetry(n: int) -> dict:
     return counts
 
 
-def count_table(n_max: int, include_brute: bool = True) -> list[dict]:
+def count_table(n_max: int) -> list[dict]:
     """Per-n counts from enumeration, series coefficients, and brute force.
 
     The brute-force column counts the leaves of the persistence-cut antichain
     walk, _antichain_walk(n, poly_ring(n)): no ideal is built, and a branch
-    is dropped at its first degree that fails to grow minimally.  It is only
-    available for n <= 5; the three routes must agree.
+    is dropped at its first degree that fails to grow minimally.  It is
+    filled for n <= ANTICHAIN_MAX_VARS and None above.  The routes must
+    agree: a row whose enumerated, egf and brute counts differ, or whose
+    full-support counts differ, raises InvariantViolation.
     """
     if n_max < 0:
         raise ValueError(f"variable count must be nonnegative, got {n_max}")
@@ -382,15 +386,18 @@ def count_table(n_max: int, include_brute: bool = True) -> list[dict]:
     for n in range(n_max + 1):
         ideals = enumerate_gotzmann(n)
         full = (1 << n) - 1
-        brute = None
-        if include_brute and n <= ANTICHAIN_MAX_VARS:
-            brute = sum(1 for _ in _antichain_walk(n, poly_ring(n)))
-        rows.append({
+        brute = (sum(1 for _ in _antichain_walk(n, poly_ring(n)))
+                 if n <= ANTICHAIN_MAX_VARS else None)
+        row = {
             "n": n,
             "enumerated": len(ideals),
-            "egf": egf_coefficient(g, n),
+            "egf": g[n],
             "brute": brute,
             "full_support": sum(1 for I in ideals if I.support_mask == full),
-            "full_support_egf": egf_coefficient(h, n),
-        })
+            "full_support_egf": h[n],
+        }
+        if len({row["enumerated"], row["egf"], brute} - {None}) != 1 \
+                or row["full_support"] != row["full_support_egf"]:
+            raise InvariantViolation(f"count mismatch at n={n}: {row}")
+        rows.append(row)
     return rows

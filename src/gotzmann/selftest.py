@@ -74,9 +74,8 @@ def check_mixed_degree_ideal() -> bool:
 
 
 def check_small_counts() -> bool:
-    rows = count_table(3)
-    return [r["enumerated"] for r in rows] == [2, 3, 6, 19] and \
-        all(r["enumerated"] == r["egf"] == r["brute"] for r in rows)
+    # count_table raises when its routes disagree
+    return [r["enumerated"] for r in count_table(3)] == [2, 3, 6, 19]
 
 
 def check_orbit_buckets() -> bool:

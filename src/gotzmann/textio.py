@@ -105,34 +105,42 @@ def write_ideal_stanzas(ideals) -> str:
     return "\n\n".join(chunks) + "\n"
 
 
-def infer_variable_count(text: str) -> int:
-    """Smallest n making every variable mentioned in an inline ideal legal."""
+def infer_variable_count(text: str, var: str | None = None, order: str | None = None) -> int:
+    """Smallest n making every variable the input mentions legal.
+
+    text is an inline ideal or a comma-separated list of monomials; var names
+    one variable (a name, x1..xn or a 0-based index); order lists the other
+    variables, so its tokens are read in the ring without var, where xk needs
+    n >= k + 1.
+    """
     probe = poly_ring(MAX_VARS)
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1].strip()
-    if body in ("", "0", "1"):
-        return 0
     top = 0
-    for token in body.split(","):
-        exps = parse_monomial(token, probe)
-        mask = support_of_exps(exps)
-        if mask:
-            top = max(top, mask.bit_length())
+    if body not in ("", "0", "1"):
+        for token in body.split(","):
+            top = max(top, support_of_exps(parse_monomial(token, probe)).bit_length())
+    if var is not None:
+        top = max(top, (int(var) if var.isdecimal() else var_index(var, probe)) + 1)
+    if order is not None:
+        for token in _order_tokens(order, probe):
+            top = max(top, var_index(token, probe) + 1 + bool(_XVAR.match(token)))
     return top
+
+
+def _order_tokens(text: str, ctx: RingContext) -> list[str]:
+    text = text.strip()
+    if "," in text:
+        return [t.strip() for t in text.split(",")]
+    if all(c in ctx.names for c in text):
+        return list(text)
+    raise ValueError(f"cannot read order {text!r}")
 
 
 def parse_order(text: str, ctx: RingContext) -> tuple[int, ...]:
     """An order like "acbd" or "x1,x3,x2": greatest variable first."""
-    text = text.strip()
-    if "," in text:
-        tokens = [t.strip() for t in text.split(",")]
-    elif all(c in ctx.names for c in text):
-        tokens = list(text)
-    else:
-        raise ValueError(f"cannot read order {text!r}")
-    perm = tuple(var_index(t, ctx) for t in tokens)
+    perm = tuple(var_index(t, ctx) for t in _order_tokens(text, ctx))
     if sorted(perm) != list(range(ctx.n)):
-        raise ValueError(f"order {text!r} is not a permutation of all variables")
+        raise ValueError(f"order {text.strip()!r} is not a permutation of all variables")
     return perm
-

@@ -97,7 +97,7 @@ def test_criterion_1_count_reproduction(antichain_sweep):
     table = [int(line.split()[1]) for line in buffer.getvalue().splitlines()[1:]]
     ok = code == 0 and table == [2, 3, 6, 19, 96, 669]
 
-    rows = count_table(5, include_brute=False)
+    rows = count_table(5)
     enumerated = [r["enumerated"] for r in rows]
     egf = [r["egf"] for r in rows]
     brute = [sum(1 for g, _ in flags[n] if g) for n in range(6)]

@@ -145,6 +145,23 @@ class TestDecomposeAndCompress:
         code, out, _ = run(capsys, "decompose", "--var", "x1", "--n", "3", "x1*x2,x2*x3")
         assert code == 0 and json.loads(out)["result"] == {"vhat": ["bc"], "vxi": ["b"]}
 
+    def test_variable_count_inferred_from_var_name(self, capsys):
+        self.assert_as_with_n4(capsys, "decompose", "--var", "d", "ab,ac")
+
+    def test_variable_count_inferred_from_var_index(self, capsys):
+        self.assert_as_with_n4(capsys, "decompose", "--var", "3", "ab,ac")
+
+    def test_variable_count_inferred_from_order(self, capsys):
+        self.assert_as_with_n4(capsys, "compress", "--var", "a", "--order", "bcd", "ab,ac")
+        # the order is read in the ring without --var: x3 there is d
+        self.assert_as_with_n4(capsys, "compress", "--var", "a", "--order", "x1,x2,x3", "ab,ac")
+
+    @staticmethod
+    def assert_as_with_n4(capsys, *argv):
+        want = run(capsys, *argv, "--n", "4")
+        assert want[0] == 0 and want[2] == ""
+        assert run(capsys, *argv) == want
+
     def test_unknown_variable_rejected(self, capsys):
         for command in ("decompose", "compress"):
             code, out, err = run(capsys, command, "--var", "q", "--n", "3", "ab")

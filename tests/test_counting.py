@@ -5,7 +5,9 @@ from itertools import combinations
 
 import pytest
 
-from gotzmann.core import gen_masks, poly_ring, sqf_ring
+from gotzmann import counting
+from gotzmann.cli import main
+from gotzmann.core import InvariantViolation, gen_masks, poly_ring, sqf_ring
 from gotzmann.counting import (
     WITH_LINEAR,
     WITHOUT_LINEAR,
@@ -17,6 +19,8 @@ from gotzmann.counting import (
     enumerate_antichains,
     enumerate_gotzmann,
     enumerate_osp,
+    full_support_series,
+    gotzmann_count_series,
     osp_to_ideal,
 )
 from gotzmann.classify import SupernovaForm, canonicalize, supernova_to_ideal
@@ -318,9 +322,22 @@ class TestCountTable:
             assert row["enumerated"] == row["egf"] == row["brute"]
             assert row["full_support"] == row["full_support_egf"]
 
-    def test_brute_column_optional(self):
-        rows = count_table(3, include_brute=False)
-        assert all(r["brute"] is None for r in rows)
+    @pytest.mark.parametrize("wrong", ["egf", "full_support_egf"])
+    def test_route_mismatch_raises(self, monkeypatch, capsys, wrong):
+        g, h = gotzmann_count_series(2), full_support_series(2)
+        if wrong == "egf":
+            g = g[:2] + (g[2] + 1,)
+        else:
+            h = h[:2] + (h[2] + 1,)
+        monkeypatch.setattr(counting, "gotzmann_count_series", lambda T: g)
+        monkeypatch.setattr(counting, "full_support_series", lambda T: h)
+        with pytest.raises(InvariantViolation, match="count mismatch at n=2"):
+            count_table(2)
+        assert main(["count", "--max-n", "2"]) == 3
+        assert "count mismatch at n=2" in capsys.readouterr().err
+
+    def test_brute_column_up_to_the_antichain_limit(self):
+        assert [r["brute"] for r in count_table(6)] == GOTZMANN_COUNTS + [None]
 
     def test_negative_max_rejected(self):
         with pytest.raises(ValueError, match="variable count must be nonnegative, got -1"):

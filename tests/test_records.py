@@ -4,7 +4,6 @@ copies, repr and keyword construction, and the checks of the validating ones."""
 import copy
 import pickle
 import re
-from fractions import Fraction
 
 import pytest
 
@@ -12,7 +11,6 @@ from gotzmann.classify import SupernovaForm
 from gotzmann.core import MonomialIdeal, MonomialSpace, RingContext, poly_ring, sqf_ring
 from gotzmann.counting import OrderedSetPartition
 from gotzmann.decompose import Decomposition, GrowthEquality
-from gotzmann.series import RationalSeries
 
 S3 = poly_ring(3)
 R3 = sqf_ring(3)
@@ -28,7 +26,6 @@ RECORDS = [
     (Decomposition, {"i": 0, "rctx": R3, "vhat": MonomialSpace(R2, 1, frozenset({0b01})),
                      "vxi": MonomialSpace(R2, 0, frozenset({0}))}),
     (GrowthEquality, {"lhs": 3, "rhs": 4}),
-    (RationalSeries, {"coeffs": (Fraction(1), Fraction(1, 2))}),
 ]
 IDS = [cls.__name__ for cls, _ in RECORDS]
 

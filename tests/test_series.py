@@ -1,8 +1,8 @@
-from fractions import Fraction
+import math
+import sys
 
 import pytest
 
-from gotzmann.core import InvariantViolation
 from gotzmann.counting import (
     big_last_block_series,
     enumerate_osp,
@@ -11,42 +11,28 @@ from gotzmann.counting import (
     gotzmann_count_series,
     osp_series,
 )
-from gotzmann.series import (
-    RationalSeries,
-    egf_coefficient,
-    series_const,
-    series_exp,
-    series_t,
-)
+from gotzmann.series import egf_coefficient
 
 from support import osp_counts
 
 FUBINI = [1, 1, 3, 13, 75, 541, 4683, 47293, 545835]
 
 
-class TestSeriesArithmetic:
-    def test_exp_has_unit_egf_coefficients(self):
-        s = series_exp(10)
-        assert all(egf_coefficient(s, n) == 1 for n in range(11))
+def stirling2_rows(n_max):
+    """Stirling numbers of the second kind S(n, k), n <= n_max, by
+    S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        prev = rows[-1] + [0]
+        rows.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, n + 1)])
+    return rows
 
-    def test_mul_by_inverse_is_one(self):
-        s = series_const(2, 10) - series_exp(10) + series_t(10)
-        prod = s * s.inverse()
-        assert prod.coeffs[0] == 1
-        assert all(c == 0 for c in prod.coeffs[1:])
 
-    def test_inverse_requires_unit_constant_term(self):
-        with pytest.raises(ValueError):
-            series_t(5).inverse()
-
-    def test_non_integer_coefficient_is_rejected(self):
-        s = RationalSeries((Fraction(1, 3), Fraction(0)))
-        with pytest.raises(InvariantViolation):
-            egf_coefficient(s, 0)
-
-    def test_scalar_multiplication(self):
-        s = 3 * series_t(4)
-        assert s.coeffs[1] == 3
+def stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
 class TestOrderedSetPartitionSeries:
@@ -58,6 +44,23 @@ class TestOrderedSetPartitionSeries:
             fubini(-1)
         with pytest.raises(ValueError, match="nonnegative"):
             list(enumerate_osp(-2))
+
+    def test_osp_series_against_stirling_numbers(self):
+        # an ordered partition into k blocks is a partition into k blocks, ordered
+        rows = stirling2_rows(60)
+        assert osp_series(60) == tuple(
+            sum(math.factorial(k) * S for k, S in enumerate(row)) for row in rows)
+
+    def test_fubini_is_not_recursive(self):
+        n = 200
+        expect = sum(math.factorial(k) * S for k, S in enumerate(stirling2_rows(n)[n]))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + 40)
+        try:
+            value = fubini(n)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert value == expect
 
     def test_osp_series_counts_ordered_set_partitions(self):
         s = osp_series(12)
