@@ -1,8 +1,9 @@
 """Command-line surface: parse ideals, dispatch operations, render reports.
 
-Exit codes: 0 success, 1 negative answer under --quiet, 2 parse/usage error,
-3 runtime invariant failure (for example a count mismatch in `count`, or a
-failing `selftest`).
+Exit codes: 0 success, 1 a negative answer of `classify` (not a supernova)
+or of `check --quiet` (not Gotzmann), 2 parse/usage error, 3 runtime invariant
+failure (for example a count mismatch in `count`, or a failing `selftest`).
+Without --quiet, `check` prints a negative answer and exits 0.
 """
 
 from __future__ import annotations

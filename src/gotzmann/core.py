@@ -240,11 +240,7 @@ def support_of_exps(e) -> int:
 
 
 def ordered_monomials(n: int, flavor: str, d: int, variables) -> tuple:
-    """All degree-d monomials in descending lexicographic order, variables[0] greatest.
-
-    Built afresh on each call: only the identity listing is cached, in
-    _all_monomials, so a process that sees many orders keeps no listing of them.
-    """
+    """All degree-d monomials in descending lexicographic order, variables[0] greatest."""
     if d < 0:
         return ()
     if flavor == SQF:
@@ -258,14 +254,24 @@ def ordered_monomials(n: int, flavor: str, d: int, variables) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=(MAX_VARS + 1) * (MAX_VARS + 2) // 2)
 def _all_monomials(n: int, flavor: str, d: int) -> tuple:
-    """The degree-d listing in the identity order, x_0 greatest; one entry per (n, flavor, d)."""
+    """The identity-order listing; room for all 153 (n, "R", d) with n <= MAX_VARS."""
     return ordered_monomials(n, flavor, d, range(n))
 
 
-def all_monomials(ctx: RingContext, d: int) -> tuple:
-    return _all_monomials(ctx.n, ctx.flavor, d)
+def all_monomials(ctx: RingContext, d: int, order=None) -> tuple:
+    """All degree-d monomials in descending lex order; order is a permutation of
+    0..n-1, greatest variable first.  Only the identity listing is cached: any
+    other order is listed afresh, so a process keeps no listing of orders."""
+    n = ctx.n
+    if order is not None:
+        order = tuple(order)
+        if sorted(order) != list(range(n)):
+            raise ValueError(f"order {order} is not a permutation of 0..{n - 1}")
+        if order != tuple(range(n)):
+            return ordered_monomials(n, ctx.flavor, d, order)
+    return _all_monomials(n, ctx.flavor, d)
 
 
 # ---------------------------------------------------------------------------
@@ -547,14 +553,15 @@ def unit_ideal(ctx: RingContext) -> MonomialIdeal:
 def component_space(I: MonomialIdeal, d: int) -> MonomialSpace:
     """The degree-d piece of the ideal as a monomial vector space.
 
-    In flavor R only squarefree multiples of the generators exist.
+    In flavor R it is read off the up-set of the generators, and is zero
+    above degree n; in S it filters the listing of S_d.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
     ctx = I.ctx
     if ctx.flavor == SQF:
-        gm = gen_masks(I)
-        basis = [m for m in all_monomials(ctx, d) if any(g & m == g for g in gm)]
+        level = _mask_level_bitsets(ctx.n)[0][d] if d <= ctx.n else 0
+        basis = bitset_masks(up_set(gen_masks(I), ctx.n) & level)
     else:
         basis = [m for m in all_monomials(ctx, d)
                  if any(divides(g, m) for g in I.gens)]

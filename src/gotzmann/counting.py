@@ -20,9 +20,9 @@ from .core import (
     MonomialIdeal,
     RingContext,
     _Record,
-    _all_monomials,
     _ideal_from_antichain,
     _setattr,
+    all_monomials,
     mask_bitset,
     poly_ring,
     sqf_ring,
@@ -223,7 +223,7 @@ def _antichain_walk(n: int, cut: RingContext | None = None):
     levels, so no earlier choice divides them, and distinct masks of one
     degree cannot divide each other.  Each list is in canonical order: the
     levels rise in degree, and each level's choices keep the order of
-    _all_monomials, which is descending exponent tuple.
+    all_monomials, which is descending exponent tuple.
 
     With cut a ring context on n variables, only the generator sets of the
     Gotzmann ideals of that ring are yielded.  A branch ends right after
@@ -244,7 +244,7 @@ def _antichain_walk(n: int, cut: RingContext | None = None):
     - A Gotzmann leaf passes every test, since each tested degree lies
       between its smallest and largest generator degrees.
     """
-    levels = [_all_monomials(n, SQF, d) for d in range(n + 1)]
+    levels = [all_monomials(sqf_ring(n), d) for d in range(n + 1)]
 
     def rec(d, forced, counts, gens):
         if d > n:

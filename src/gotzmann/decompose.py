@@ -19,7 +19,6 @@ from .core import (
     _mask_level_bitsets,
     _Record,
     _setattr,
-    all_monomials,
     bitset_masks,
     gen_masks,
     ideal_from_up_set,
@@ -157,10 +156,9 @@ def alexander_dual_space(V: MonomialSpace) -> MonomialSpace:
     _require_sqf(V.ctx)
     if V.degree > V.ctx.n:
         raise ValueError("duality needs a degree within the ring")
-    full = V.ctx.full_mask
-    missing = (m for m in all_monomials(V.ctx, V.degree) if m not in V.basis)
-    return MonomialSpace(V.ctx, V.ctx.n - V.degree,
-                         frozenset(full ^ m for m in missing))
+    n = V.ctx.n
+    missing = _mask_level_bitsets(n)[0][V.degree] & ~mask_bitset(V.basis)
+    return MonomialSpace(V.ctx, n - V.degree, frozenset(bitset_masks(reflect_bitset(missing, n))))
 
 
 def _dual_bitset(I: MonomialIdeal) -> int:

@@ -18,15 +18,13 @@ from .core import (
     MonomialIdeal,
     MonomialSpace,
     RingContext,
-    _all_monomials,
     _ideal_from_antichain,
     _mask_level_bitsets,
+    all_monomials,
     component_dim,
-    component_space,
     gen_masks,
     ideal_from_up_set,
     mask_bitset,
-    ordered_monomials,
     poly_hilbert_from_sqf,
     reflavor,
     shadow_up,
@@ -37,34 +35,16 @@ from .core import (
 )
 
 
-def identity_order(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
-def _check_order(order, n: int) -> tuple[int, ...]:
-    perm = tuple(order)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"order {perm} is not a permutation of 0..{n - 1}")
-    return perm
-
-
-def sorted_monomials(ctx: RingContext, d: int, order=None) -> tuple:
-    perm = identity_order(ctx.n) if order is None else _check_order(order, ctx.n)
-    if perm == identity_order(ctx.n):
-        return _all_monomials(ctx.n, ctx.flavor, d)
-    return ordered_monomials(ctx.n, ctx.flavor, d, perm)
-
-
 def lex_segment(dim: int, d: int, ctx: RingContext, order=None) -> MonomialSpace:
     """The first dim degree-d monomials of the ring in the given order."""
-    mons = sorted_monomials(ctx, d, order)
+    mons = all_monomials(ctx, d, order)
     if not 0 <= dim <= len(mons):
         raise ValueError(f"dimension {dim} out of range 0..{len(mons)}")
     return MonomialSpace(ctx, d, frozenset(mons[:dim]))
 
 
 def is_lex_segment(V: MonomialSpace, order=None) -> bool:
-    mons = sorted_monomials(V.ctx, V.degree, order)
+    mons = all_monomials(V.ctx, V.degree, order)
     return V.basis == frozenset(mons[:V.dim])
 
 
@@ -126,7 +106,7 @@ def is_lex_some_order(V: MonomialSpace):
         failed.add((basis, free))
         return None
 
-    return search(basis, identity_order(V.ctx.n), V.degree)
+    return search(basis, tuple(range(V.ctx.n)), V.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +208,24 @@ def is_gotzmann_ideal(I: MonomialIdeal) -> bool:
     By persistence it is enough to look at degrees between the smallest and
     largest generator degrees; all later components stay Gotzmann.  A
     squarefree ideal, of S or R, is read off the up-set of its generators by
-    _grows_minimally, without materializing S_d; an ideal of S with a square
-    is tested on its materialized components.
+    _grows_minimally.  An ideal of S with a square is grown piece by piece
+    from its smallest generator degree: each piece is the shadow of the one
+    below plus the generators of its degree, so S_d is never listed.
     """
     if I.is_zero:
         return True
+    ctx = I.ctx
     degs = I.degrees()
     degrees = range(degs[0], degs[-1] + 1)
-    if not I.squarefree:
-        return all(is_gotzmann_space(component_space(I, d)) for d in degrees)
-    return _grows_minimally(up_set(gen_masks(I), I.ctx.n), degrees, I.ctx)
+    if I.squarefree:
+        return _grows_minimally(up_set(gen_masks(I), ctx.n), degrees, ctx)
+    piece = frozenset()
+    for d in degrees:
+        V = MonomialSpace(ctx, d, piece.union(e for e in I.gens if sum(e) == d))
+        piece = shadow_up(V).basis
+        if len(piece) != minimal_growth(V.dim, d, ctx):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +242,7 @@ def lexify_in_R(I: MonomialIdeal) -> MonomialIdeal:
     if values[0]:
         return unit_ideal(rctx)
     return ideal_from_up_set(mask_bitset(m for d, v in enumerate(values)
-                                         for m in sorted_monomials(rctx, d)[:v]), rctx)
+                                         for m in all_monomials(rctx, d)[:v]), rctx)
 
 
 def sqf_lexify_in_S(I: MonomialIdeal) -> MonomialIdeal:

@@ -88,9 +88,7 @@ def parse_ideal_inline(text: str, ctx: RingContext) -> MonomialIdeal:
 
 
 def format_ideal(I: MonomialIdeal) -> str:
-    if I.is_zero:
-        return "0"
-    return ", ".join(format_monomial(e, I.ctx) for e in I.gens)
+    return ", ".join(ideal_to_lines(I))
 
 
 def ideal_to_lines(I: MonomialIdeal) -> list[str]:

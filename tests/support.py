@@ -214,12 +214,12 @@ def lex_order_by_permutations(V: MonomialSpace):
     Returns the lexicographically smallest witness permutation, or None.
     Zero-dimensional and full spaces are lex in the identity order.
     """
-    from gotzmann.lex import identity_order, is_lex_segment
+    from gotzmann.lex import is_lex_segment
 
     n = V.ctx.n
     total = V.ctx.dim_component(V.degree)
     if V.dim in (0, total):
-        return identity_order(n)
+        return tuple(range(n))
     for perm in permutations(range(n)):
         if is_lex_segment(V, perm):
             return perm

@@ -26,6 +26,11 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--ring", "S", "--quiet", "ab,ac,bd,cd")
         assert code == 1 and out == ""
 
+    def test_square_in_sixteen_variables(self, capsys):
+        # principal, so Gotzmann; S_12 on 16 variables has 17.4M monomials, too many to list
+        code, out, _ = run(capsys, "check", "--ring", "S", "--n", "16", "bbbbbbbbbbbb")
+        assert code == 0 and out == "Gotzmann: true\n"
+
     def test_ring_flag_required(self, capsys):
         code, _, _ = run(capsys, "check", "ab,ac")
         assert code == 2

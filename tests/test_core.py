@@ -55,7 +55,6 @@ from gotzmann.lex import (
     is_lex_segment,
     is_lex_some_order,
     lexify_in_R,
-    sorted_monomials,
     sqf_lexify_in_S,
 )
 from gotzmann.textio import parse_ideal_inline, parse_monomial
@@ -479,6 +478,17 @@ class TestComponentSpace:
         with pytest.raises(ValueError):
             component_space(ideal("ab", R3), -1)
 
+    def test_up_set_piece_matches_listing_filter(self):
+        # in R the piece is read off the up-set; the oracle filters the listing
+        rng = random.Random(21)
+        for _ in range(200):
+            n = rng.randint(0, 8)
+            I = random_sqf_ideal(rng, n, "R")
+            ctx, gens = I.ctx, gen_masks(I)
+            for d in range(n + 2):
+                want = {m for m in all_monomials(ctx, d) if any(g & m == g for g in gens)}
+                assert component_space(I, d).basis == want, (I.gens, d)
+
 
 class TestMonomialSpaceValidation:
     def test_validation_messages(self):
@@ -571,7 +581,7 @@ class TestMonomialKernel:
             with pytest.raises(InvariantViolation, match=f"^degree {d + 1} "):
                 ideal_from_up_set(bits, I.ctx)
 
-    def test_sorted_monomials_relabel_identity_listing(self):
+    def test_ordered_listing_relabels_identity_listing(self):
         rng = random.Random(14)
         for n in range(7):
             orders = list(permutations(range(n)))
@@ -585,9 +595,9 @@ class TestMonomialKernel:
                         else:
                             want = tuple(tuple(e[perm.index(v)] for v in range(n))
                                          for e in identity)
-                        assert sorted_monomials(ctx, d, perm) == want
+                        assert all_monomials(ctx, d, perm) == want
                         if perm == tuple(range(n)):
-                            assert sorted_monomials(ctx, d, perm) is identity
+                            assert all_monomials(ctx, d, perm) is identity
 
     def test_listing_cache_holds_no_orders(self):
         R8 = sqf_ring(8)
@@ -599,6 +609,16 @@ class TestMonomialKernel:
         for _ in range(200):
             assert not is_lex_segment(V, tuple(rng.sample(range(8), 8)))
         assert _all_monomials.cache_info().currsize == before
+
+    def test_listing_cache_is_bounded(self):
+        # room for every squarefree listing, (n, "R", d) with d <= n <= MAX_VARS
+        maxsize = _all_monomials.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 153
+
+    def test_order_must_be_a_permutation(self):
+        for order in ((0, 0, 1), (0, 1), (1, 2, 3)):
+            with pytest.raises(ValueError, match="is not a permutation of 0..2"):
+                all_monomials(R3, 1, order)
 
 
 class TestHilbert:

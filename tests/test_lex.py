@@ -23,7 +23,6 @@ from gotzmann.lex import (
     lexify_in_R,
     macaulay_rep,
     minimal_growth,
-    sorted_monomials,
     sqf_lexify_in_S,
 )
 from gotzmann.core import minimalize, sqf_hilbert
@@ -57,7 +56,7 @@ def mask(text, ctx):
 
 def lex_greater(u, v, ctx, order=None):
     """Whether u comes before v in the degree listing under the order."""
-    listing = sorted_monomials(ctx, u.bit_count() if isinstance(u, int) else sum(u), order)
+    listing = all_monomials(ctx, u.bit_count() if isinstance(u, int) else sum(u), order)
     return listing.index(u) < listing.index(v)
 
 
@@ -346,6 +345,22 @@ class TestGotzmannIdeals:
             if I.is_zero:
                 continue
             assert is_gotzmann_ideal(I) == gotzmann_by_components(I)
+
+    def test_ideals_with_a_square_match_components(self):
+        # grown piece by piece against the test on materialized components
+        rng = random.Random(2121)
+        seen = Counter()
+        for _ in range(3000):
+            n = rng.randint(1, 4)
+            ctx = poly_ring(n)
+            gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+            I = minimalize(gens, ctx)
+            if I.squarefree:
+                continue
+            got = is_gotzmann_ideal(I)
+            assert got == gotzmann_by_components(I), I.gens
+            seen[got] += 1
+        assert seen[True] > 100 and seen[False] > 100
 
 
 class TestCountingKernel:
