@@ -38,7 +38,6 @@ from .counting import (
     gotzmann_count_series,
     osp_series,
 )
-from .series import egf_coefficient
 from .textio import (
     format_ideal,
     format_monomial,
@@ -197,9 +196,8 @@ def cmd_count(args) -> int:
 def cmd_series(args) -> int:
     builders = {"osp": osp_series, "fullsupport": full_support_series,
                 "gotzmann": gotzmann_count_series}
-    s = builders[args.name](args.terms)
-    for n in range(args.terms + 1):
-        print(f"{n} {egf_coefficient(s, n)}")
+    for n, coefficient in enumerate(builders[args.name](args.terms)):
+        print(f"{n} {coefficient}")
     return 0
 
 

@@ -221,9 +221,8 @@ def as_exps(m, n: int) -> tuple[int, ...]:
 
 
 def divides(u, v) -> bool:
-    """Whether monomial u divides monomial v (both masks or both tuples)."""
-    if isinstance(u, int):
-        return u & v == u
+    """Whether exponent tuple u divides exponent tuple v; masks are compared
+    in bulk by the up-set kernel instead."""
     return all(a <= b for a, b in zip(u, v))
 
 
@@ -340,16 +339,17 @@ def _canonical_order(gens) -> list:
     return sorted(sorted(gens, reverse=True), key=sum)
 
 
-def _minimal_masks(masks) -> list[int]:
-    """The masks that no other of the given distinct masks divides, by rising degree."""
-    kept: list[int] = []
-    for m in sorted(masks, key=int.bit_count):
-        for g in kept:
-            if g & m == g:
-                break
-        else:
-            kept.append(m)
-    return kept
+def _minimal_bitset(masks) -> int:
+    """Bitset of the masks that no other of the given masks divides.
+
+    These are the minimal elements of their up-set U, that is U less its
+    shadow.  Divisibility among the masks does not depend on the ring, so U
+    is taken over the variables up to the highest one any mask uses, k of
+    them: two passes of k shifts over 2^k bits, whatever the number of masks.
+    """
+    k = max(masks, default=0).bit_length()
+    up = up_set(masks, k)
+    return up & ~upper_shadow(up, k)
 
 
 def _minimal_exps(exps) -> list[tuple[int, ...]]:
@@ -404,8 +404,11 @@ class MonomialIdeal(_Record):
                     masks = None
         if len(set(gens)) != len(gens):
             raise ValueError("generators must be distinct")
-        minimal = _minimal_exps(gens) if masks is None else _minimal_masks(masks)
-        if len(minimal) != len(gens):
+        if masks is None:
+            minimal = len(_minimal_exps(gens))
+        else:  # distinct masks, so all are minimal when the count is full
+            minimal = _minimal_bitset(masks).bit_count()
+        if minimal != len(gens):
             raise ValueError("generators must form a divisibility antichain")
         if list(gens) != _canonical_order(gens):
             raise ValueError("generators must be sorted canonically")
@@ -461,31 +464,26 @@ def gen_masks(I: MonomialIdeal) -> tuple[int, ...]:
     return I._masks
 
 
-def _record_ideal(ctx: RingContext, gens: tuple, masks: tuple) -> MonomialIdeal:
-    """The ideal object on canonical generators and their masks, unchecked."""
-    ideal = object.__new__(MonomialIdeal)
-    _setattr(ideal, "ctx", ctx)
-    _setattr(ideal, "gens", gens)
-    _setattr(ideal, "_masks", masks)
-    return ideal
-
-
 def _ideal_from_antichain(masks, ctx: RingContext) -> MonomialIdeal:
     """The ideal generated by distinct masks that fit in ctx, form an antichain
     and come in canonical order: rising degree, then descending exponent tuple.
 
-    Every ideal the package builds from a mask antichain it already holds in
-    canonical order comes from here, and none of the constructor's checks
-    runs again; nothing is sorted either.
+    Every ideal the package builds from masks comes from here, and none of
+    the constructor's checks runs again; nothing is sorted either.
     Each caller knows its masks are a canonical antichain, for the reasons
-    its docstring gives: sqf_lexify_in_S reads them off an ideal already
-    built, and the three counting routes (osp_to_ideal, enumerate_gotzmann,
-    enumerate_antichains) build them as one, in order.  Each mask becomes its
-    exponent tuple once, and the masks are recorded in the order of gens.
+    its docstring gives: minimalize reads them off an up-set and sorts them,
+    sqf_lexify_in_S reads them off an ideal already built, and the three
+    counting routes (osp_to_ideal, enumerate_gotzmann, enumerate_antichains)
+    build them as one, in order.  The builder turns each mask into its
+    exponent tuple and records the masks in the order of gens.
     """
     n = ctx.n
     masks = tuple(masks)
-    return _record_ideal(ctx, tuple([mask_to_exps(m, n) for m in masks]), masks)
+    ideal = object.__new__(MonomialIdeal)
+    _setattr(ideal, "ctx", ctx)
+    _setattr(ideal, "gens", tuple([mask_to_exps(m, n) for m in masks]))
+    _setattr(ideal, "_masks", masks)
+    return ideal
 
 
 def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
@@ -493,11 +491,11 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
 
     Accepts masks or exponent tuples in any mix; idempotent.  In flavor R any
     input with an exponent above one is rejected, and the first bad monomial
-    in input order is named.  Squarefree input is filtered once, as masks;
-    only the survivors become exponent tuples, one keyed sort puts them in
-    canonical order, and they are recorded unchecked, as _ideal_from_antichain
-    records them.  Input of S with a square is filtered as exponent tuples
-    and built by the validating constructor.
+    in input order is named.  Squarefree input keeps the minimal elements of
+    its up-set, read off the bitset kernel with no pairwise test; two stable
+    sorts put them in canonical order and _ideal_from_antichain builds the
+    ideal.  Input of S with a square is filtered as exponent tuples and built
+    by the validating constructor.
     """
     n = ctx.n
     masks: set[int] = set()
@@ -518,9 +516,10 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
     if exps:
         gens = _minimal_exps(exps | {mask_to_exps(m, n) for m in masks})
         return MonomialIdeal(ctx, tuple(_canonical_order(gens)))
-    keyed = sorted([(-m.bit_count(), mask_to_exps(m, n), m) for m in _minimal_masks(masks)],
-                   reverse=True)
-    return _record_ideal(ctx, tuple([k[1] for k in keyed]), tuple([k[2] for k in keyed]))
+    minimal = bitset_masks(_minimal_bitset(masks))
+    minimal.sort(key=lambda m: mask_to_exps(m, n), reverse=True)
+    minimal.sort(key=int.bit_count)
+    return _ideal_from_antichain(minimal, ctx)
 
 
 def ideal_from_up_set(bits: int, ctx: RingContext) -> MonomialIdeal:

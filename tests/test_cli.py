@@ -167,6 +167,16 @@ class TestDecomposeAndCompress:
         assert want[0] == 0 and want[2] == ""
         assert run(capsys, *argv) == want
 
+    def test_degree_zero_and_unreadable_order_rejected(self, capsys):
+        for argv, message in (
+                (("decompose", "--var", "a", "--n", "3", "1"),
+                 "decomposition needs degree at least one"),
+                (("compress", "--var", "a", "--n", "4", "--order", "bcx", "ab,ac"),
+                 "cannot read order 'bcx'")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert message in err
+
     def test_unknown_variable_rejected(self, capsys):
         for command in ("decompose", "compress"):
             code, out, err = run(capsys, command, "--var", "q", "--n", "3", "ab")

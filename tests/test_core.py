@@ -7,6 +7,7 @@ from itertools import permutations
 import pytest
 
 from gotzmann.core import (
+    MAX_VARS,
     POLY,
     SQF,
     InvariantViolation,
@@ -16,6 +17,7 @@ from gotzmann.core import (
     _binom_row,
     _mask_level_bitsets,
     all_monomials,
+    as_exps,
     binom,
     bitset_masks,
     component_space,
@@ -29,6 +31,7 @@ from gotzmann.core import (
     minimalize,
     poly_hilbert_from_sqf,
     poly_ring,
+    q_context,
     reflavor,
     reflect_bitset,
     shadow_up,
@@ -134,7 +137,7 @@ class TestMinimalize:
     def test_matches_tuple_oracle(self):
         rng = random.Random(11)
         for trial in range(1500):
-            n = rng.randint(0, 9)
+            n = rng.randint(0, MAX_VARS)
             flavor = rng.choice(["S", "R"])
             ctx = poly_ring(n) if flavor == "S" else sqf_ring(n)
             squarefree = flavor == "R" or trial % 2 == 0
@@ -142,6 +145,14 @@ class TestMinimalize:
             got = minimalize(items, ctx)
             assert got.gens == minimalize_by_tuples(items, ctx).gens
             assert minimalize(got.gens, ctx) == got
+        # several hundred masks at full width: divisibility drops many, keeps many
+        n = MAX_VARS
+        masks = [sum(1 << i for i in rng.sample(range(n), rng.randint(4, 10)))
+                 for _ in range(600)]
+        for ctx in (sqf_ring(n), poly_ring(n)):
+            got = minimalize(masks, ctx)
+            assert got.gens == minimalize_by_tuples(masks, ctx).gens
+            assert 100 < len(got.gens) < len(set(masks)) - 100
 
     def test_validation_messages(self):
         ab, ac, abc = (1, 1, 0), (1, 0, 1), (1, 1, 1)
@@ -206,7 +217,7 @@ class TestConstructorOracle:
         rng = random.Random(31)
         accepted = 0
         for _ in range(4000):
-            ctx = rng.choice((poly_ring, sqf_ring))(rng.randint(0, 4))
+            ctx = rng.choice((poly_ring, sqf_ring))(rng.randint(0, MAX_VARS))
             gens = self._random_gens(rng, ctx)
             want = ideal_gens_error(ctx, gens)
             try:
@@ -259,6 +270,11 @@ class TestMaskToExps:
             with pytest.raises(ValueError, match=f"^variable count must be in 0..16, got {n}$"):
                 mask_to_exps(1, n)
 
+    def test_as_exps_rejects_a_mask_too_wide(self):
+        assert as_exps(7, 3) == (1, 1, 1)
+        with pytest.raises(ValueError, match="^mask 8 does not fit in 3 variables$"):
+            as_exps(8, 3)
+
 
 class TestSharedRings:
     """Rings with default names are one shared context per (n, flavor)."""
@@ -304,6 +320,12 @@ class TestSharedRings:
                     with pytest.raises(ValueError,
                                        match=f"^variable count must be in 0..16, got {n}$"):
                         ring(n)
+
+    def test_q_context_index_out_of_range(self):
+        assert q_context(R3, 2).names == ("a", "b")
+        for i in (3, -1):
+            with pytest.raises(ValueError, match=f"^variable index {i} out of range$"):
+                q_context(R3, i)
 
 
 class TestRecordedMasks:

@@ -168,6 +168,10 @@ class TestColon:
         top = space(q3, 3, [])
         assert colon_with_n1(top).dim == 0
 
+    def test_degree_zero_rejected(self):
+        with pytest.raises(ValueError, match="^colon needs degree at least one$"):
+            colon_with_n1(space(R4, 0, [0]))
+
     def test_frozen_example_with_brute_oracle(self):
         q = sqf_ring(3)  # variables b, c, d by position
         q = sqf_ring(3, names=("b", "c", "d"))
@@ -205,6 +209,10 @@ class TestAlexanderDuality:
             assert alexander_dual_space(space(R4, d, all_monomials(R4, d))).dim == 0
             assert alexander_dual_space(space(R4, d, [])) == \
                 space(R4, 4 - d, all_monomials(R4, 4 - d))
+
+    def test_degree_above_n_rejected(self):
+        with pytest.raises(ValueError, match="^duality needs a degree within the ring$"):
+            alexander_dual_space(space(R4, 5, []))
 
     def test_involution(self):
         rng = random.Random(41)
@@ -308,6 +316,11 @@ class TestReconstruct:
         assert not is_gotzmann_space(bad)
         with pytest.raises(ValueError):
             reconstruct(bad, 4)
+
+    def test_insertion_index_out_of_range(self):
+        vxi = sp(sqf_ring(4), 2, "ab", "bc", "cd", "ad")
+        with pytest.raises(ValueError, match="^insertion index 5 out of range$"):
+            reconstruct(vxi, 5)
 
     def test_full_alphabet_ring_rejected(self):
         # every default name is taken, so no ring one variable up can be named

@@ -203,6 +203,11 @@ class TestMacaulay:
     def test_exact_binomial(self):
         assert macaulay_rep(3, 2) == ((3, 2),)
 
+    def test_negative_count_or_degree_zero_rejected(self):
+        for m, d in ((-1, 2), (3, 0)):
+            with pytest.raises(ValueError, match="^need m >= 0 and d >= 1$"):
+                macaulay_rep(m, d)
+
     def test_round_trip(self):
         rng = random.Random(3)
         for _ in range(300):
