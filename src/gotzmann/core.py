@@ -277,7 +277,17 @@ def all_monomials(ctx: RingContext, d: int, order=None) -> tuple:
 # graded monomial vector spaces
 
 class MonomialSpace(_Record):
-    """A degree-homogeneous set of monomials inside S_d or R_d."""
+    """A degree-homogeneous set of monomials inside S_d or R_d.
+
+    The basis is a frozenset of masks in R and of exponent tuples in S.  The
+    constructor validates it: the representation matches the flavor, each
+    monomial lies in the ring and has the given degree.  space() normalizes
+    and then validates the same way, and so does decompose.reassemble on a
+    caller's parts.  Inside the package a space that is valid by
+    construction (a shadow, a component of an ideal, a lex segment, the
+    parts and reassembly of a decomposition, a colon, an Alexander dual) is
+    built by _space_from_basis instead, which skips these checks.
+    """
 
     __slots__ = _fields = ("ctx", "degree", "basis")
 
@@ -305,6 +315,25 @@ class MonomialSpace(_Record):
         return len(self.basis)
 
 
+def _space_from_basis(ctx: RingContext, degree: int, basis: frozenset) -> MonomialSpace:
+    """The space with the given basis, which must already be a frozenset of
+    degree-`degree` monomials of ctx in its flavor's representation.
+
+    The counterpart of _ideal_from_antichain for spaces: none of the
+    constructor's checks runs.  Each caller knows its basis is valid because
+    it derived it from a valid space or ideal by an operation that stays in
+    the ring and moves the degree as it says: shadow_up, component_space,
+    lex_segment, decompose, colon_with_n1, alexander_dual_space, the
+    reassembly in compress and reconstruct, and the pieces is_gotzmann_ideal
+    grows for an ideal of S with a square.
+    """
+    V = object.__new__(MonomialSpace)
+    _setattr(V, "ctx", ctx)
+    _setattr(V, "degree", degree)
+    _setattr(V, "basis", basis)
+    return V
+
+
 def space(ctx: RingContext, degree: int, monomials) -> MonomialSpace:
     """Build a MonomialSpace, normalizing monomials to the flavor's representation."""
     if ctx.flavor == SQF:
@@ -328,7 +357,7 @@ def shadow_up(V: MonomialSpace) -> MonomialSpace:
         for m in V.basis:
             for i in range(ctx.n):
                 out.add(m[:i] + (m[i] + 1,) + m[i + 1:])
-    return MonomialSpace(ctx, V.degree + 1, frozenset(out))
+    return _space_from_basis(ctx, V.degree + 1, frozenset(out))
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +381,22 @@ def _minimal_bitset(masks) -> int:
     return up & ~upper_shadow(up, k)
 
 
-def _minimal_exps(exps) -> list[tuple[int, ...]]:
-    """The exponent tuples that no other of the given distinct tuples divides, by rising degree."""
+def _minimal_squares(masks, squares) -> list[tuple[int, ...]]:
+    """The tuples with a square that no other given monomial divides, by rising degree.
+
+    masks are the squarefree monomials, squares the distinct exponent tuples
+    with an exponent above one.  A tuple with a square divides no squarefree
+    monomial, so the masks are left to _minimal_bitset; and a squarefree
+    monomial divides a tuple exactly when it divides the tuple's support, so
+    one look-up in the up-set of the masks settles that.  Only the tuples
+    with a square are tested against each other, pairwise.
+    """
+    supports = list(map(support_of_exps, squares))
+    k = max(max(masks, default=0), *supports).bit_length()
+    up = up_set(masks, k)
     kept: list[tuple[int, ...]] = []
-    for e in sorted(exps, key=sum):
-        if not any(divides(g, e) for g in kept):
+    for e, support in sorted(zip(squares, supports), key=lambda pair: sum(pair[0])):
+        if not up >> support & 1 and not any(divides(g, e) for g in kept):
             kept.append(e)
     return kept
 
@@ -391,28 +431,28 @@ class MonomialIdeal(_Record):
         so that bench/tracer.py can time construction by wrapping it."""
         n = self.ctx.n
         gens = self.gens
-        masks: list[int] | None = []
+        masks: list[int] = []
+        squares: list[tuple[int, ...]] = []
         for e in gens:
             if len(e) != n or n and min(e) < 0:
                 raise ValueError(f"bad generator {e} for {n} variables")
-            if masks is not None:
-                try:
-                    masks.append(exps_to_mask(e))
-                except ValueError:  # an exponent above one
-                    if self.ctx.flavor == SQF:
-                        raise ValueError(f"generator {e} is not squarefree") from None
-                    masks = None
+            try:
+                masks.append(exps_to_mask(e))
+            except ValueError:  # an exponent above one
+                if self.ctx.flavor == SQF:
+                    raise ValueError(f"generator {e} is not squarefree") from None
+                squares.append(e)
         if len(set(gens)) != len(gens):
             raise ValueError("generators must be distinct")
-        if masks is None:
-            minimal = len(_minimal_exps(gens))
-        else:  # distinct masks, so all are minimal when the count is full
-            minimal = _minimal_bitset(masks).bit_count()
+        # distinct generators, so all are minimal when the count is full
+        minimal = _minimal_bitset(masks).bit_count()
+        if squares:
+            minimal += len(_minimal_squares(masks, squares))
         if minimal != len(gens):
             raise ValueError("generators must form a divisibility antichain")
         if list(gens) != _canonical_order(gens):
             raise ValueError("generators must be sorted canonically")
-        _setattr(self, "_masks", None if masks is None else tuple(masks))
+        _setattr(self, "_masks", None if squares else tuple(masks))
 
     @property
     def is_zero(self) -> bool:
@@ -494,8 +534,10 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
     in input order is named.  Squarefree input keeps the minimal elements of
     its up-set, read off the bitset kernel with no pairwise test; two stable
     sorts put them in canonical order and _ideal_from_antichain builds the
-    ideal.  Input of S with a square is filtered as exponent tuples and built
-    by the validating constructor.
+    ideal.  Input of S with a square splits the same way: the squarefree
+    monomials go through the bitset kernel and only the tuples with a square
+    are filtered pairwise (_minimal_squares); the validating constructor
+    builds that ideal.
     """
     n = ctx.n
     masks: set[int] = set()
@@ -513,10 +555,10 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
             raise ValueError(f"monomial {e} is not squarefree")
         else:
             exps.add(e)
-    if exps:
-        gens = _minimal_exps(exps | {mask_to_exps(m, n) for m in masks})
-        return MonomialIdeal(ctx, tuple(_canonical_order(gens)))
     minimal = bitset_masks(_minimal_bitset(masks))
+    if exps:
+        gens = [mask_to_exps(m, n) for m in minimal] + _minimal_squares(masks, exps)
+        return MonomialIdeal(ctx, tuple(_canonical_order(gens)))
     minimal.sort(key=lambda m: mask_to_exps(m, n), reverse=True)
     minimal.sort(key=int.bit_count)
     return _ideal_from_antichain(minimal, ctx)
@@ -564,7 +606,7 @@ def component_space(I: MonomialIdeal, d: int) -> MonomialSpace:
     else:
         basis = [m for m in all_monomials(ctx, d)
                  if any(divides(g, m) for g in I.gens)]
-    return MonomialSpace(ctx, d, frozenset(basis))
+    return _space_from_basis(ctx, d, frozenset(basis))
 
 
 @lru_cache(maxsize=MAX_VARS + 1)

@@ -19,6 +19,7 @@ from .core import (
     _mask_level_bitsets,
     _Record,
     _setattr,
+    _space_from_basis,
     bitset_masks,
     gen_masks,
     ideal_from_up_set,
@@ -70,16 +71,27 @@ def decompose(V: MonomialSpace, i: int) -> Decomposition:
     bit = 1 << i
     hat = frozenset(squeeze_mask(m, i) for m in V.basis if not m & bit)
     xi = frozenset(squeeze_mask(m ^ bit, i) for m in V.basis if m & bit)
-    return Decomposition(i, V.ctx, MonomialSpace(q, V.degree, hat),
-                         MonomialSpace(q, V.degree - 1, xi))
+    return Decomposition(i, V.ctx, _space_from_basis(q, V.degree, hat),
+                         _space_from_basis(q, V.degree - 1, xi))
 
 
-def reassemble(dec: Decomposition) -> MonomialSpace:
-    """Exact inverse of decompose."""
+def _reassembled_basis(dec: Decomposition) -> frozenset:
+    """The basis of vhat + x_i * vxi, in the ring with x_i."""
     bit = 1 << dec.i
     basis = {unsqueeze_mask(m, dec.i) for m in dec.vhat.basis}
     basis |= {unsqueeze_mask(m, dec.i) | bit for m in dec.vxi.basis}
-    return MonomialSpace(dec.rctx, dec.vhat.degree, frozenset(basis))
+    return frozenset(basis)
+
+
+def reassemble(dec: Decomposition) -> MonomialSpace:
+    """Exact inverse of decompose.
+
+    A Decomposition may come from a caller, with parts of any degree, so the
+    result is validated: a vxi that is not one degree below vhat raises
+    ValueError.  compress and reconstruct build parts that fit and reassemble
+    them without the check.
+    """
+    return MonomialSpace(dec.rctx, dec.vhat.degree, _reassembled_basis(dec))
 
 
 def _lex_parts(dec: Decomposition, order=None) -> Decomposition:
@@ -95,7 +107,8 @@ def compress(V: MonomialSpace, i: int, order=None) -> MonomialSpace:
     The order permutes the remaining variables; by default the induced
     identity order is used, which keeps x_i conceptually last.
     """
-    return reassemble(_lex_parts(decompose(V, i), order))
+    lex = _lex_parts(decompose(V, i), order)
+    return _space_from_basis(V.ctx, V.degree, _reassembled_basis(lex))
 
 
 class GrowthEquality(_Record):
@@ -112,18 +125,29 @@ class GrowthEquality(_Record):
         return self.lhs == self.rhs
 
 
+def _shadow_size(dec: Decomposition) -> int:
+    """|m V| for V = vhat + x_i * vxi, as |n vhat| + |vhat + n vxi|.
+
+    Both terms are popcounts of bitsets over the masks of Q, so no shadow
+    space is built.
+    """
+    n = dec.vhat.ctx.n
+    hat = mask_bitset(dec.vhat.basis)
+    return upper_shadow(hat, n).bit_count() + \
+        (hat | upper_shadow(mask_bitset(dec.vxi.basis), n)).bit_count()
+
+
 def growth_equality(V: MonomialSpace, i: int, order=None) -> GrowthEquality:
     """Shadow size of V against the shadow size of its x_i-compression.
 
     Both are computed through the decomposition identity
     |m V| = |n vhat| + |vhat + n vxi|, exposed for inspection; the right side
-    applies it to the lex parts that compress(V, i, order) reassembles.
+    applies it to the lex parts that compress(V, i, order) reassembles.  Each
+    shadow size is a popcount of the part bitsets in Q; no shadow space is
+    built.
     """
     dec = decompose(V, i)
-    lhs = shadow_up(dec.vhat).dim + len(dec.vhat.basis | shadow_up(dec.vxi).basis)
-    lex = _lex_parts(dec, order)
-    rhs = shadow_up(lex.vhat).dim + len(lex.vhat.basis | shadow_up(lex.vxi).basis)
-    return GrowthEquality(lhs, rhs)
+    return GrowthEquality(_shadow_size(dec), _shadow_size(_lex_parts(dec, order)))
 
 
 def colon_with_n1(vhat: MonomialSpace) -> MonomialSpace:
@@ -141,7 +165,7 @@ def colon_with_n1(vhat: MonomialSpace) -> MonomialSpace:
     missing = level_d & ~mask_bitset(vhat.basis)
     blocked = reflect_bitset(upper_shadow(reflect_bitset(missing, n), n), n)
     out = bitset_masks(level_below & ~blocked)
-    return MonomialSpace(vhat.ctx, d - 1, frozenset(out))
+    return _space_from_basis(vhat.ctx, d - 1, frozenset(out))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +182,8 @@ def alexander_dual_space(V: MonomialSpace) -> MonomialSpace:
         raise ValueError("duality needs a degree within the ring")
     n = V.ctx.n
     missing = _mask_level_bitsets(n)[0][V.degree] & ~mask_bitset(V.basis)
-    return MonomialSpace(V.ctx, n - V.degree, frozenset(bitset_masks(reflect_bitset(missing, n))))
+    return _space_from_basis(V.ctx, n - V.degree,
+                             frozenset(bitset_masks(reflect_bitset(missing, n))))
 
 
 def _dual_bitset(I: MonomialIdeal) -> int:
@@ -234,7 +259,8 @@ def reconstruct(vxi: MonomialSpace, i: int, name: str | None = None) -> Monomial
         # None when the alphabet runs out; RingContext then rejects the ring size
         name = next((c for c in ALPHABET if c not in q.names), None)
     rctx = RingContext(q.n + 1, SQF, q.names[:i] + (name,) + q.names[i:])
-    rebuilt = reassemble(Decomposition(i, rctx, shadow_up(vxi), vxi))
+    basis = _reassembled_basis(Decomposition(i, rctx, shadow_up(vxi), vxi))
+    rebuilt = _space_from_basis(rctx, vxi.degree + 1, basis)
     if not is_gotzmann_space(rebuilt):
         raise InvariantViolation("reconstruction produced a non-Gotzmann space")
     return rebuilt

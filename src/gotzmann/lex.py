@@ -20,6 +20,7 @@ from .core import (
     RingContext,
     _ideal_from_antichain,
     _mask_level_bitsets,
+    _space_from_basis,
     all_monomials,
     component_dim,
     gen_masks,
@@ -40,7 +41,9 @@ def lex_segment(dim: int, d: int, ctx: RingContext, order=None) -> MonomialSpace
     mons = all_monomials(ctx, d, order)
     if not 0 <= dim <= len(mons):
         raise ValueError(f"dimension {dim} out of range 0..{len(mons)}")
-    return MonomialSpace(ctx, d, frozenset(mons[:dim]))
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    return _space_from_basis(ctx, d, frozenset(mons[:dim]))
 
 
 def is_lex_segment(V: MonomialSpace, order=None) -> bool:
@@ -165,7 +168,18 @@ def _growth_bound(dim: int, d: int, n: int, flavor: str) -> int:
 
 
 def is_gotzmann_space(V: MonomialSpace) -> bool:
-    return shadow_up(V).dim == minimal_growth(V.dim, V.degree, V.ctx)
+    """Whether the shadow of V is as small as Kruskal-Katona (R) or Macaulay (S) allows.
+
+    Only the shadow's size is compared.  In R it is the popcount of the
+    squarefree shadow of V's bitset, so no shadow space is built; in S it is
+    the dimension of shadow_up(V).
+    """
+    ctx = V.ctx
+    if ctx.flavor == SQF:
+        grown = upper_shadow(mask_bitset(V.basis), ctx.n).bit_count()
+    else:
+        grown = shadow_up(V).dim
+    return grown == minimal_growth(V.dim, V.degree, ctx)
 
 
 def _grows_at(counts, shadow: int, d: int, ctx: RingContext) -> bool:
@@ -210,7 +224,8 @@ def is_gotzmann_ideal(I: MonomialIdeal) -> bool:
     squarefree ideal, of S or R, is read off the up-set of its generators by
     _grows_minimally.  An ideal of S with a square is grown piece by piece
     from its smallest generator degree: each piece is the shadow of the one
-    below plus the generators of its degree, so S_d is never listed.
+    below plus the generators of its degree, so S_d is never listed.  Both
+    are valid already, so each piece is built by _space_from_basis.
     """
     if I.is_zero:
         return True
@@ -221,7 +236,7 @@ def is_gotzmann_ideal(I: MonomialIdeal) -> bool:
         return _grows_minimally(up_set(gen_masks(I), ctx.n), degrees, ctx)
     piece = frozenset()
     for d in degrees:
-        V = MonomialSpace(ctx, d, piece.union(e for e in I.gens if sum(e) == d))
+        V = _space_from_basis(ctx, d, piece.union(e for e in I.gens if sum(e) == d))
         piece = shadow_up(V).basis
         if len(piece) != minimal_growth(V.dim, d, ctx):
             return False

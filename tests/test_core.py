@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import sys
 from collections import Counter
 from itertools import permutations
 
@@ -16,6 +17,7 @@ from gotzmann.core import (
     _all_monomials,
     _binom_row,
     _mask_level_bitsets,
+    _space_from_basis,
     all_monomials,
     as_exps,
     binom,
@@ -53,10 +55,21 @@ from gotzmann.counting import (
     enumerate_osp,
     osp_to_ideal,
 )
-from gotzmann.decompose import alexander_dual_ideal, is_gdual_ideal
+from gotzmann.decompose import (
+    alexander_dual_ideal,
+    alexander_dual_space,
+    colon_with_n1,
+    compress,
+    growth_equality,
+    is_gdual_ideal,
+    reconstruct,
+)
 from gotzmann.lex import (
+    is_gotzmann_ideal,
+    is_gotzmann_space,
     is_lex_segment,
     is_lex_some_order,
+    lex_segment,
     lexify_in_R,
     sqf_lexify_in_S,
 )
@@ -68,6 +81,7 @@ from support import (
     ideal_gens_error,
     minimalize_by_tuples,
     quotient_by_variable,
+    random_space,
     random_sqf_ideal,
 )
 
@@ -153,6 +167,55 @@ class TestMinimalize:
             got = minimalize(masks, ctx)
             assert got.gens == minimalize_by_tuples(masks, ctx).gens
             assert 100 < len(got.gens) < len(set(masks)) - 100
+
+    @staticmethod
+    def _mixed_inputs(rng, n):
+        """Sparse masks beside tuples with a square on sparse supports, so that
+        masks divide squares and squares divide each other."""
+        def sparse(top):
+            return sum(1 << i for i in rng.sample(range(n), min(n, rng.randint(1, top))))
+        items = [sparse(4) for _ in range(rng.randint(0, 3 * n))]
+        if rng.random() < 0.05:
+            items.append(0)
+        for _ in range(rng.randint(1, 6)):
+            e = list(mask_to_exps(sparse(5), n))
+            support = [i for i in range(n) if e[i]]
+            for i in rng.sample(support, min(len(support), rng.randint(1, 2))):
+                e[i] = rng.randint(2, 3)
+            items.append(tuple(e))
+        return items
+
+    def test_mixed_input_matches_tuple_oracle(self):
+        # the masks go through the bitset kernel and only the squares are
+        # compared pairwise, in minimalize and in the constructor's check
+        rng = random.Random(12)
+        rejected = 0
+        for _ in range(600):
+            n = rng.randint(1, MAX_VARS)
+            ctx = poly_ring(n)
+            items = self._mixed_inputs(rng, n)
+            got = minimalize(items, ctx)
+            assert got.gens == minimalize_by_tuples(items, ctx).gens
+            assert (got._masks is None) == any(max(e) > 1 for e in got.gens)
+            # one dropped monomial put back makes a set that is no antichain
+            dropped = {as_exps(m, n) for m in items} - set(got.gens)
+            if dropped:
+                gens = sorted(set(got.gens) | {rng.choice(sorted(dropped))},
+                              key=lambda e: (sum(e), tuple(-x for x in e)))
+                with pytest.raises(ValueError) as err:
+                    MonomialIdeal(ctx, tuple(gens))
+                assert str(err.value) == ideal_gens_error(ctx, gens)
+                rejected += 1
+        assert rejected > 300
+        # a few hundred masks at full width beside a few squares
+        n = MAX_VARS
+        ctx = poly_ring(n)
+        items = [sum(1 << i for i in rng.sample(range(n), rng.randint(4, 10)))
+                 for _ in range(400)]
+        items += [(2,) + (0,) * (n - 1)] + self._mixed_inputs(rng, n)[-6:]
+        got = minimalize(items, ctx)
+        assert got.gens == minimalize_by_tuples(items, ctx).gens
+        assert ideal_gens_error(ctx, got.gens) is None
 
     def test_validation_messages(self):
         ab, ac, abc = (1, 1, 0), (1, 0, 1), (1, 1, 1)
@@ -529,6 +592,85 @@ class TestMonomialSpaceValidation:
             with pytest.raises(ValueError) as err:
                 MonomialSpace(ctx, d, frozenset(basis))
             assert str(err.value) == message, (ctx.flavor, d, basis)
+
+    def test_space_validation_messages(self):
+        cases = [
+            (R3, -1, [], "degree must be nonnegative"),
+            (R3, 2, [(2, 0, 0)], "monomial is not squarefree: exponent 2 at index 0"),
+            (R3, 1, [8], "mask 8 does not fit in 3 variables"),
+            (S3, 1, [-1], "mask -1 does not fit in 3 variables"),
+            (R3, 1, [(0, 1)], "bad exponent tuple (0, 1) for 3 variables"),
+            (S3, 1, [(2, -1, 0)], "bad exponent tuple (2, -1, 0) for 3 variables"),
+            (R3, 2, [1], "basis element 1 is not of degree 2"),
+            (S3, 2, [1], "basis element (1, 0, 0) is not of degree 2"),
+        ]
+        for ctx, d, monomials, message in cases:
+            with pytest.raises(ValueError) as err:
+                space(ctx, d, monomials)
+            assert str(err.value) == message, (ctx.flavor, d, monomials)
+
+
+class TestSpaceBuilder:
+    """Every space the package builds with _space_from_basis equals the space
+    the checking constructor builds on the same basis, which accepts it."""
+
+    PRODUCERS = {"shadow_up", "component_space", "lex_segment", "decompose", "compress",
+                 "colon_with_n1", "alexander_dual_space", "reconstruct", "is_gotzmann_ideal"}
+
+    @pytest.fixture
+    def callers(self, monkeypatch):
+        """Re-check each space the builder makes; count the callers by name."""
+        seen = Counter()
+
+        def checked(ctx, degree, basis):
+            V = _space_from_basis(ctx, degree, basis)
+            assert type(basis) is frozenset
+            assert MonomialSpace(ctx, degree, basis) == V
+            seen[sys._getframe(1).f_code.co_name] += 1
+            return V
+
+        # the package exports a function named decompose, so the modules
+        # are looked up by their full names
+        for name in ("core", "lex", "decompose"):
+            monkeypatch.setattr(sys.modules[f"gotzmann.{name}"], "_space_from_basis", checked)
+        return seen
+
+    @staticmethod
+    def _produce(rng, ctx, d):
+        """Call every producer on one random space of ctx in degree d."""
+        n = ctx.n
+        V = random_space(rng, ctx, d)
+        order = rng.sample(range(n), n)
+        shadow_up(V)
+        is_gotzmann_space(V)
+        I = minimalize(V.basis, ctx)
+        component_space(I, d + rng.randint(0, 2))
+        lex_segment(rng.randint(0, ctx.dim_component(d)), d, ctx, order)
+        if ctx.flavor == POLY:
+            square = (2,) + (0,) * (n - 1)
+            is_gotzmann_ideal(minimalize(list(V.basis) + [square], ctx))
+            return
+        alexander_dual_space(V)
+        if d >= 1:
+            i = rng.randrange(n)
+            compress(V, i, rng.sample(range(n - 1), n - 1))
+            growth_equality(V, i)
+            colon_with_n1(V)
+        q = sqf_ring(n - 1)
+        e = rng.randint(0, n - 1)
+        vxi = lex_segment(rng.randint(0, q.dim_component(e)), e, q,
+                          rng.sample(range(n - 1), n - 1))
+        reconstruct(vxi, rng.randint(0, n - 1))
+
+    def test_every_producer_matches_the_checked_constructor(self, callers):
+        rng = random.Random(61)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            self._produce(rng, sqf_ring(n), rng.randint(0, n))
+            self._produce(rng, poly_ring(n), rng.randint(0, 3))
+        self._produce(random.Random(16), sqf_ring(MAX_VARS), 5)
+        self._produce(random.Random(16), poly_ring(MAX_VARS), 2)
+        assert set(callers) == self.PRODUCERS
 
 
 class TestShadow:

@@ -7,7 +7,7 @@ import pytest
 
 from gotzmann import counting
 from gotzmann.cli import main
-from gotzmann.core import InvariantViolation, gen_masks, poly_ring, sqf_ring
+from gotzmann.core import InvariantViolation, _ideal_from_antichain, gen_masks, poly_ring, sqf_ring
 from gotzmann.counting import (
     WITH_LINEAR,
     WITHOUT_LINEAR,
@@ -118,6 +118,18 @@ class TestEnumerateGotzmann:
     def test_deduplicated(self):
         ideals = enumerate_gotzmann(4)
         assert len({I.gens for I in ideals}) == len(ideals)
+
+    def test_gotzmann_in_S_is_gotzmann_in_R(self):
+        # on the same generators; at n = 7 the supernova sets stand for the
+        # Gotzmann ideals of S other than zero and unit
+        for n in range(7):
+            R = sqf_ring(n)
+            for I in enumerate_gotzmann(n):
+                assert is_gotzmann_ideal(_ideal_from_antichain(gen_masks(I), R)), I.gens
+        keys = counting._supernova_generator_sets(7)
+        assert len(keys) == 58053
+        R = sqf_ring(7)
+        assert all(is_gotzmann_ideal(_ideal_from_antichain(masks, R)) for masks in keys)
 
 
 class TestEnumerateOsp:

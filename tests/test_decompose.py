@@ -16,6 +16,7 @@ from gotzmann.core import (
 )
 from gotzmann.counting import enumerate_antichains
 from gotzmann.decompose import (
+    Decomposition,
     alexander_dual_ideal,
     alexander_dual_space,
     colon_with_n1,
@@ -28,7 +29,7 @@ from gotzmann.decompose import (
     reassemble,
     reconstruct,
 )
-from gotzmann.lex import is_gotzmann_ideal, is_gotzmann_space, lex_segment
+from gotzmann.lex import is_gotzmann_ideal, is_gotzmann_space, lex_segment, minimal_growth
 from gotzmann.textio import parse_ideal_inline, parse_monomial
 
 from support import (
@@ -50,6 +51,12 @@ def ideal(text, ctx):
 
 def sp(ctx, d, *texts):
     return space(ctx, d, [parse_monomial(t, ctx) for t in texts])
+
+
+def set_shadow_size(V):
+    """Number of squarefree multiples m * x_j of the basis, as a set of masks."""
+    n = V.ctx.n
+    return len({m | 1 << j for m in V.basis for j in range(n) if not m >> j & 1})
 
 
 class TestDecompose:
@@ -79,6 +86,12 @@ class TestDecompose:
     def test_bad_variable(self):
         with pytest.raises(ValueError):
             decompose(sp(R4, 2, "ab"), 4)
+
+    def test_reassemble_validates_a_callers_parts(self):
+        q = sqf_ring(3)
+        dec = Decomposition(0, R4, space(q, 2, [0b011]), space(q, 2, [0b110]))
+        with pytest.raises(ValueError, match="^basis element 13 is not of degree 2$"):
+            reassemble(dec)
 
 
 class TestCompress:
@@ -123,6 +136,40 @@ class TestCompress:
             eq = growth_equality(V, i, order)
             assert eq.lhs == shadow_up(V).dim
             assert eq.rhs == shadow_up(compress(V, i, order)).dim
+
+
+class TestShadowSizes:
+    """is_gotzmann_space and growth_equality read shadow sizes off bitsets;
+    both agree with shadows built as sets of masks."""
+
+    @staticmethod
+    def _check(V, rng):
+        ctx = V.ctx
+        size = set_shadow_size(V)
+        assert is_gotzmann_space(V) == (size == minimal_growth(V.dim, V.degree, ctx))
+        if V.degree < 1:
+            return
+        for i in range(ctx.n):
+            for order in (None, tuple(rng.sample(range(ctx.n - 1), ctx.n - 1))):
+                eq = growth_equality(V, i, order)
+                assert (eq.lhs, eq.rhs) == (size, set_shadow_size(compress(V, i, order))), \
+                    (V, i, order)
+
+    def test_every_space_up_to_four_variables(self):
+        rng = random.Random(41)
+        spaces = 0
+        for n in range(5):
+            for d in range(n + 1):
+                for V in all_subspaces(sqf_ring(n), d):
+                    self._check(V, rng)
+                    spaces += 1
+        assert spaces == 2 + 4 + 8 + 20 + 100  # sum of 2^C(n, d)
+
+    def test_random_spaces_up_to_twelve_variables(self):
+        rng = random.Random(42)
+        for _ in range(60):
+            n = rng.randint(5, 12)
+            self._check(random_space(rng, sqf_ring(n), rng.randint(0, n)), rng)
 
 
 class TestDecompositionGrowth:

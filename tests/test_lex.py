@@ -94,6 +94,13 @@ class TestLexSegment:
         with pytest.raises(ValueError):
             lex_segment(7, 2, R4)
 
+    def test_negative_degree_rejected(self):
+        for ctx in (R4, S3):
+            with pytest.raises(ValueError, match="^dimension 1 out of range 0..0$"):
+                lex_segment(1, -1, ctx)
+            with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+                lex_segment(0, -1, ctx)
+
     def test_nesting(self):
         for ctx in (R4, S3):
             for d in range(4):
