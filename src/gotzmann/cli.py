@@ -155,7 +155,7 @@ def cmd_decompose(args) -> int:
 def cmd_compress(args) -> int:
     V, i = _space(args)
     order = None if args.order is None else parse_order(args.order, q_context(V.ctx, i))
-    eq = growth_equality(V, i, order)
+    eq = growth_equality(V, i)
     _report(args, V, _basis(compress(V, i, order)),
             {"shadow_of_input": eq.lhs, "shadow_of_compression": eq.rhs,
              "growth_equality_holds": eq.holds})

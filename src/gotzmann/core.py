@@ -254,23 +254,24 @@ def ordered_monomials(n: int, flavor: str, d: int, variables) -> tuple:
 
 
 @lru_cache(maxsize=(MAX_VARS + 1) * (MAX_VARS + 2) // 2)
-def _all_monomials(n: int, flavor: str, d: int) -> tuple:
-    """The identity-order listing; room for all 153 (n, "R", d) with n <= MAX_VARS."""
-    return ordered_monomials(n, flavor, d, range(n))
+def _all_monomials(n: int, d: int) -> tuple:
+    """The identity-order listing of R_d; room for all 153 (n, d) with d <= n <= MAX_VARS."""
+    return ordered_monomials(n, SQF, d, range(n))
 
 
 def all_monomials(ctx: RingContext, d: int, order=None) -> tuple:
     """All degree-d monomials in descending lex order; order is a permutation of
-    0..n-1, greatest variable first.  Only the identity listing is cached: any
-    other order is listed afresh, so a process keeps no listing of orders."""
+    0..n-1, greatest variable first.  Only the identity listing of R is cached,
+    2^MAX_VARS masks at most; a listing of S, whose size has no such bound, or
+    in any other order is built afresh on each call."""
     n = ctx.n
     if order is not None:
         order = tuple(order)
         if sorted(order) != list(range(n)):
             raise ValueError(f"order {order} is not a permutation of 0..{n - 1}")
-        if order != tuple(range(n)):
-            return ordered_monomials(n, ctx.flavor, d, order)
-    return _all_monomials(n, ctx.flavor, d)
+    if ctx.flavor == SQF and order in (None, tuple(range(n))):
+        return _all_monomials(n, d)
+    return ordered_monomials(n, ctx.flavor, d, range(n) if order is None else order)
 
 
 # ---------------------------------------------------------------------------

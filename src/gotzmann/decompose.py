@@ -30,7 +30,7 @@ from .core import (
     up_set,
     upper_shadow,
 )
-from .lex import _grows_minimally, is_gotzmann_space, lex_segment
+from .lex import _grows_minimally, is_gotzmann_space, lex_segment, minimal_growth
 
 
 def _require_sqf(ctx: RingContext):
@@ -94,20 +94,17 @@ def reassemble(dec: Decomposition) -> MonomialSpace:
     return MonomialSpace(dec.rctx, dec.vhat.degree, _reassembled_basis(dec))
 
 
-def _lex_parts(dec: Decomposition, order=None) -> Decomposition:
-    """Both parts of dec replaced by lex segments of the same sizes in Q."""
-    q = dec.vhat.ctx
-    return Decomposition(dec.i, dec.rctx, lex_segment(dec.vhat.dim, dec.vhat.degree, q, order),
-                         lex_segment(dec.vxi.dim, dec.vxi.degree, q, order))
-
-
 def compress(V: MonomialSpace, i: int, order=None) -> MonomialSpace:
     """Replace both parts of the x_i-decomposition by lex segments in Q.
 
     The order permutes the remaining variables; by default the induced
-    identity order is used, which keeps x_i conceptually last.
+    identity order is used, which keeps x_i conceptually last.  The shadow
+    size of the result is the same for every order (see growth_equality).
     """
-    lex = _lex_parts(decompose(V, i), order)
+    dec = decompose(V, i)
+    q = dec.vhat.ctx
+    lex = Decomposition(i, V.ctx, lex_segment(dec.vhat.dim, V.degree, q, order),
+                        lex_segment(dec.vxi.dim, V.degree - 1, q, order))
     return _space_from_basis(V.ctx, V.degree, _reassembled_basis(lex))
 
 
@@ -125,29 +122,22 @@ class GrowthEquality(_Record):
         return self.lhs == self.rhs
 
 
-def _shadow_size(dec: Decomposition) -> int:
-    """|m V| for V = vhat + x_i * vxi, as |n vhat| + |vhat + n vxi|.
-
-    Both terms are popcounts of bitsets over the masks of Q, so no shadow
-    space is built.
-    """
-    n = dec.vhat.ctx.n
-    hat = mask_bitset(dec.vhat.basis)
-    return upper_shadow(hat, n).bit_count() + \
-        (hat | upper_shadow(mask_bitset(dec.vxi.basis), n)).bit_count()
-
-
-def growth_equality(V: MonomialSpace, i: int, order=None) -> GrowthEquality:
+def growth_equality(V: MonomialSpace, i: int) -> GrowthEquality:
     """Shadow size of V against the shadow size of its x_i-compression.
 
-    Both are computed through the decomposition identity
-    |m V| = |n vhat| + |vhat + n vxi|, exposed for inspection; the right side
-    applies it to the lex parts that compress(V, i, order) reassembles.  Each
-    shadow size is a popcount of the part bitsets in Q; no shadow space is
-    built.
+    Both sides are |m V| = |n vhat| + |vhat + n vxi|.  On the left it is read
+    off popcounts of the part bitsets in Q.  On the right the parts are lex
+    segments of dimensions a and b; the shadow of one is the lex segment of
+    dimension minimal_growth, and segments of one degree nest, so the sum is
+    minimal_growth(a, d) + max(a, minimal_growth(b, d - 1)) for every order.
     """
     dec = decompose(V, i)
-    return GrowthEquality(_shadow_size(dec), _shadow_size(_lex_parts(dec, order)))
+    q, d = dec.vhat.ctx, V.degree
+    hat = mask_bitset(dec.vhat.basis)
+    lhs = upper_shadow(hat, q.n).bit_count() + \
+        (hat | upper_shadow(mask_bitset(dec.vxi.basis), q.n)).bit_count()
+    a, b = dec.vhat.dim, dec.vxi.dim
+    return GrowthEquality(lhs, minimal_growth(a, d, q) + max(a, minimal_growth(b, d - 1, q)))
 
 
 def colon_with_n1(vhat: MonomialSpace) -> MonomialSpace:

@@ -24,13 +24,12 @@ from .core import (
     all_monomials,
     component_dim,
     gen_masks,
-    ideal_from_up_set,
     mask_bitset,
+    minimalize,
     poly_hilbert_from_sqf,
     reflavor,
     shadow_up,
     sqf_hilbert,
-    unit_ideal,
     up_set,
     upper_shadow,
 )
@@ -249,15 +248,21 @@ def is_gotzmann_ideal(I: MonomialIdeal) -> bool:
 def lexify_in_R(I: MonomialIdeal) -> MonomialIdeal:
     """The lex ideal of R with the same squarefree Hilbert function as I.
 
-    Built degreewise as lex segments; the segments are verified to nest under
-    the shadow, which makes the result an ideal.
+    By Kruskal-Katona, and since squarefree lex ideals have lex components,
+    the shadow of the first v degree-d monomials is the first
+    minimal_growth(v, d) of degree d + 1.  So the generators in degree d are
+    the slice [g:v_d] of the listing, g the growth of v_{d-1}, and a count
+    below g raises InvariantViolation.  No segment is built.
     """
     values = sqf_hilbert(I)
     rctx = reflavor(I.ctx, SQF)
-    if values[0]:
-        return unit_ideal(rctx)
-    return ideal_from_up_set(mask_bitset(m for d, v in enumerate(values)
-                                         for m in all_monomials(rctx, d)[:v]), rctx)
+    gens = []
+    for d, v in enumerate(values):
+        g = minimal_growth(values[d - 1], d - 1, rctx) if d else 0
+        if v < g:
+            raise InvariantViolation(f"degree {d} does not contain the shadow of degree {d - 1}")
+        gens += all_monomials(rctx, d)[g:v]
+    return minimalize(gens, rctx)
 
 
 def sqf_lexify_in_S(I: MonomialIdeal) -> MonomialIdeal:

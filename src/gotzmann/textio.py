@@ -77,14 +77,20 @@ def parse_ideal_inline(text: str, ctx: RingContext) -> MonomialIdeal:
     An empty list, bare or in parentheses, is an error rather than a second
     spelling of the zero ideal.
     """
+    tokens = _inline_tokens(text)
+    if tokens is None:
+        raise ValueError("empty ideal: write 0 for the zero ideal")
+    return minimalize([parse_monomial(tok, ctx) for tok in tokens], ctx)
+
+
+def _inline_tokens(text: str) -> list[str] | None:
+    """Monomial tokens of an inline ideal in optional parentheses: [] for "0", None if empty."""
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1].strip()
     if not body:
-        raise ValueError("empty ideal: write 0 for the zero ideal")
-    if body == "0":
-        return minimalize([], ctx)
-    return minimalize([parse_monomial(tok, ctx) for tok in body.split(",")], ctx)
+        return None
+    return [] if body == "0" else body.split(",")
 
 
 def format_ideal(I: MonomialIdeal) -> str:
@@ -112,13 +118,9 @@ def infer_variable_count(text: str, var: str | None = None, order: str | None = 
     n >= k + 1.
     """
     probe = poly_ring(MAX_VARS)
-    body = text.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1].strip()
     top = 0
-    if body not in ("", "0", "1"):
-        for token in body.split(","):
-            top = max(top, support_of_exps(parse_monomial(token, probe)).bit_length())
+    for token in _inline_tokens(text) or ():
+        top = max(top, support_of_exps(parse_monomial(token, probe)).bit_length())
     if var is not None:
         top = max(top, (int(var) if var.isdecimal() else var_index(var, probe)) + 1)
     if order is not None:

@@ -14,11 +14,15 @@ from gotzmann.core import (
     divides,
     exps_to_mask,
     gen_masks,
+    ideal_from_up_set,
     is_squarefree_exps,
+    mask_bitset,
     minimalize,
     poly_ring,
     q_context,
+    reflavor,
     shadow_up,
+    sqf_hilbert,
     sqf_ring,
 )
 from gotzmann.counting import OrderedSetPartition, enumerate_osp
@@ -154,6 +158,16 @@ def growth_by_construction(dim, d, ctx):
     from gotzmann.lex import lex_segment
 
     return shadow_up(lex_segment(dim, d, ctx)).dim
+
+
+def lexify_by_segments(I: MonomialIdeal) -> MonomialIdeal:
+    """Lexification in R by construction: the up-set of the lex segments of
+    I's squarefree Hilbert function, each degree's segment put into one 2^n
+    bitset.  ideal_from_up_set checks that the segments nest under the
+    shadow and reads the generators off it."""
+    rctx = reflavor(I.ctx, SQF)
+    return ideal_from_up_set(mask_bitset(m for d, v in enumerate(sqf_hilbert(I))
+                                         for m in all_monomials(rctx, d)[:v]), rctx)
 
 
 def direct_sqf_counts(I: MonomialIdeal):

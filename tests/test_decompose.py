@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -133,7 +134,7 @@ class TestCompress:
             V = random_space(rng, sqf_ring(n), d)
             i = rng.randrange(n)
             order = tuple(rng.sample(range(n - 1), n - 1))
-            eq = growth_equality(V, i, order)
+            eq = growth_equality(V, i)
             assert eq.lhs == shadow_up(V).dim
             assert eq.rhs == shadow_up(compress(V, i, order)).dim
 
@@ -150,8 +151,8 @@ class TestShadowSizes:
         if V.degree < 1:
             return
         for i in range(ctx.n):
+            eq = growth_equality(V, i)
             for order in (None, tuple(rng.sample(range(ctx.n - 1), ctx.n - 1))):
-                eq = growth_equality(V, i, order)
                 assert (eq.lhs, eq.rhs) == (size, set_shadow_size(compress(V, i, order))), \
                     (V, i, order)
 
@@ -170,6 +171,19 @@ class TestShadowSizes:
         for _ in range(60):
             n = rng.randint(5, 12)
             self._check(random_space(rng, sqf_ring(n), rng.randint(0, n)), rng)
+
+    def test_growth_equality_builds_no_lex_segment(self, monkeypatch):
+        rng = random.Random(43)
+        cases = [(random_space(rng, sqf_ring(n), rng.randint(1, n)), rng.randrange(n))
+                 for n in range(1, 11) for _ in range(6)]
+        want = [(set_shadow_size(V), set_shadow_size(compress(V, i))) for V, i in cases]
+
+        def refuse(*args):
+            raise AssertionError("growth_equality built a lex segment")
+
+        # the package exports the function decompose, which hides the module
+        monkeypatch.setattr(importlib.import_module("gotzmann.decompose"), "lex_segment", refuse)
+        assert [(eq.lhs, eq.rhs) for eq in (growth_equality(V, i) for V, i in cases)] == want
 
 
 class TestDecompositionGrowth:

@@ -3,15 +3,20 @@ from collections import Counter
 
 import pytest
 
+from gotzmann import lex
 from gotzmann.core import (
+    InvariantViolation,
     MonomialSpace,
     all_monomials,
     binom,
     component_space,
+    mask_bitset,
     poly_ring,
+    reflavor,
     shadow_up,
     space,
     sqf_ring,
+    upper_shadow,
 )
 from gotzmann.lex import (
     _growth_bound,
@@ -36,6 +41,7 @@ from support import (
     gotzmann_by_components,
     growth_by_construction,
     lex_order_by_permutations,
+    lexify_by_segments,
     random_space,
     random_sqf_ideal,
 )
@@ -436,6 +442,56 @@ class TestLexify:
         I = minimalize([(2, 0, 0)], S3)
         with pytest.raises(ValueError):
             lexify_in_R(I)
+
+    @staticmethod
+    def _check_against_segments(I):
+        want = lexify_by_segments(I)
+        assert lexify_in_R(I) == want
+        L = sqf_lexify_in_S(I)
+        assert L.ctx is reflavor(I.ctx, "S") and L.gens == want.gens
+
+    def test_every_antichain_on_five_variables_matches_segments(self):
+        for flavor in ("R", "S"):
+            for I in enumerate_antichains(5, flavor=flavor):
+                self._check_against_segments(I)
+
+    def test_random_ideals_up_to_sixteen_variables_match_segments(self):
+        rng = random.Random(24)
+        for n in range(6, 17):
+            for flavor in ("R", "S"):
+                for _ in range(3):
+                    self._check_against_segments(random_sqf_ideal(rng, n, flavor, 2 * n))
+
+    def test_counts_missing_a_shadow_raise(self, monkeypatch):
+        # one linear monomial in degree 1 and none of its degree-2 shadow
+        monkeypatch.setattr(lex, "sqf_hilbert", lambda I: (0, 1, 0))
+        with pytest.raises(InvariantViolation, match="^degree 2 "):
+            lexify_in_R(minimalize([], sqf_ring(2)))
+
+
+class TestKruskalKatonaSlices:
+    """The shadow of the first v degree-d monomials of a listing is the first
+    minimal_growth(v, d) monomials of degree d + 1 in the same listing; the
+    lexification and the growth equality read their sizes off that fact."""
+
+    @staticmethod
+    def _check(ctx, order=None):
+        n = ctx.n
+        for d in range(n + 1):
+            listing, above = all_monomials(ctx, d, order), all_monomials(ctx, d + 1, order)
+            for v in range(len(listing) + 1):
+                want = mask_bitset(above[:minimal_growth(v, d, ctx)])
+                assert upper_shadow(mask_bitset(listing[:v]), n) == want, (n, d, v, order)
+
+    def test_identity_listing_up_to_ten_variables(self):
+        for n in range(11):
+            self._check(sqf_ring(n))
+
+    def test_sampled_orders(self):
+        rng = random.Random(25)
+        for n in range(2, 11):
+            for _ in range(3):
+                self._check(sqf_ring(n), rng.sample(range(n), n))
 
 
 class TestStructuralLemmas:
