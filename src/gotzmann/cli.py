@@ -137,9 +137,9 @@ def cmd_lexify(args) -> int:
 def cmd_dual(args) -> int:
     I = _ideal(args)
     D = alexander_dual_ideal(I)
-    diagnostics = {"gotzmann": is_gotzmann_ideal(D), "gdual_input": is_gdual_ideal(I)}
+    grows = is_gdual_ideal(I)  # the Gotzmann test of D: both keys report it
     text = format_ideal(D)
-    _report(args, D, text, diagnostics, text)
+    _report(args, D, text, {"gotzmann": grows, "gdual_input": grows}, text)
     return 0
 
 

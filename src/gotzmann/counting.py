@@ -164,8 +164,12 @@ def osp_series(T: int = DEFAULT_TRUNCATION) -> tuple[int, ...]:
     """E.g.f. of ordered set partitions, 1/(2 - e^t).
 
     From (2 - e^t) A = 1: a_0 = 1 and a_n = sum_{k=1..n} C(n, k) a_{n-k},
-    a first block of k elements followed by a partition of the rest.
+    a first block of k elements followed by a partition of the rest.  The
+    other three series are built on this one, so a truncation T below zero
+    raises ValueError here for all four.
     """
+    if T < 0:
+        raise ValueError(f"truncation must be nonnegative, got {T}")
     a = [1]
     for n in range(1, T + 1):
         a.append(sum(comb(n, k) * a[n - k] for k in range(1, n + 1)))
@@ -271,15 +275,16 @@ def enumerate_antichains(n: int, flavor: str = POLY):
     antichain in canonical order by construction and goes to the builder
     unfiltered and unsorted.
 
-    The flavor must be POLY or SQF; anything else raises ValueError.
+    The flavor must be POLY or SQF and n a ring size up to
+    ANTICHAIN_MAX_VARS; anything else raises ValueError at the call, before
+    the returned generator is first advanced.
     """
     if flavor not in (POLY, SQF):
         raise ValueError(f"flavor must be {POLY!r} or {SQF!r}, got {flavor!r}")
     if n > ANTICHAIN_MAX_VARS:
         raise ValueError(f"antichain enumeration is limited to {ANTICHAIN_MAX_VARS} variables")
     ctx = poly_ring(n) if flavor == POLY else sqf_ring(n)
-    for gens in _antichain_walk(n):
-        yield _ideal_from_antichain(gens, ctx)
+    return (_ideal_from_antichain(gens, ctx) for gens in _antichain_walk(n))
 
 
 def _supernova_generator_sets(n: int) -> set:

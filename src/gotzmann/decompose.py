@@ -125,18 +125,17 @@ class GrowthEquality(_Record):
 def growth_equality(V: MonomialSpace, i: int) -> GrowthEquality:
     """Shadow size of V against the shadow size of its x_i-compression.
 
-    Both sides are |m V| = |n vhat| + |vhat + n vxi|.  On the left it is read
-    off popcounts of the part bitsets in Q.  On the right the parts are lex
-    segments of dimensions a and b; the shadow of one is the lex segment of
-    dimension minimal_growth, and segments of one degree nest, so the sum is
-    minimal_growth(a, d) + max(a, minimal_growth(b, d - 1)) for every order.
+    Both sides are |m V| = |n vhat| + |vhat + n vxi|.  The left side is read
+    directly, as the popcount of the shadow of V's bitset.  On the right the
+    parts are lex segments of dimensions a and b; the shadow of one is the
+    lex segment of dimension minimal_growth, and segments of one degree nest,
+    so the sum is minimal_growth(a, d) + max(a, minimal_growth(b, d - 1)) for
+    every order.
     """
     dec = decompose(V, i)
     q, d = dec.vhat.ctx, V.degree
-    hat = mask_bitset(dec.vhat.basis)
-    lhs = upper_shadow(hat, q.n).bit_count() + \
-        (hat | upper_shadow(mask_bitset(dec.vxi.basis), q.n)).bit_count()
     a, b = dec.vhat.dim, dec.vxi.dim
+    lhs = upper_shadow(mask_bitset(V.basis), V.ctx.n).bit_count()
     return GrowthEquality(lhs, minimal_growth(a, d, q) + max(a, minimal_growth(b, d - 1, q)))
 
 
@@ -210,11 +209,13 @@ def is_gdual_ideal(I: MonomialIdeal) -> bool:
 
     The dual of the degree-(n - k) component of I is the degree-k piece of
     the dual bitset.  That bitset is the reflected complement of an up-set, so
-    it is an up-set too, and lex._grows_minimally tests its pieces in every
-    degree 0..n against the Kruskal-Katona bound.
+    it is an up-set too: the monomials of alexander_dual_ideal(I).  So this is
+    is_gotzmann_ideal of the dual, and lex._grows_minimally tests its pieces
+    against the Kruskal-Katona bound off one shadow, in the degrees its
+    generators span.
     """
     _require_sqf(I.ctx)
-    return _grows_minimally(_dual_bitset(I), range(I.ctx.n + 1), I.ctx)
+    return _grows_minimally(_dual_bitset(I), I.ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -199,20 +199,26 @@ def _grows_at(counts, shadow: int, d: int, ctx: RingContext) -> bool:
     return grown == minimal_growth(dim_d, d, ctx)
 
 
-def _grows_minimally(bits: int, degrees, ctx: RingContext) -> bool:
-    """Whether the degree-d piece of a squarefree up-set grows minimally in each given degree.
+def _grows_minimally(bits: int, ctx: RingContext) -> bool:
+    """Whether a squarefree up-set grows minimally in every degree.
 
     bits is a bitset over the 2^n masks that contains its own shadow: the
-    squarefree monomials of an ideal.  Its degree-d piece I_d is
-    bits & levels[d], and _grows_at tests it against upper_shadow(I_d).
+    squarefree monomials of an ideal.  One upper_shadow serves every degree,
+    since its degree-(d+1) part is the shadow of the degree-d piece
+    bits & levels[d], and bits & ~shadow are the minimal generators.  By
+    persistence (Gotzmann in S, Aramova-Herzog-Hibi in R) _grows_at tests
+    only the degrees from the lowest to the highest generator degree; an
+    up-set with no generators, the zero ideal, passes.
     """
     n = ctx.n
     levels = _mask_level_bitsets(n)[0]
+    above = levels[1:] + (0,)  # the level that holds the shadow of each degree
+    shadow = upper_shadow(bits, n)
+    gens = bits & ~shadow
     counts = [(bits & level).bit_count() for level in levels]
-    for d in degrees:
-        if not _grows_at(counts, upper_shadow(bits & levels[d], n).bit_count(), d, ctx):
-            return False
-    return True
+    tested = [d for d, level in enumerate(levels) if gens & level]
+    return not tested or all(_grows_at(counts, (shadow & above[d]).bit_count(), d, ctx)
+                             for d in range(tested[0], tested[-1] + 1))
 
 
 def is_gotzmann_ideal(I: MonomialIdeal) -> bool:
@@ -226,15 +232,12 @@ def is_gotzmann_ideal(I: MonomialIdeal) -> bool:
     below plus the generators of its degree, so S_d is never listed.  Both
     are valid already, so each piece is built by _space_from_basis.
     """
-    if I.is_zero:
-        return True
     ctx = I.ctx
-    degs = I.degrees()
-    degrees = range(degs[0], degs[-1] + 1)
     if I.squarefree:
-        return _grows_minimally(up_set(gen_masks(I), ctx.n), degrees, ctx)
+        return _grows_minimally(up_set(gen_masks(I), ctx.n), ctx)
+    degs = I.degrees()
     piece = frozenset()
-    for d in degrees:
+    for d in range(degs[0], degs[-1] + 1):
         V = _space_from_basis(ctx, d, piece.union(e for e in I.gens if sum(e) == d))
         piece = shadow_up(V).basis
         if len(piece) != minimal_growth(V.dim, d, ctx):
@@ -252,8 +255,11 @@ def lexify_in_R(I: MonomialIdeal) -> MonomialIdeal:
     the shadow of the first v degree-d monomials is the first
     minimal_growth(v, d) of degree d + 1.  So the generators in degree d are
     the slice [g:v_d] of the listing, g the growth of v_{d-1}, and a count
-    below g raises InvariantViolation.  No segment is built.
+    below g raises InvariantViolation.  No segment is built, and a degree
+    that is all shadow (v_d = g) is not listed.  I must be squarefree.
     """
+    if not I.squarefree:
+        raise ValueError("lexification needs a squarefree ideal")
     values = sqf_hilbert(I)
     rctx = reflavor(I.ctx, SQF)
     gens = []
@@ -261,7 +267,8 @@ def lexify_in_R(I: MonomialIdeal) -> MonomialIdeal:
         g = minimal_growth(values[d - 1], d - 1, rctx) if d else 0
         if v < g:
             raise InvariantViolation(f"degree {d} does not contain the shadow of degree {d - 1}")
-        gens += all_monomials(rctx, d)[g:v]
+        if v > g:
+            gens += all_monomials(rctx, d)[g:v]
     return minimalize(gens, rctx)
 
 

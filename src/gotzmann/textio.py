@@ -13,6 +13,7 @@ import re
 
 from .core import (
     MAX_VARS,
+    SQF,
     MonomialIdeal,
     RingContext,
     as_exps,
@@ -37,7 +38,11 @@ def var_index(token: str, ctx: RingContext) -> int:
 
 
 def parse_monomial(text: str, ctx: RingContext) -> tuple[int, ...]:
-    """Parse a monomial into an exponent tuple; "1" is the unit monomial."""
+    """Parse a monomial into an exponent tuple; "1" is the unit monomial.
+
+    In the squarefree ring a monomial with a square raises ValueError naming
+    the text as written.
+    """
     text = text.strip()
     if not text:
         raise ValueError("empty monomial")
@@ -56,6 +61,8 @@ def parse_monomial(text: str, ctx: RingContext) -> tuple[int, ...]:
         tokens = list(text)
     for token in tokens:
         exps[var_index(token, ctx)] += 1
+    if ctx.flavor == SQF and max(exps) > 1:
+        raise ValueError(f"monomial {text!r} is not squarefree")
     return tuple(exps)
 
 

@@ -15,6 +15,7 @@ from gotzmann.core import (  # noqa: E402
     MonomialIdeal,
     MonomialSpace,
     _ideal_from_antichain,
+    _mask_level_bitsets,
     all_monomials,
     gen_masks,
     ideal_from_up_set,
@@ -23,6 +24,7 @@ from gotzmann.core import (  # noqa: E402
     poly_ring,
     sqf_ring,
     up_set,
+    upper_shadow,
 )
 from gotzmann.classify import (  # noqa: E402
     SupernovaForm,
@@ -31,7 +33,7 @@ from gotzmann.classify import (  # noqa: E402
     supernova_to_ideal,
 )
 from gotzmann.decompose import colon_with_n1  # noqa: E402
-from gotzmann.lex import _grows_minimally, is_gotzmann_ideal, lexify_in_R  # noqa: E402
+from gotzmann.lex import _grows_at, is_gotzmann_ideal, lexify_in_R  # noqa: E402
 
 from support import gotzmann_by_components, minimalize_by_tuples  # noqa: E402
 
@@ -210,13 +212,40 @@ def mixed_antichains(draw):
 def test_growth_tests_agree_by_persistence(I):
     """Testing every degree from the first generator degree up to n, or only the
     degrees that hold generators, agrees with is_gotzmann_ideal, which stops at
-    the top generator degree."""
+    the top generator degree.  Each degree's test is _grows_at on the shadow of
+    that degree's piece alone."""
     n = I.ctx.n
     bits = up_set(gen_masks(I), n)
+    levels = _mask_level_bitsets(n)[0]
+    counts = [(bits & level).bit_count() for level in levels]
+
+    def grows(d):
+        return _grows_at(counts, upper_shadow(bits & levels[d], n).bit_count(), d, I.ctx)
+
     degrees = I.degrees()
     first = degrees[0] if degrees else 0
-    assert _grows_minimally(bits, range(first, n + 1), I.ctx) == is_gotzmann_ideal(I)
-    assert _grows_minimally(bits, degrees, I.ctx) == is_gotzmann_ideal(I)
+    assert all(map(grows, range(first, n + 1))) == is_gotzmann_ideal(I)
+    assert all(map(grows, degrees)) == is_gotzmann_ideal(I)
+
+
+@st.composite
+def bitsets(draw):
+    """A variable count n <= 8 and any bitset over the 2^n masks."""
+    n = draw(st.integers(0, 8))
+    return n, draw(st.integers(0, (1 << (1 << n)) - 1))
+
+
+@SETTINGS
+@given(bitsets())
+def test_one_shadow_holds_every_level_shadow(case):
+    """The degree-(d+1) part of the shadow of a bitset is the shadow of its
+    degree-d piece, which is what lets _grows_minimally take one shadow."""
+    n, bits = case
+    levels = _mask_level_bitsets(n)[0]
+    shadow = upper_shadow(bits, n)
+    for d in range(n):
+        assert shadow & levels[d + 1] == upper_shadow(bits & levels[d], n)
+    assert upper_shadow(bits & levels[n], n) == 0
 
 
 def relabeled_stages(stages, n):

@@ -93,6 +93,28 @@ class TestClassify:
         assert payload["gens"] == ["ab", "ac", "bc"] and payload["result"] is None
 
 
+class TestSquareInInput:
+    """A monomial with a square where the command needs a squarefree one exits 2,
+    and the message names the input as written."""
+
+    def test_square_named_as_written(self, capsys):
+        cases = [(("check", "--ring", "R", "aa"), "aa"),
+                 (("check", "--ring", "R", "ab, x1*x1"), "x1*x1"),
+                 (("dual", "b,cc"), "cc"),
+                 (("lexify", "a*a"), "a*a"),
+                 (("decompose", "--var", "a", "--n", "2", "aa"), "aa"),
+                 (("compress", "--var", "a", "ab,bb"), "bb")]
+        for argv, token in cases:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: monomial {token!r} is not squarefree\n", argv
+
+    def test_lexify_in_S_needs_a_squarefree_ideal(self, capsys):
+        code, out, err = run(capsys, "lexify", "--ring", "S", "a*a")
+        assert (code, out) == (2, "")
+        assert err == "error: lexification needs a squarefree ideal\n"
+
+
 class TestLexifyAndDual:
     def test_lexify(self, capsys):
         code, out, _ = run(capsys, "lexify", "--n", "4", "ab,ac,bd,cd")

@@ -70,6 +70,12 @@ class TestAntichains:
         with pytest.raises(ValueError):
             next(enumerate_antichains(6))
 
+    def test_bad_arguments_raise_at_the_call(self):
+        # no next(): the checks run before the walk is first advanced
+        for args in ((3, "X"), (-1,), (6,), (-1, "R"), (6, "R")):
+            with pytest.raises(ValueError):
+                enumerate_antichains(*args)
+
     def test_unknown_flavor(self):
         for flavor in ("X", "s", "r", "", None):
             with pytest.raises(ValueError, match="^flavor must be 'S' or 'R', got "):

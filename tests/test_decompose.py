@@ -316,6 +316,18 @@ class TestAlexanderDuality:
             assert alexander_dual_ideal(I) == dual_by_components(I), I
             assert is_gdual_ideal(I) == gdual_by_components(I), I
 
+    def test_gdual_is_gotzmann_of_the_dual(self):
+        ideals = [I for n in range(6) for I in enumerate_antichains(n, SQF)]
+        assert len(ideals) == 7780
+        rng = random.Random(2512)
+        ideals += [random_sqf_ideal(rng, rng.randint(0, 12), "R", 16) for _ in range(200)]
+        seen = set()
+        for I in ideals:
+            got = is_gdual_ideal(I)
+            assert got == is_gotzmann_ideal(alexander_dual_ideal(I)), I
+            seen.add(got)
+        assert seen == {True, False}
+
     def test_full_component_is_gdual(self):
         for d in range(5):
             assert is_gdual(space(R4, d, all_monomials(R4, d)))

@@ -32,6 +32,7 @@ from gotzmann.lex import (
 )
 from gotzmann.core import minimalize, sqf_hilbert
 from gotzmann.counting import enumerate_antichains
+from gotzmann.decompose import is_gdual_ideal
 from gotzmann.textio import parse_ideal_inline, parse_monomial
 
 from support import (
@@ -381,6 +382,44 @@ class TestGotzmannIdeals:
         assert seen[True] > 100 and seen[False] > 100
 
 
+class TestOneShadowPerGrowthTest:
+    """The squarefree growth tests take one upper_shadow, whatever the number of
+    degrees they test: its degree-(d+1) part is the shadow of the degree-d piece."""
+
+    @staticmethod
+    def shadow_calls(monkeypatch, test, I):
+        calls = []
+
+        def counted(bits, n):
+            calls.append(n)
+            return upper_shadow(bits, n)
+
+        monkeypatch.setattr(lex, "upper_shadow", counted)
+        test(I)
+        monkeypatch.undo()
+        return len(calls)
+
+    @staticmethod
+    def ideals(flavor):
+        rng = random.Random(2525)
+        out = [ideal("ab,acd,bce", poly_ring(5) if flavor == "S" else sqf_ring(5))]
+        while len(out) < 40:
+            I = random_sqf_ideal(rng, rng.randint(3, 10), flavor)
+            if len(I.degrees()) >= 2:
+                out.append(I)
+        return out
+
+    def test_gotzmann_ideal_in_both_rings(self, monkeypatch):
+        for flavor in ("S", "R"):
+            for I in self.ideals(flavor):
+                assert self.shadow_calls(monkeypatch, is_gotzmann_ideal, I) == 1, I
+
+    def test_gdual_ideal(self, monkeypatch):
+        ideals = [I for n in range(5) for I in enumerate_antichains(n, "R")] + self.ideals("R")
+        for I in ideals:
+            assert self.shadow_calls(monkeypatch, is_gdual_ideal, I) == 1, I
+
+
 class TestCountingKernel:
     """Up-set level counts and the up-set Gotzmann test against direct counts and components."""
 
@@ -440,8 +479,23 @@ class TestLexify:
 
     def test_non_squarefree_rejected(self):
         I = minimalize([(2, 0, 0)], S3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^lexification needs a squarefree ideal$"):
             lexify_in_R(I)
+
+    def test_lists_only_degrees_with_new_generators(self, monkeypatch):
+        # the full degree-8 component on 16 variables: every other degree is
+        # zero or all shadow, so its listing holds no generator
+        ctx = sqf_ring(16)
+        I = minimalize(all_monomials(ctx, 8), ctx)
+        listed = []
+
+        def listing(c, d, order=None):
+            listed.append(d)
+            return all_monomials(c, d, order)
+
+        monkeypatch.setattr(lex, "all_monomials", listing)
+        assert lexify_in_R(I) == I
+        assert listed == [8]
 
     @staticmethod
     def _check_against_segments(I):

@@ -84,6 +84,13 @@ class TestOrderedSetPartitionSeries:
 
 
 class TestCountingSeries:
+    def test_negative_truncation_rejected(self):
+        for build in (osp_series, big_last_block_series, full_support_series,
+                      gotzmann_count_series):
+            with pytest.raises(ValueError, match="^truncation must be nonnegative, got -1$"):
+                build(-1)
+            assert len(build(0)) == 1
+
     def test_full_support_coefficients(self):
         h = full_support_series(12)
         assert [egf_coefficient(h, n) for n in range(6)] == [2, 1, 2, 8, 46, 332]
