@@ -28,7 +28,6 @@ from .decompose import (
     compress,
     decompose,
     growth_equality,
-    is_gdual_ideal,
     q_context,
 )
 from .counting import (
@@ -137,7 +136,7 @@ def cmd_lexify(args) -> int:
 def cmd_dual(args) -> int:
     I = _ideal(args)
     D = alexander_dual_ideal(I)
-    grows = is_gdual_ideal(I)  # the Gotzmann test of D: both keys report it
+    grows = is_gotzmann_ideal(D)  # is_gdual_ideal(I) by definition: both keys report it
     text = format_ideal(D)
     _report(args, D, text, {"gotzmann": grows, "gdual_input": grows}, text)
     return 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from operator import attrgetter, mul
+from operator import attrgetter, mul, neg
 
 POLY = "S"
 SQF = "R"
@@ -188,12 +188,13 @@ def mask_to_exps(mask: int, n: int) -> tuple[int, ...]:
 
     For n <= 8 one lookup in a table built at import, so every ideal on at
     most 8 variables shares one tuple object per monomial; up to MAX_VARS
-    two joined slices of the byte table; any other n raises ValueError.
+    the low byte's tuple joined to one of that table; any other n raises
+    ValueError.
     """
     if 0 <= n <= 8:
         return _SMALL_EXPS[n][mask & 255]
     if 8 < n <= MAX_VARS:
-        return _BYTE_EXPS[mask & 255] + _BYTE_EXPS[mask >> 8 & 255][:n - 8]
+        return _BYTE_EXPS[mask & 255] + _SMALL_EXPS[n - 8][mask >> 8 & 255]
     raise ValueError(f"variable count must be in 0..{MAX_VARS}, got {n}")
 
 
@@ -325,8 +326,9 @@ def _space_from_basis(ctx: RingContext, degree: int, basis: frozenset) -> Monomi
     it derived it from a valid space or ideal by an operation that stays in
     the ring and moves the degree as it says: shadow_up, component_space,
     lex_segment, decompose, colon_with_n1, alexander_dual_space, the
-    reassembly in compress and reconstruct, and the pieces is_gotzmann_ideal
-    grows for an ideal of S with a square.
+    reassembly in compress (of two lex segments) and in reconstruct (of vxi
+    and its shadow), and the pieces is_gotzmann_ideal grows for an ideal of
+    S with a square.
     """
     V = object.__new__(MonomialSpace)
     _setattr(V, "ctx", ctx)
@@ -505,26 +507,44 @@ def gen_masks(I: MonomialIdeal) -> tuple[int, ...]:
     return I._masks
 
 
-def _ideal_from_antichain(masks, ctx: RingContext) -> MonomialIdeal:
+def _ideal_from_antichain(masks, ctx: RingContext, gens=None) -> MonomialIdeal:
     """The ideal generated by distinct masks that fit in ctx, form an antichain
     and come in canonical order: rising degree, then descending exponent tuple.
 
     Every ideal the package builds from masks comes from here, and none of
     the constructor's checks runs again; nothing is sorted either.
     Each caller knows its masks are a canonical antichain, for the reasons
-    its docstring gives: minimalize reads them off an up-set and sorts them,
-    sqf_lexify_in_S reads them off an ideal already built, and the three
-    counting routes (osp_to_ideal, enumerate_gotzmann, enumerate_antichains)
-    build them as one, in order.  The builder turns each mask into its
-    exponent tuple and records the masks in the order of gens.
+    its docstring gives: _ideal_from_minimal (for minimalize and
+    ideal_from_up_set) sorts them, sqf_lexify_in_S reads them off an ideal
+    already built, and the three counting routes (osp_to_ideal,
+    enumerate_gotzmann, enumerate_antichains) build them as one, in order.
+    gens are the exponent tuples of the masks, made here when not given.
     """
-    n = ctx.n
     masks = tuple(masks)
+    if gens is None:
+        n = ctx.n
+        gens = tuple([mask_to_exps(m, n) for m in masks])
     ideal = object.__new__(MonomialIdeal)
     _setattr(ideal, "ctx", ctx)
-    _setattr(ideal, "gens", tuple([mask_to_exps(m, n) for m in masks]))
+    _setattr(ideal, "gens", gens)
     _setattr(ideal, "_masks", masks)
     return ideal
+
+
+def _ideal_from_minimal(masks, ctx: RingContext) -> MonomialIdeal:
+    """The ideal generated by distinct masks that fit in ctx and form an
+    antichain, in any order: each exponent tuple is made once, and one sort
+    of (-degree, exponent tuple, mask) triples, descending, puts the
+    generators in canonical order with their masks beside them."""
+    n = ctx.n
+    if n <= 8:
+        exps = map(_SMALL_EXPS[n].__getitem__, masks)
+    else:  # mask_to_exps inlined: masks fit in ctx, so m >> 8 is a byte
+        low, high = _BYTE_EXPS, _SMALL_EXPS[n - 8]
+        exps = [low[m & 255] + high[m >> 8] for m in masks]
+    ranked = sorted(zip(map(neg, map(int.bit_count, masks)), exps, masks), reverse=True)
+    _, gens, masks = zip(*ranked) if ranked else ((), (), ())
+    return _ideal_from_antichain(masks, ctx, gens)
 
 
 def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
@@ -533,12 +553,11 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
     Accepts masks or exponent tuples in any mix; idempotent.  In flavor R any
     input with an exponent above one is rejected, and the first bad monomial
     in input order is named.  Squarefree input keeps the minimal elements of
-    its up-set, read off the bitset kernel with no pairwise test; two stable
-    sorts put them in canonical order and _ideal_from_antichain builds the
-    ideal.  Input of S with a square splits the same way: the squarefree
-    monomials go through the bitset kernel and only the tuples with a square
-    are filtered pairwise (_minimal_squares); the validating constructor
-    builds that ideal.
+    its up-set, read off the bitset kernel with no pairwise test, and
+    _ideal_from_minimal sorts and builds the ideal.  Input of S with a square
+    splits the same way: the squarefree monomials go through the bitset
+    kernel and only the tuples with a square are filtered pairwise
+    (_minimal_squares); the validating constructor builds that ideal.
     """
     n = ctx.n
     masks: set[int] = set()
@@ -560,9 +579,7 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
     if exps:
         gens = [mask_to_exps(m, n) for m in minimal] + _minimal_squares(masks, exps)
         return MonomialIdeal(ctx, tuple(_canonical_order(gens)))
-    minimal.sort(key=lambda m: mask_to_exps(m, n), reverse=True)
-    minimal.sort(key=int.bit_count)
-    return _ideal_from_antichain(minimal, ctx)
+    return _ideal_from_minimal(minimal, ctx)
 
 
 def ideal_from_up_set(bits: int, ctx: RingContext) -> MonomialIdeal:
@@ -570,9 +587,10 @@ def ideal_from_up_set(bits: int, ctx: RingContext) -> MonomialIdeal:
 
     The bitset must contain its own shadow, which is what makes it the set of
     monomials of an ideal; the masks outside that shadow are the minimal
-    generators.  A bitset that misses part of its shadow raises
-    InvariantViolation, naming the lowest degree of a gap, rather than being
-    repaired.
+    generators, already an antichain, so no filter runs again.  A bitset
+    that misses part of its shadow raises InvariantViolation, naming the
+    lowest degree of a gap, rather than being repaired; a mask that does not
+    fit in n variables raises ValueError.
     """
     n = ctx.n
     shadow = upper_shadow(bits, n)
@@ -581,7 +599,11 @@ def ideal_from_up_set(bits: int, ctx: RingContext) -> MonomialIdeal:
         d = next(k for k, level in enumerate(_mask_level_bitsets(n)[0]) if gaps & level)
         raise InvariantViolation(
             f"degree {d} does not contain the shadow of degree {d - 1}")
-    return minimalize(bitset_masks(bits & ~shadow), ctx)
+    gens = bitset_masks(bits & ~shadow)
+    if gens and gens[-1] >> n:
+        bad = next(m for m in gens if m >> n)
+        raise ValueError(f"mask {bad} does not fit in {n} variables")
+    return _ideal_from_minimal(gens, ctx)
 
 
 def zero_ideal(ctx: RingContext) -> MonomialIdeal:
@@ -646,11 +668,20 @@ def up_set(masks, n: int) -> int:
 def upper_shadow(bits: int, n: int) -> int:
     """Bitset of the squarefree shadow of a bitset: each m * x_j, x_j not dividing m.
 
-    This is the one squarefree shadow loop in the package.
+    With lower_shadow, the one squarefree shadow loop in the package.
     """
     out = 0
     for i, rest in enumerate(_mask_level_bitsets(n)[1]):
         out |= (bits & rest) << (1 << i)
+    return out
+
+
+def lower_shadow(bits: int, n: int) -> int:
+    """Bitset of the lower shadow of a bitset: each m / x_j, x_j dividing m.
+    A mask without x_i shifted down by 2^i lands on one with x_i: rest drops it."""
+    out = 0
+    for i, rest in enumerate(_mask_level_bitsets(n)[1]):
+        out |= (bits >> (1 << i)) & rest
     return out
 
 

@@ -23,10 +23,10 @@ from .core import (
     bitset_masks,
     gen_masks,
     ideal_from_up_set,
+    lower_shadow,
     mask_bitset,
     q_context,
     reflect_bitset,
-    shadow_up,
     up_set,
     upper_shadow,
 )
@@ -36,16 +36,6 @@ from .lex import _grows_minimally, is_gotzmann_space, lex_segment, minimal_growt
 def _require_sqf(ctx: RingContext):
     if ctx.flavor != SQF:
         raise ValueError("this operation lives in the squarefree ring")
-
-
-def squeeze_mask(mask: int, i: int) -> int:
-    """Drop bit position i, shifting higher bits down."""
-    return (mask & ((1 << i) - 1)) | ((mask >> (i + 1)) << i)
-
-
-def unsqueeze_mask(mask: int, i: int) -> int:
-    """Insert a zero bit at position i, shifting higher bits up."""
-    return (mask & ((1 << i) - 1)) | ((mask >> i) << (i + 1))
 
 
 class Decomposition(_Record):
@@ -60,27 +50,39 @@ class Decomposition(_Record):
         _setattr(self, "vxi", vxi)
 
 
-def decompose(V: MonomialSpace, i: int) -> Decomposition:
-    """Split V by divisibility by x_i; parts are reindexed into Q."""
+def _count_with(basis, i: int) -> int:
+    """How many of the masks x_i divides: the sum of m & 2^i, shifted down."""
+    return sum(map((1 << i).__and__, basis)) >> i
+
+
+def _split_ring(V: MonomialSpace, i: int) -> RingContext:
+    """The ring Q without x_i, after the checks every x_i-split makes: R, a
+    variable of the ring, degree at least one."""
     _require_sqf(V.ctx)
     if not 0 <= i < V.ctx.n:
         raise ValueError(f"variable index {i} out of range")
     if V.degree < 1:
         raise ValueError("decomposition needs degree at least one")
-    q = q_context(V.ctx, i)
-    bit = 1 << i
-    hat = frozenset(squeeze_mask(m, i) for m in V.basis if not m & bit)
-    xi = frozenset(squeeze_mask(m ^ bit, i) for m in V.basis if m & bit)
+    return q_context(V.ctx, i)
+
+
+def decompose(V: MonomialSpace, i: int) -> Decomposition:
+    """Split V by divisibility by x_i; parts are reindexed into Q, where the
+    bits above i move one place down (x_i itself is dropped)."""
+    q = _split_ring(V, i)
+    low, bit = (1 << i) - 1, 1 << i
+    hat = frozenset(m & low | m >> 1 & ~low for m in V.basis if not m & bit)
+    xi = frozenset(m & low | m >> 1 & ~low for m in V.basis if m & bit)
     return Decomposition(i, V.ctx, _space_from_basis(q, V.degree, hat),
                          _space_from_basis(q, V.degree - 1, xi))
 
 
-def _reassembled_basis(dec: Decomposition) -> frozenset:
-    """The basis of vhat + x_i * vxi, in the ring with x_i."""
-    bit = 1 << dec.i
-    basis = {unsqueeze_mask(m, dec.i) for m in dec.vhat.basis}
-    basis |= {unsqueeze_mask(m, dec.i) | bit for m in dec.vxi.basis}
-    return frozenset(basis)
+def _reassembled_basis(i: int, hat, xi) -> frozenset:
+    """The basis of hat + x_i * xi, masks of Q, in the ring with x_i at index
+    i: bits from i up move one place up, and each mask of xi gains x_i."""
+    low, bit = (1 << i) - 1, 1 << i
+    return frozenset([m & low | (m & ~low) << 1 for m in hat]
+                     + [m & low | (m & ~low) << 1 | bit for m in xi])
 
 
 def reassemble(dec: Decomposition) -> MonomialSpace:
@@ -91,7 +93,8 @@ def reassemble(dec: Decomposition) -> MonomialSpace:
     ValueError.  compress and reconstruct build parts that fit and reassemble
     them without the check.
     """
-    return MonomialSpace(dec.rctx, dec.vhat.degree, _reassembled_basis(dec))
+    return MonomialSpace(dec.rctx, dec.vhat.degree,
+                         _reassembled_basis(dec.i, dec.vhat.basis, dec.vxi.basis))
 
 
 def compress(V: MonomialSpace, i: int, order=None) -> MonomialSpace:
@@ -100,12 +103,12 @@ def compress(V: MonomialSpace, i: int, order=None) -> MonomialSpace:
     The order permutes the remaining variables; by default the induced
     identity order is used, which keeps x_i conceptually last.  The shadow
     size of the result is the same for every order (see growth_equality).
+    The parts are counted, not built: only their dimensions are needed.
     """
-    dec = decompose(V, i)
-    q = dec.vhat.ctx
-    lex = Decomposition(i, V.ctx, lex_segment(dec.vhat.dim, V.degree, q, order),
-                        lex_segment(dec.vxi.dim, V.degree - 1, q, order))
-    return _space_from_basis(V.ctx, V.degree, _reassembled_basis(lex))
+    q, b = _split_ring(V, i), _count_with(V.basis, i)
+    hat = lex_segment(V.dim - b, V.degree, q, order)
+    xi = lex_segment(b, V.degree - 1, q, order)
+    return _space_from_basis(V.ctx, V.degree, _reassembled_basis(i, hat.basis, xi.basis))
 
 
 class GrowthEquality(_Record):
@@ -130,11 +133,10 @@ def growth_equality(V: MonomialSpace, i: int) -> GrowthEquality:
     parts are lex segments of dimensions a and b; the shadow of one is the
     lex segment of dimension minimal_growth, and segments of one degree nest,
     so the sum is minimal_growth(a, d) + max(a, minimal_growth(b, d - 1)) for
-    every order.
+    every order.  b is counted, and a = dim V - b.
     """
-    dec = decompose(V, i)
-    q, d = dec.vhat.ctx, V.degree
-    a, b = dec.vhat.dim, dec.vxi.dim
+    q, b = _split_ring(V, i), _count_with(V.basis, i)
+    d, a = V.degree, V.dim - b
     lhs = upper_shadow(mask_bitset(V.basis), V.ctx.n).bit_count()
     return GrowthEquality(lhs, minimal_growth(a, d, q) + max(a, minimal_growth(b, d - 1, q)))
 
@@ -148,11 +150,9 @@ def colon_with_n1(vhat: MonomialSpace) -> MonomialSpace:
     d = vhat.degree
     levels = _mask_level_bitsets(n)[0]
     level_d, level_below = (levels[k] if k <= n else 0 for k in (d, d - 1))
-    # m fails exactly when some m * x_j is missing, i.e. when m divides a
-    # missing monomial; reflecting masks to their complements turns that
-    # lower shadow into the upper shadow.
-    missing = level_d & ~mask_bitset(vhat.basis)
-    blocked = reflect_bitset(upper_shadow(reflect_bitset(missing, n), n), n)
+    # m fails exactly when some m * x_j is missing, i.e. when m lies in the
+    # lower shadow of the missing monomials
+    blocked = lower_shadow(level_d & ~mask_bitset(vhat.basis), n)
     out = bitset_masks(level_below & ~blocked)
     return _space_from_basis(vhat.ctx, d - 1, frozenset(out))
 
@@ -225,32 +225,28 @@ def pick_variable(V: MonomialSpace) -> int:
     """Index i maximizing how many basis monomials x_i divides; ties go low."""
     if not V.basis:
         raise ValueError("cannot pick a variable of the zero space")
-    best, best_count = 0, -1
-    for i in range(V.ctx.n):
-        bit = 1 << i
-        count = sum(1 for m in V.basis if m & bit)
-        if count > best_count:
-            best, best_count = i, count
-    return best
+    return max(range(V.ctx.n), key=lambda i: _count_with(V.basis, i), default=0)
 
 
 def reconstruct(vxi: MonomialSpace, i: int, name: str | None = None) -> MonomialSpace:
     """Rebuild (n_1 vxi) + x_i * vxi over the ring with x_i adjoined at index i.
 
     vxi must be Gotzmann in its ring; the rebuilt space is then Gotzmann one
-    variable up, which is asserted.
+    variable up, which is asserted.  One upper_shadow of vxi gives both its
+    Kruskal-Katona test (is_gotzmann_space) and the masks of n_1 vxi.
     """
     _require_sqf(vxi.ctx)
     q = vxi.ctx
     if not 0 <= i <= q.n:
         raise ValueError(f"insertion index {i} out of range")
-    if not is_gotzmann_space(vxi):
+    shadow = upper_shadow(mask_bitset(vxi.basis), q.n)
+    if shadow.bit_count() != minimal_growth(vxi.dim, vxi.degree, q):
         raise ValueError("reconstruction needs a Gotzmann space")
     if name is None:
         # None when the alphabet runs out; RingContext then rejects the ring size
         name = next((c for c in ALPHABET if c not in q.names), None)
     rctx = RingContext(q.n + 1, SQF, q.names[:i] + (name,) + q.names[i:])
-    basis = _reassembled_basis(Decomposition(i, rctx, shadow_up(vxi), vxi))
+    basis = _reassembled_basis(i, bitset_masks(shadow), vxi.basis)
     rebuilt = _space_from_basis(rctx, vxi.degree + 1, basis)
     if not is_gotzmann_space(rebuilt):
         raise InvariantViolation("reconstruction produced a non-Gotzmann space")

@@ -275,8 +275,8 @@ def lexify_in_R(I: MonomialIdeal) -> MonomialIdeal:
 def sqf_lexify_in_S(I: MonomialIdeal) -> MonomialIdeal:
     """The squarefree lexification: the S-ideal on the same generators as lexify_in_R.
 
-    The masks are read off the lex ideal of R, already built, so they are an
-    antichain in canonical order and go to the builder as they stand.
+    The masks and exponent tuples of the lex ideal of R, already built, are
+    an antichain in canonical order and go to the builder as they stand.
     """
     L = lexify_in_R(I)
-    return _ideal_from_antichain(gen_masks(L), reflavor(L.ctx, POLY))
+    return _ideal_from_antichain(L._masks, reflavor(L.ctx, POLY), L.gens)

@@ -374,3 +374,67 @@ def read_ideal_stanzas(text, ctx):
     if stanza:
         ideals.append(parse_ideal_lines(stanza, ctx))
     return ideals
+
+
+# ---------------------------------------------------------------------------
+# x_i-split routes that build every part: each part through decompose, each
+# shadow through shadow_up, each colon through two reflections; the counted
+# and single-shadow routes in gotzmann.decompose must agree with them
+
+def compress_by_decompose(V: MonomialSpace, i: int, order=None) -> MonomialSpace:
+    """Compression with both parts of decompose(V, i) built, then replaced by
+    lex segments of their dimensions and reassembled with the check."""
+    from gotzmann.decompose import Decomposition, decompose, reassemble
+    from gotzmann.lex import lex_segment
+
+    dec = decompose(V, i)
+    q = dec.vhat.ctx
+    return reassemble(Decomposition(i, V.ctx, lex_segment(dec.vhat.dim, V.degree, q, order),
+                                    lex_segment(dec.vxi.dim, V.degree - 1, q, order)))
+
+
+def growth_equality_by_decompose(V: MonomialSpace, i: int):
+    """Both sides of the growth equality with the parts built by decompose:
+    the shadow size of V and the Kruskal-Katona closed form on the parts."""
+    from gotzmann.decompose import GrowthEquality, decompose
+    from gotzmann.lex import minimal_growth
+
+    dec = decompose(V, i)
+    q, d, a = dec.vhat.ctx, V.degree, dec.vhat.dim
+    return GrowthEquality(shadow_up(V).dim, minimal_growth(a, d, q)
+                          + max(a, minimal_growth(dec.vxi.dim, d - 1, q)))
+
+
+def colon_by_reflection(vhat: MonomialSpace) -> MonomialSpace:
+    """The colon (vhat : n_1) one degree down: the lower shadow of the
+    missing monomials, taken as the upper shadow of their complements."""
+    from gotzmann.core import _mask_level_bitsets, bitset_masks, reflect_bitset, upper_shadow
+
+    n, d = vhat.ctx.n, vhat.degree
+    levels = _mask_level_bitsets(n)[0]
+    level_d, level_below = (levels[k] if k <= n else 0 for k in (d, d - 1))
+    missing = level_d & ~mask_bitset(vhat.basis)
+    blocked = reflect_bitset(upper_shadow(reflect_bitset(missing, n), n), n)
+    return MonomialSpace(vhat.ctx, d - 1, frozenset(bitset_masks(level_below & ~blocked)))
+
+
+def reconstruct_by_shadow_up(vxi: MonomialSpace, i: int, name=None) -> MonomialSpace:
+    """(n_1 vxi) + x_i * vxi one variable up: the input checked by
+    is_gotzmann_space, the shadow built by shadow_up, the parts reassembled
+    with the check, and the result tested by is_gotzmann_space."""
+    from gotzmann.core import ALPHABET, InvariantViolation, RingContext
+    from gotzmann.decompose import Decomposition, reassemble
+    from gotzmann.lex import is_gotzmann_space
+
+    q = vxi.ctx
+    if not 0 <= i <= q.n:
+        raise ValueError(f"insertion index {i} out of range")
+    if not is_gotzmann_space(vxi):
+        raise ValueError("reconstruction needs a Gotzmann space")
+    if name is None:
+        name = next((c for c in ALPHABET if c not in q.names), None)
+    rctx = RingContext(q.n + 1, SQF, q.names[:i] + (name,) + q.names[i:])
+    rebuilt = reassemble(Decomposition(i, rctx, shadow_up(vxi), vxi))
+    if not is_gotzmann_space(rebuilt):
+        raise InvariantViolation("reconstruction produced a non-Gotzmann space")
+    return rebuilt

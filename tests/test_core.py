@@ -16,6 +16,7 @@ from gotzmann.core import (
     MonomialSpace,
     _all_monomials,
     _binom_row,
+    _canonical_order,
     _mask_level_bitsets,
     _space_from_basis,
     all_monomials,
@@ -28,6 +29,7 @@ from gotzmann.core import (
     gen_masks,
     ideal_from_up_set,
     iter_bits,
+    lower_shadow,
     mask_bitset,
     mask_to_exps,
     minimalize,
@@ -60,6 +62,7 @@ from gotzmann.decompose import (
     alexander_dual_space,
     colon_with_n1,
     compress,
+    decompose,
     growth_equality,
     is_gdual_ideal,
     reconstruct,
@@ -653,6 +656,7 @@ class TestSpaceBuilder:
         alexander_dual_space(V)
         if d >= 1:
             i = rng.randrange(n)
+            decompose(V, i)
             compress(V, i, rng.sample(range(n - 1), n - 1))
             growth_equality(V, i)
             colon_with_n1(V)
@@ -718,6 +722,43 @@ class TestMonomialKernel:
             assert set(bitset_masks(upper_shadow(mask_bitset(masks), n))) == want
             V = MonomialSpace(sqf_ring(n), d, frozenset(masks))
             assert shadow_up(V).basis == want
+
+    def test_lower_shadow_matches_brute_oracle(self):
+        # each m / x_j over the masks, which is also the upper shadow of the
+        # complements reflected back
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.randint(0, 9)
+            masks = {rng.randrange(1 << n) for _ in range(rng.randint(0, 2 * n + 2))}
+            want = {m ^ 1 << j for m in masks for j in range(n) if m >> j & 1}
+            bits = mask_bitset(masks)
+            assert set(bitset_masks(lower_shadow(bits, n))) == want
+            assert lower_shadow(bits, n) == \
+                reflect_bitset(upper_shadow(reflect_bitset(bits, n), n), n)
+
+    def test_minimalize_sorts_canonically_at_every_size(self):
+        # one sort of (-degree, exponent tuple, mask) triples against the two
+        # stable sorts of _canonical_order: the table path for n <= 8 and the
+        # two-byte path above it
+        rng = random.Random(19)
+        for n in range(MAX_VARS + 1):
+            for _ in range(25):
+                masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 3 * n + 3))]
+                for ctx in (sqf_ring(n), poly_ring(n)):
+                    I = minimalize(masks, ctx)
+                    assert list(I.gens) == _canonical_order(set(I.gens)), (n, masks)
+                    assert I._masks == tuple(map(exps_to_mask, I.gens))
+                    assert MonomialIdeal(ctx, I.gens) == I
+
+    def test_ideal_from_up_set_matches_minimalize(self):
+        rng = random.Random(20)
+        for _ in range(300):
+            n = rng.randint(0, MAX_VARS if rng.random() < 0.2 else 9)
+            ctx = rng.choice((sqf_ring, poly_ring))(n)
+            bits = up_set([rng.randrange(1 << n) for _ in range(rng.randint(0, 2 * n))], n)
+            want = minimalize(bitset_masks(bits & ~upper_shadow(bits, n)), ctx)
+            got = ideal_from_up_set(bits, ctx)
+            assert got == want and got._masks == want._masks
 
     def test_ideal_from_up_set_round_trip(self):
         rng = random.Random(12)

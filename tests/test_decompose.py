@@ -1,5 +1,6 @@
 import importlib
 import random
+import re
 
 import pytest
 
@@ -35,11 +36,15 @@ from gotzmann.textio import parse_ideal_inline, parse_monomial
 
 from support import (
     all_subspaces,
+    colon_by_reflection,
+    compress_by_decompose,
     dual_by_components,
     gdual_by_components,
     gotzmann_spaces,
+    growth_equality_by_decompose,
     random_space,
     random_sqf_ideal,
+    reconstruct_by_shadow_up,
 )
 
 R4 = sqf_ring(4)
@@ -184,6 +189,51 @@ class TestShadowSizes:
         # the package exports the function decompose, which hides the module
         monkeypatch.setattr(importlib.import_module("gotzmann.decompose"), "lex_segment", refuse)
         assert [(eq.lhs, eq.rhs) for eq in (growth_equality(V, i) for V, i in cases)] == want
+
+
+class TestSplitRoutesMatchOracles:
+    """compress and growth_equality count the x_i-split, colon_with_n1 takes a
+    lower shadow and reconstruct makes one shadow for its test and its part;
+    the routes that build each part (tests/support.py) give the same spaces,
+    the same diagnostics and the same errors."""
+
+    @staticmethod
+    def _check(V, rng):
+        n, d = V.ctx.n, V.degree
+        if d >= 1:
+            assert colon_with_n1(V) == colon_by_reflection(V)
+            for i in range(n):
+                assert growth_equality(V, i) == growth_equality_by_decompose(V, i)
+                for order in (None, tuple(rng.sample(range(n - 1), n - 1))):
+                    assert compress(V, i, order) == compress_by_decompose(V, i, order)
+        for i in range(n + 1):
+            try:
+                want = reconstruct_by_shadow_up(V, i)
+            except ValueError as err:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                    reconstruct(V, i)
+            else:
+                assert reconstruct(V, i) == want
+
+    def test_every_gotzmann_space_up_to_five_variables(self):
+        rng = random.Random(44)
+        spaces = 0
+        for n in range(6):
+            for V in gotzmann_spaces(n):
+                self._check(V, rng)
+                spaces += 1
+        assert spaces == 752
+
+    def test_random_spaces_up_to_twelve_variables(self):
+        rng = random.Random(45)
+        for _ in range(80):
+            n = rng.randint(1, 12)
+            ctx, d = sqf_ring(n), rng.randint(0, n)
+            V = random_space(rng, ctx, d)
+            if rng.random() < 0.5:  # a lex segment: Gotzmann, so reconstruct runs
+                V = lex_segment(rng.randint(0, binom(n, d)), d, ctx,
+                                tuple(rng.sample(range(n), n)))
+            self._check(V, rng)
 
 
 class TestDecompositionGrowth:
