@@ -262,16 +262,16 @@ def _all_monomials(n: int, d: int) -> tuple:
 
 def all_monomials(ctx: RingContext, d: int, order=None) -> tuple:
     """All degree-d monomials in descending lex order; order is a permutation of
-    0..n-1, greatest variable first.  Only the identity listing of R is cached,
-    2^MAX_VARS masks at most; a listing of S, whose size has no such bound, or
-    in any other order is built afresh on each call."""
+    0..n-1, greatest variable first.  Only the identity listing of R in degrees
+    0..n is cached, 2^MAX_VARS masks at most; a listing of S, whose size has no
+    such bound, or in any other order is built afresh on each call."""
     n = ctx.n
     if order is not None:
         order = tuple(order)
         if sorted(order) != list(range(n)):
             raise ValueError(f"order {order} is not a permutation of 0..{n - 1}")
     if ctx.flavor == SQF and order in (None, tuple(range(n))):
-        return _all_monomials(n, d)
+        return _all_monomials(n, d) if 0 <= d <= n else ()
     return ordered_monomials(n, ctx.flavor, d, range(n) if order is None else order)
 
 
@@ -412,13 +412,13 @@ class MonomialIdeal(_Record):
     every generator is squarefree, construction records their bit masks, in
     the order of gens, and gen_masks and the squarefree properties read them.
 
-    The constructor validates its input: generators in the ring, distinct, an
-    antichain, in canonical order.  Inside the package a mask antichain that
-    is already verified and already in canonical order is built by
-    _ideal_from_antichain instead, which skips these checks and sorts
-    nothing; minimalize is the way to build an ideal from unchecked
-    monomials in any order.  The recorded masks are not part of the value:
-    equality, hash and repr leave them out.
+    The constructor checks that the generators lie in the ring and are
+    distinct, and then that they are exactly what minimalize makes of them,
+    whose masks it records.  minimalize builds an ideal from monomials in
+    any order; inside the package an antichain proven by construction is
+    built by _ideal_from_antichain or _ideal_from_minimal, with no checks.
+    The recorded masks are not part of the value: equality, hash and repr
+    leave them out.
     """
 
     __slots__ = ("ctx", "gens", "_masks")
@@ -432,30 +432,22 @@ class MonomialIdeal(_Record):
     def __post_init__(self):
         """The constructor's checks, and the mask record; a method of its own
         so that bench/tracer.py can time construction by wrapping it."""
-        n = self.ctx.n
-        gens = self.gens
-        masks: list[int] = []
-        squares: list[tuple[int, ...]] = []
+        ctx, gens = self.ctx, self.gens
+        n = ctx.n
         for e in gens:
             if len(e) != n or n and min(e) < 0:
                 raise ValueError(f"bad generator {e} for {n} variables")
-            try:
-                masks.append(exps_to_mask(e))
-            except ValueError:  # an exponent above one
-                if self.ctx.flavor == SQF:
-                    raise ValueError(f"generator {e} is not squarefree") from None
-                squares.append(e)
+            if ctx.flavor == SQF and not is_squarefree_exps(e):
+                raise ValueError(f"generator {e} is not squarefree")
         if len(set(gens)) != len(gens):
             raise ValueError("generators must be distinct")
-        # distinct generators, so all are minimal when the count is full
-        minimal = _minimal_bitset(masks).bit_count()
-        if squares:
-            minimal += len(_minimal_squares(masks, squares))
-        if minimal != len(gens):
+        # distinct generators, so minimalize drops one exactly when it is no antichain
+        minimal = minimalize(gens, ctx)
+        if len(minimal.gens) != len(gens):
             raise ValueError("generators must form a divisibility antichain")
-        if list(gens) != _canonical_order(gens):
+        if minimal.gens != tuple(gens):
             raise ValueError("generators must be sorted canonically")
-        _setattr(self, "_masks", None if squares else tuple(masks))
+        _setattr(self, "_masks", minimal._masks)
 
     @property
     def is_zero(self) -> bool:
@@ -557,7 +549,8 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
     _ideal_from_minimal sorts and builds the ideal.  Input of S with a square
     splits the same way: the squarefree monomials go through the bitset
     kernel and only the tuples with a square are filtered pairwise
-    (_minimal_squares); the validating constructor builds that ideal.
+    (_minimal_squares); when a square survives, the sorted generators are
+    set unchecked, since the constructor checks by calling minimalize.
     """
     n = ctx.n
     masks: set[int] = set()
@@ -577,8 +570,10 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
             exps.add(e)
     minimal = bitset_masks(_minimal_bitset(masks))
     if exps:
-        gens = [mask_to_exps(m, n) for m in minimal] + _minimal_squares(masks, exps)
-        return MonomialIdeal(ctx, tuple(_canonical_order(gens)))
+        squares = _minimal_squares(masks, exps)
+        if squares:
+            gens = [mask_to_exps(m, n) for m in minimal] + squares
+            return _restore(MonomialIdeal, (ctx, tuple(_canonical_order(gens)), None))
     return _ideal_from_minimal(minimal, ctx)
 
 

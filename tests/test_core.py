@@ -7,6 +7,7 @@ from itertools import permutations
 
 import pytest
 
+from gotzmann import core
 from gotzmann.core import (
     MAX_VARS,
     POLY,
@@ -190,7 +191,7 @@ class TestMinimalize:
 
     def test_mixed_input_matches_tuple_oracle(self):
         # the masks go through the bitset kernel and only the squares are
-        # compared pairwise, in minimalize and in the constructor's check
+        # compared pairwise, in minimalize, which the constructor's check calls
         rng = random.Random(12)
         rejected = 0
         for _ in range(600):
@@ -219,6 +220,23 @@ class TestMinimalize:
         got = minimalize(items, ctx)
         assert got.gens == minimalize_by_tuples(items, ctx).gens
         assert ideal_gens_error(ctx, got.gens) is None
+
+    def test_mixed_input_filtered_once(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(core, "_minimal_squares",
+                            counted("squares", core._minimal_squares))
+        monkeypatch.setattr(MonomialIdeal, "__post_init__",
+                            counted("check", MonomialIdeal.__post_init__))
+        I = minimalize([(2, 0, 0), (0, 1, 1), (1, 1, 0)], S3)
+        assert I.gens == ((2, 0, 0), (1, 1, 0), (0, 1, 1)) and I._masks is None
+        assert calls == {"squares": 1}
 
     def test_validation_messages(self):
         ab, ac, abc = (1, 1, 0), (1, 0, 1), (1, 1, 1)
@@ -820,6 +838,16 @@ class TestMonomialKernel:
         for n in (3, 9):
             for d in range(5):
                 assert len(all_monomials(poly_ring(n), d)) == poly_ring(n).dim_component(d)
+        assert _all_monomials.cache_info().currsize == before
+
+    def test_listing_cache_holds_no_empty_degrees(self):
+        # below degree 0, and in R above degree n, the listing is empty
+        before = _all_monomials.cache_info().currsize
+        for d in (-2, -1, 5, 17):
+            assert all_monomials(R4, d) == ()
+        with pytest.raises(ValueError, match="^dimension 1 out of range 0..0$"):
+            lex_segment(1, -1, R4)
+        assert is_lex_segment(_space_from_basis(R4, 5, frozenset()))
         assert _all_monomials.cache_info().currsize == before
 
     def test_listing_cache_is_bounded(self):
