@@ -36,10 +36,13 @@ class SupernovaForm(_Record):
     __slots__ = _fields = ("stages", "unit")
 
     def __init__(self, stages: tuple[tuple[int, int], ...], unit: bool = False):
+        stages = tuple(map(tuple, stages))
         if unit and stages:
             raise ValueError("the unit form carries no stages")
         used = 0
         for m, block in stages:
+            if m < 0 or block < 0:
+                raise ValueError("stage masks must be nonnegative")
             if not block:
                 raise ValueError("every stage needs a nonempty variable block")
             if (m | block) & used or m & block:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from operator import attrgetter, mul, neg
+from operator import attrgetter, le, mul, neg
 
 POLY = "S"
 SQF = "R"
@@ -42,7 +42,8 @@ class _Record:
     """Base of the package's immutable values.
 
     A record stores its attributes in __slots__, and _fields names those that
-    make up its value.  Its __init__ validates and then sets each slot with
+    make up its value.  Its __init__ freezes a list or set it is given into a
+    tuple or frozenset, validates, and then sets each slot with
     object.__setattr__; assignment and deletion otherwise raise
     AttributeError.  Equality holds between records of one type with equal
     fields, the hash agrees with it, and the repr names the fields.  Copies
@@ -105,6 +106,7 @@ class RingContext(_Record):
     __slots__ = _fields = ("n", "flavor", "names")
 
     def __init__(self, n: int, flavor: str, names: tuple[str, ...]):
+        names = tuple(names)
         if not 0 <= n <= MAX_VARS:
             raise ValueError(f"variable count must be in 0..{MAX_VARS}, got {n}")
         if flavor not in (POLY, SQF):
@@ -140,14 +142,14 @@ def poly_ring(n: int, names=None) -> RingContext:
     """The polynomial ring; with default names the same shared context each time."""
     if names is None:
         return _default_ring(n, POLY)
-    return RingContext(n, POLY, tuple(names))
+    return RingContext(n, POLY, names)
 
 
 def sqf_ring(n: int, names=None) -> RingContext:
     """The squarefree ring; with default names the same shared context each time."""
     if names is None:
         return _default_ring(n, SQF)
-    return RingContext(n, SQF, tuple(names))
+    return RingContext(n, SQF, names)
 
 
 def reflavor(ctx: RingContext, flavor: str) -> RingContext:
@@ -224,7 +226,7 @@ def as_exps(m, n: int) -> tuple[int, ...]:
 def divides(u, v) -> bool:
     """Whether exponent tuple u divides exponent tuple v; masks are compared
     in bulk by the up-set kernel instead."""
-    return all(a <= b for a, b in zip(u, v))
+    return all(map(le, u, v))
 
 
 def is_squarefree_exps(e) -> bool:
@@ -294,6 +296,7 @@ class MonomialSpace(_Record):
     __slots__ = _fields = ("ctx", "degree", "basis")
 
     def __init__(self, ctx: RingContext, degree: int, basis: frozenset):
+        basis = frozenset(basis)
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         d, n = degree, ctx.n
@@ -366,44 +369,6 @@ def shadow_up(V: MonomialSpace) -> MonomialSpace:
 # ---------------------------------------------------------------------------
 # monomial ideals
 
-def _canonical_order(gens) -> list:
-    """Generators by rising degree, then descending exponent tuple."""
-    return sorted(sorted(gens, reverse=True), key=sum)
-
-
-def _minimal_bitset(masks) -> int:
-    """Bitset of the masks that no other of the given masks divides.
-
-    These are the minimal elements of their up-set U, that is U less its
-    shadow.  Divisibility among the masks does not depend on the ring, so U
-    is taken over the variables up to the highest one any mask uses, k of
-    them: two passes of k shifts over 2^k bits, whatever the number of masks.
-    """
-    k = max(masks, default=0).bit_length()
-    up = up_set(masks, k)
-    return up & ~upper_shadow(up, k)
-
-
-def _minimal_squares(masks, squares) -> list[tuple[int, ...]]:
-    """The tuples with a square that no other given monomial divides, by rising degree.
-
-    masks are the squarefree monomials, squares the distinct exponent tuples
-    with an exponent above one.  A tuple with a square divides no squarefree
-    monomial, so the masks are left to _minimal_bitset; and a squarefree
-    monomial divides a tuple exactly when it divides the tuple's support, so
-    one look-up in the up-set of the masks settles that.  Only the tuples
-    with a square are tested against each other, pairwise.
-    """
-    supports = list(map(support_of_exps, squares))
-    k = max(max(masks, default=0), *supports).bit_length()
-    up = up_set(masks, k)
-    kept: list[tuple[int, ...]] = []
-    for e, support in sorted(zip(squares, supports), key=lambda pair: sum(pair[0])):
-        if not up >> support & 1 and not any(divides(g, e) for g in kept):
-            kept.append(e)
-    return kept
-
-
 class MonomialIdeal(_Record):
     """A monomial ideal given by its minimal (antichain) generating set.
 
@@ -426,7 +391,7 @@ class MonomialIdeal(_Record):
 
     def __init__(self, ctx: RingContext, gens: tuple):
         _setattr(self, "ctx", ctx)
-        _setattr(self, "gens", gens)
+        _setattr(self, "gens", tuple(gens))
         self.__post_init__()
 
     def __post_init__(self):
@@ -523,19 +488,30 @@ def _ideal_from_antichain(masks, ctx: RingContext, gens=None) -> MonomialIdeal:
     return ideal
 
 
-def _ideal_from_minimal(masks, ctx: RingContext) -> MonomialIdeal:
-    """The ideal generated by distinct masks that fit in ctx and form an
-    antichain, in any order: each exponent tuple is made once, and one sort
-    of (-degree, exponent tuple, mask) triples, descending, puts the
-    generators in canonical order with their masks beside them."""
+def _ideal_from_minimal(masks, ctx: RingContext, squares=()) -> MonomialIdeal:
+    """The ideal generated by distinct masks that fit in ctx and, in S, the
+    distinct exponent tuples with a square in squares, all together an
+    antichain, in any order.
+
+    Each exponent tuple is made once, and one sort of (-degree, exponent
+    tuple, mask) triples, descending, puts the generators in canonical order
+    with their masks beside them.  A tuple with a square joins the same sort
+    with mask None, never compared since no two triples share a tuple; when
+    there is one, the ideal records no masks.
+    """
     n = ctx.n
     if n <= 8:
         exps = map(_SMALL_EXPS[n].__getitem__, masks)
     else:  # mask_to_exps inlined: masks fit in ctx, so m >> 8 is a byte
         low, high = _BYTE_EXPS, _SMALL_EXPS[n - 8]
         exps = [low[m & 255] + high[m >> 8] for m in masks]
-    ranked = sorted(zip(map(neg, map(int.bit_count, masks)), exps, masks), reverse=True)
+    triples = zip(map(neg, map(int.bit_count, masks)), exps, masks)
+    if squares:
+        triples = [*triples, *((-sum(e), e, None) for e in squares)]
+    ranked = sorted(triples, reverse=True)
     _, gens, masks = zip(*ranked) if ranked else ((), (), ())
+    if squares:
+        return _restore(MonomialIdeal, (ctx, gens, None))
     return _ideal_from_antichain(masks, ctx, gens)
 
 
@@ -544,17 +520,19 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
 
     Accepts masks or exponent tuples in any mix; idempotent.  In flavor R any
     input with an exponent above one is rejected, and the first bad monomial
-    in input order is named.  Squarefree input keeps the minimal elements of
-    its up-set, read off the bitset kernel with no pairwise test, and
-    _ideal_from_minimal sorts and builds the ideal.  Input of S with a square
-    splits the same way: the squarefree monomials go through the bitset
-    kernel and only the tuples with a square are filtered pairwise
-    (_minimal_squares); when a square survives, the sorted generators are
-    set unchecked, since the constructor checks by calling minimalize.
+    in input order is named.  One up-set U of the squarefree monomials is
+    made over the variables up to the highest one a mask or the support of a
+    tuple with a square uses.  The minimal masks are U less its shadow, with
+    no pairwise test.  A squarefree monomial divides a tuple exactly when it
+    divides the tuple's support, so a tuple with a square is kept when its
+    support is not in U and no tuple with a square kept before it, by rising
+    degree, divides it.  _ideal_from_minimal sorts both kinds once and builds
+    the ideal with no checks, since the constructor checks by calling
+    minimalize.
     """
     n = ctx.n
     masks: set[int] = set()
-    exps: set[tuple[int, ...]] = set()
+    supports: dict[tuple[int, ...], int] = {}  # each tuple with a square
     for m in monomials:
         if isinstance(m, int):
             if m < 0 or m >> n:
@@ -567,14 +545,14 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
         elif ctx.flavor == SQF:
             raise ValueError(f"monomial {e} is not squarefree")
         else:
-            exps.add(e)
-    minimal = bitset_masks(_minimal_bitset(masks))
-    if exps:
-        squares = _minimal_squares(masks, exps)
-        if squares:
-            gens = [mask_to_exps(m, n) for m in minimal] + squares
-            return _restore(MonomialIdeal, (ctx, tuple(_canonical_order(gens)), None))
-    return _ideal_from_minimal(minimal, ctx)
+            supports[e] = support_of_exps(e)
+    k = max(max(masks, default=0), max(supports.values(), default=0)).bit_length()
+    up = up_set(masks, k)
+    squares: list[tuple[int, ...]] = []
+    for e in sorted(supports, key=sum):
+        if not up >> supports[e] & 1 and not any(divides(g, e) for g in squares):
+            squares.append(e)
+    return _ideal_from_minimal(bitset_masks(up & ~upper_shadow(up, k)), ctx, squares)
 
 
 def ideal_from_up_set(bits: int, ctx: RingContext) -> MonomialIdeal:

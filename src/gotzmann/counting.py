@@ -51,6 +51,7 @@ class OrderedSetPartition(_Record):
     __slots__ = _fields = ("blocks",)
 
     def __init__(self, blocks: tuple[int, ...]):
+        blocks = tuple(blocks)
         seen = 0
         for block in blocks:
             if not block:

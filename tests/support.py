@@ -50,6 +50,12 @@ def minimalize_by_tuples(monomials, ctx):
         minimal, key=lambda e: (sum(e), tuple(-x for x in e)))))
 
 
+def canonical_order(gens):
+    """Generators by rising degree, then descending exponent tuple: two stable
+    sorts, independent of the one triple sort minimalize ends in."""
+    return sorted(sorted(gens, reverse=True), key=sum)
+
+
 def ideal_gens_error(ctx, gens):
     """The first rule of a MonomialIdeal generating set that gens break, as
     the constructor words it, or None when gens are valid.

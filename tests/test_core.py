@@ -17,7 +17,6 @@ from gotzmann.core import (
     MonomialSpace,
     _all_monomials,
     _binom_row,
-    _canonical_order,
     _mask_level_bitsets,
     _space_from_basis,
     all_monomials,
@@ -80,6 +79,7 @@ from gotzmann.lex import (
 from gotzmann.textio import parse_ideal_inline, parse_monomial
 
 from support import (
+    canonical_order,
     direct_poly_dim,
     divide_by_variable,
     ideal_gens_error,
@@ -221,6 +221,22 @@ class TestMinimalize:
         assert got.gens == minimalize_by_tuples(items, ctx).gens
         assert ideal_gens_error(ctx, got.gens) is None
 
+    def test_squares_only_and_supports_above_every_mask(self):
+        # input with no squarefree monomial, and a square whose support uses a
+        # variable above every mask, so the up-set spans the supports too
+        n = MAX_VARS
+        top_square = (0,) * (n - 1) + (2,)
+        cases = [
+            (poly_ring(2), [(2, 0), (3, 0), (0, 2)], ((2, 0), (0, 2))),
+            (poly_ring(n), [1, top_square], (mask_to_exps(1, n), top_square)),
+            (poly_ring(n), [1 << (n - 1), top_square], (mask_to_exps(1 << (n - 1), n),)),
+        ]
+        for ctx, items, want in cases:
+            got = minimalize(items, ctx)
+            assert got.gens == want == minimalize_by_tuples(items, ctx).gens
+            assert (got._masks is None) == any(max(e) > 1 for e in want)
+            assert MonomialIdeal(ctx, got.gens) == got
+
     def test_mixed_input_filtered_once(self, monkeypatch):
         calls = Counter()
 
@@ -230,13 +246,12 @@ class TestMinimalize:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(core, "_minimal_squares",
-                            counted("squares", core._minimal_squares))
+        monkeypatch.setattr(core, "up_set", counted("up_set", core.up_set))
         monkeypatch.setattr(MonomialIdeal, "__post_init__",
                             counted("check", MonomialIdeal.__post_init__))
         I = minimalize([(2, 0, 0), (0, 1, 1), (1, 1, 0)], S3)
         assert I.gens == ((2, 0, 0), (1, 1, 0), (0, 1, 1)) and I._masks is None
-        assert calls == {"squares": 1}
+        assert calls == {"up_set": 1}
 
     def test_validation_messages(self):
         ab, ac, abc = (1, 1, 0), (1, 0, 1), (1, 1, 1)
@@ -756,7 +771,7 @@ class TestMonomialKernel:
 
     def test_minimalize_sorts_canonically_at_every_size(self):
         # one sort of (-degree, exponent tuple, mask) triples against the two
-        # stable sorts of _canonical_order: the table path for n <= 8 and the
+        # stable sorts of canonical_order: the table path for n <= 8 and the
         # two-byte path above it
         rng = random.Random(19)
         for n in range(MAX_VARS + 1):
@@ -764,7 +779,7 @@ class TestMonomialKernel:
                 masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 3 * n + 3))]
                 for ctx in (sqf_ring(n), poly_ring(n)):
                     I = minimalize(masks, ctx)
-                    assert list(I.gens) == _canonical_order(set(I.gens)), (n, masks)
+                    assert list(I.gens) == canonical_order(set(I.gens)), (n, masks)
                     assert I._masks == tuple(map(exps_to_mask, I.gens))
                     assert MonomialIdeal(ctx, I.gens) == I
 

@@ -61,6 +61,22 @@ def test_record_is_an_immutable_value(cls, fields):
     assert repr(r) == f"{cls.__name__}({shown})"
 
 
+# each validating record built from lists or sets, beside the same fields frozen
+THAWED = [
+    (RingContext, (3, "S", ["x", "y", "z"]), (3, "S", ("x", "y", "z"))),
+    (MonomialSpace, (R3, 2, {0b011, 0b101}), (R3, 2, frozenset({0b011, 0b101}))),
+    (MonomialIdeal, (S3, [(2, 0, 0), (1, 1, 0)]), (S3, ((2, 0, 0), (1, 1, 0)))),
+    (SupernovaForm, ([[0, 0b011], (0b100, 0b1000)],), (((0, 0b011), (0b100, 0b1000)),)),
+    (OrderedSetPartition, ([0b010, 0b101],), ((0b010, 0b101),)),
+]
+
+
+@pytest.mark.parametrize("cls, thawed, frozen", THAWED, ids=[c.__name__ for c, *_ in THAWED])
+def test_validating_record_freezes_list_and_set_fields(cls, thawed, frozen):
+    r = cls(*thawed)
+    assert r == cls(*frozen) and hash(r) == hash(cls(*frozen))
+
+
 def test_supernova_form_unit_defaults_to_false():
     stages = ((0, 0b011),)
     assert SupernovaForm(stages) == SupernovaForm(stages, unit=False)
@@ -80,6 +96,8 @@ def test_supernova_form_unit_defaults_to_false():
     (lambda: SupernovaForm(((0, 0b01),), unit=True), "the unit form carries no stages"),
     (lambda: SupernovaForm(((0, 0b011), (0b001, 0b100))),
      "stage supports must be pairwise disjoint"),
+    (lambda: SupernovaForm(((0, -2),)), "stage masks must be nonnegative"),
+    (lambda: SupernovaForm(((-1, 0b010),)), "stage masks must be nonnegative"),
     (lambda: OrderedSetPartition((0b001, 0b100)),
      "blocks must cover an initial segment of the positive integers"),
     (lambda: OrderedSetPartition((0b011, 0b010)), "blocks must be disjoint"),
