@@ -72,14 +72,12 @@ def supernova_to_ideal(form: SupernovaForm, ctx: RingContext) -> MonomialIdeal:
     """The squarefree ideal generated by the form's stages.
 
     The stage generators are already an antichain, so minimalizing must not
-    drop anything; that is asserted.
+    drop anything; that is asserted.  A form that uses variables outside the
+    ring raises minimalize's ValueError naming the first such mask.
     """
     if form.unit:
         return unit_ideal(ctx)
     masks = stage_generators(form.stages)
-    for m in masks:
-        if m >> ctx.n:
-            raise ValueError("form uses variables outside the ring")
     ideal = minimalize(masks, ctx)
     if len(ideal.gens) != len(masks):
         raise InvariantViolation("supernova stages did not form an antichain")

@@ -43,11 +43,12 @@ class _Record:
 
     A record stores its attributes in __slots__, and _fields names those that
     make up its value.  Its __init__ freezes a list or set it is given into a
-    tuple or frozenset, validates, and then sets each slot with
-    object.__setattr__; assignment and deletion otherwise raise
-    AttributeError.  Equality holds between records of one type with equal
-    fields, the hash agrees with it, and the repr names the fields.  Copies
-    and pickles keep every slot and run no checks.
+    tuple or frozenset, and a monomial given as a list into a tuple; it
+    validates, leaving the monomial rules to as_exps and minimalize, then
+    sets each slot with object.__setattr__; assignment and deletion
+    otherwise raise AttributeError.  Equality holds between records of one
+    type with equal fields, the hash agrees with it, and the repr names the
+    fields.  Copies and pickles keep every slot and run no checks.
     """
 
     __slots__ = ()
@@ -212,13 +213,15 @@ def exps_to_mask(exps) -> int:
 
 
 def as_exps(m, n: int) -> tuple[int, ...]:
-    """Normalize a monomial given as mask or exponent tuple to exponents."""
+    """Normalize a monomial of n variables to exponents: the one check, for
+    every public constructor, that a value is a mask that fits or a sequence
+    of n nonnegative ints; anything else raises ValueError."""
     if isinstance(m, int):
         if m < 0 or m >> n:
             raise ValueError(f"mask {m} does not fit in {n} variables")
         return mask_to_exps(m, n)
     e = tuple(m)
-    if len(e) != n or any(x < 0 for x in e):
+    if len(e) != n or not all(isinstance(x, int) and x >= 0 for x in e):
         raise ValueError(f"bad exponent tuple {e} for {n} variables")
     return e
 
@@ -283,34 +286,29 @@ def all_monomials(ctx: RingContext, d: int, order=None) -> tuple:
 class MonomialSpace(_Record):
     """A degree-homogeneous set of monomials inside S_d or R_d.
 
-    The basis is a frozenset of masks in R and of exponent tuples in S.  The
-    constructor validates it: the representation matches the flavor, each
-    monomial lies in the ring and has the given degree.  space() normalizes
-    and then validates the same way, and so does decompose.reassemble on a
-    caller's parts.  Inside the package a space that is valid by
-    construction (a shadow, a component of an ideal, a lex segment, the
-    parts and reassembly of a decomposition, a colon, an Alexander dual) is
-    built by _space_from_basis instead, which skips these checks.
+    The basis is a frozenset of masks in R and of exponent tuples in S, a
+    list taken as a tuple.  The constructor validates it: the representation
+    matches the flavor, as_exps accepts each monomial, and each has the
+    given degree.  space() normalizes and then validates the same way, and
+    so does decompose.reassemble on a caller's parts.  Inside the package a
+    space that is valid by construction (a shadow, a component of an ideal,
+    a lex segment, the parts and reassembly of a decomposition, a colon, an
+    Alexander dual) is built by _space_from_basis instead, which skips these
+    checks.
     """
 
     __slots__ = _fields = ("ctx", "degree", "basis")
 
     def __init__(self, ctx: RingContext, degree: int, basis: frozenset):
-        basis = frozenset(basis)
+        basis = frozenset(tuple(m) if isinstance(m, list) else m for m in basis)
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        d, n = degree, ctx.n
         want_mask = ctx.flavor == SQF
         for m in basis:
             if want_mask != isinstance(m, int):
                 raise ValueError("basis representation does not match ring flavor")
-            if want_mask:
-                if m < 0 or m >> n:
-                    raise ValueError(f"mask {m} does not fit in {n} variables")
-            elif len(m) != n or n and min(m) < 0:
-                raise ValueError(f"bad exponent tuple {m} for {n} variables")
-            if (m.bit_count() if want_mask else sum(m)) != d:
-                raise ValueError(f"basis element {m} is not of degree {d}")
+            if sum(as_exps(m, ctx.n)) != degree:
+                raise ValueError(f"basis element {m} is not of degree {degree}")
         _setattr(self, "ctx", ctx)
         _setattr(self, "degree", degree)
         _setattr(self, "basis", basis)
@@ -377,10 +375,11 @@ class MonomialIdeal(_Record):
     every generator is squarefree, construction records their bit masks, in
     the order of gens, and gen_masks and the squarefree properties read them.
 
-    The constructor checks that the generators lie in the ring and are
-    distinct, and then that they are exactly what minimalize makes of them,
-    whose masks it records.  minimalize builds an ideal from monomials in
-    any order; inside the package an antichain proven by construction is
+    The constructor takes each generator as a tuple and calls minimalize,
+    which raises on the first one that is no monomial of the ring; then it
+    checks that they are distinct and exactly what minimalize makes of
+    them, whose masks it records.  minimalize builds an ideal from monomials
+    in any order; inside the package an antichain proven by construction is
     built by _ideal_from_antichain or _ideal_from_minimal, with no checks.
     The recorded masks are not part of the value: equality, hash and repr
     leave them out.
@@ -391,26 +390,20 @@ class MonomialIdeal(_Record):
 
     def __init__(self, ctx: RingContext, gens: tuple):
         _setattr(self, "ctx", ctx)
-        _setattr(self, "gens", tuple(gens))
+        _setattr(self, "gens", tuple(map(tuple, gens)))
         self.__post_init__()
 
     def __post_init__(self):
         """The constructor's checks, and the mask record; a method of its own
         so that bench/tracer.py can time construction by wrapping it."""
-        ctx, gens = self.ctx, self.gens
-        n = ctx.n
-        for e in gens:
-            if len(e) != n or n and min(e) < 0:
-                raise ValueError(f"bad generator {e} for {n} variables")
-            if ctx.flavor == SQF and not is_squarefree_exps(e):
-                raise ValueError(f"generator {e} is not squarefree")
+        gens = self.gens
+        minimal = minimalize(gens, self.ctx)
         if len(set(gens)) != len(gens):
             raise ValueError("generators must be distinct")
         # distinct generators, so minimalize drops one exactly when it is no antichain
-        minimal = minimalize(gens, ctx)
         if len(minimal.gens) != len(gens):
             raise ValueError("generators must form a divisibility antichain")
-        if minimal.gens != tuple(gens):
+        if minimal.gens != gens:
             raise ValueError("generators must be sorted canonically")
         _setattr(self, "_masks", minimal._masks)
 
@@ -518,17 +511,17 @@ def _ideal_from_minimal(masks, ctx: RingContext, squares=()) -> MonomialIdeal:
 def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
     """The divisibility antichain generating the same ideal as the given set.
 
-    Accepts masks or exponent tuples in any mix; idempotent.  In flavor R any
-    input with an exponent above one is rejected, and the first bad monomial
-    in input order is named.  One up-set U of the squarefree monomials is
-    made over the variables up to the highest one a mask or the support of a
-    tuple with a square uses.  The minimal masks are U less its shadow, with
-    no pairwise test.  A squarefree monomial divides a tuple exactly when it
-    divides the tuple's support, so a tuple with a square is kept when its
-    support is not in U and no tuple with a square kept before it, by rising
-    degree, divides it.  _ideal_from_minimal sorts both kinds once and builds
-    the ideal with no checks, since the constructor checks by calling
-    minimalize.
+    Accepts masks or exponent sequences in any mix; idempotent.  A value
+    as_exps rejects, or in flavor R an exponent above one, raises ValueError
+    naming the first bad monomial in input order.  One up-set U of the
+    squarefree monomials is made over the variables up to the highest one a
+    mask or the support of a tuple with a square uses.  The minimal masks
+    are U less its shadow, with no pairwise test.  A squarefree monomial
+    divides a tuple exactly when it divides the tuple's support, so a tuple
+    with a square is kept when its support is not in U and no tuple with a
+    square kept before it, by rising degree, divides it.
+    _ideal_from_minimal sorts both kinds once and builds the ideal with no
+    checks, since the constructor checks by calling minimalize.
     """
     n = ctx.n
     masks: set[int] = set()
@@ -541,7 +534,7 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
             continue
         e = as_exps(m, n)
         if is_squarefree_exps(e):
-            masks.add(exps_to_mask(e))
+            masks.add(support_of_exps(e))
         elif ctx.flavor == SQF:
             raise ValueError(f"monomial {e} is not squarefree")
         else:

@@ -61,16 +61,16 @@ def ideal_gens_error(ctx, gens):
     the constructor words it, or None when gens are valid.
 
     The rules, checked in this order: each generator lies in the ring (n
-    nonnegative exponents) and, in R, is squarefree; the generators are
+    nonnegative int exponents) and, in R, is squarefree; the generators are
     distinct; no generator divides another; they are sorted by rising degree,
     then descending exponent tuple.
     """
     n = ctx.n
     for e in gens:
-        if len(e) != n or any(x < 0 for x in e):
-            return f"bad generator {e} for {n} variables"
+        if len(e) != n or any(not isinstance(x, int) or x < 0 for x in e):
+            return f"bad exponent tuple {e} for {n} variables"
         if ctx.flavor == SQF and not is_squarefree_exps(e):
-            return f"generator {e} is not squarefree"
+            return f"monomial {e} is not squarefree"
     if len(set(gens)) != len(gens):
         return "generators must be distinct"
     if any(g != h and divides(g, h) for g in gens for h in gens):

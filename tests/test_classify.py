@@ -57,7 +57,7 @@ class TestSupernovaToIdeal:
         assert supernova_to_ideal(form(unit=True), S3).is_unit
 
     def test_variables_must_fit_ring(self):
-        with pytest.raises(ValueError, match="form uses variables outside the ring"):
+        with pytest.raises(ValueError, match="^mask 9 does not fit in 3 variables$"):
             supernova_to_ideal(form((0b1000, 0b0001)), S3)
 
 

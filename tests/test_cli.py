@@ -84,6 +84,10 @@ class TestClassify:
     def test_not_gotzmann(self, capsys):
         code, out, _ = run(capsys, "classify", "ab,ac,bc")
         assert code == 1 and "not a supernova" in out
+        code, out, _ = run(capsys, "classify", "--quiet", "ab,ac,bc")
+        assert code == 1 and out == ""
+        code, out, _ = run(capsys, "classify", "--quiet", "a,bc")
+        assert code == 0 and out == ""
 
     def test_not_gotzmann_json(self, capsys):
         code, out, _ = run(capsys, "classify", "--json", "ab,ac,bc")

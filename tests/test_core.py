@@ -267,8 +267,10 @@ class TestMinimalize:
             (R3, (ab, (0, 0, 1)), "generators must be sorted canonically"),
             (S3, ((0, 1, 1), a2), "generators must be sorted canonically"),
             (S3, (a2b, (0, 0, 1)), "generators must be sorted canonically"),
-            (R3, (a2,), "generator (2, 0, 0) is not squarefree"),
-            (R3, ((1, 1),), "bad generator (1, 1) for 3 variables"),
+            (R3, (a2,), "monomial (2, 0, 0) is not squarefree"),
+            (R3, ((1, 1),), "bad exponent tuple (1, 1) for 3 variables"),
+            (poly_ring(2), ((1.5, 0),), "bad exponent tuple (1.5, 0) for 2 variables"),
+            (poly_ring(2), ("ab",), "bad exponent tuple ('a', 'b') for 2 variables"),
         ]
         for ctx, gens, message in cases:
             with pytest.raises(ValueError) as err:
@@ -278,6 +280,8 @@ class TestMinimalize:
                                ([a2, 8], "monomial (2, 0, 0) is not squarefree"),
                                ([ab, 9, -1], "mask 9 does not fit in 3 variables"),
                                ([(1, 0)], "bad exponent tuple (1, 0) for 3 variables"),
+                               ([(1.5, 0, 0)], "bad exponent tuple (1.5, 0, 0) for 3 variables"),
+                               (["abc"], "bad exponent tuple ('a', 'b', 'c') for 3 variables"),
                                # all masks: the first bad one in input order is named
                                ([8], "mask 8 does not fit in 3 variables"),
                                ([3, 8, -1], "mask 8 does not fit in 3 variables"),
@@ -623,10 +627,13 @@ class TestMonomialSpaceValidation:
             (S3, 1, {(2, -1, 0)}, "bad exponent tuple (2, -1, 0) for 3 variables"),
             (S3, 1, {1}, "basis representation does not match ring flavor"),
             (S3, 2, {(1, 0, 0), (1, 1, 0)}, "basis element (1, 0, 0) is not of degree 2"),
+            (poly_ring(2), 1, {(1.5, 0)}, "bad exponent tuple (1.5, 0) for 2 variables"),
+            (poly_ring(2), 2, {"ab"}, "bad exponent tuple ('a', 'b') for 2 variables"),
+            (R3, 1, [[1, 0, 0]], "basis representation does not match ring flavor"),
         ]
         for ctx, d, basis, message in cases:
             with pytest.raises(ValueError) as err:
-                MonomialSpace(ctx, d, frozenset(basis))
+                MonomialSpace(ctx, d, basis)
             assert str(err.value) == message, (ctx.flavor, d, basis)
 
     def test_space_validation_messages(self):
@@ -639,6 +646,8 @@ class TestMonomialSpaceValidation:
             (S3, 1, [(2, -1, 0)], "bad exponent tuple (2, -1, 0) for 3 variables"),
             (R3, 2, [1], "basis element 1 is not of degree 2"),
             (S3, 2, [1], "basis element (1, 0, 0) is not of degree 2"),
+            (poly_ring(2), 1, [(1.5, 0)], "bad exponent tuple (1.5, 0) for 2 variables"),
+            (poly_ring(2), 2, ["ab"], "bad exponent tuple ('a', 'b') for 2 variables"),
         ]
         for ctx, d, monomials, message in cases:
             with pytest.raises(ValueError) as err:
@@ -899,6 +908,7 @@ class TestHilbert:
     def test_degree_zero(self):
         assert poly_hilbert_from_sqf(sqf_hilbert(ideal("ab", S3)), 0) == 0
         assert poly_hilbert_from_sqf(sqf_hilbert(unit_ideal(S3)), 0) == 1
+        assert poly_hilbert_from_sqf(sqf_hilbert(unit_ideal(S3)), -1) == 0
 
     def test_unit_ideal_gives_full_ring_dimension(self):
         sqf = sqf_hilbert(unit_ideal(S4))

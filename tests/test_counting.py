@@ -9,6 +9,7 @@ from gotzmann import counting
 from gotzmann.cli import main
 from gotzmann.core import InvariantViolation, _ideal_from_antichain, gen_masks, poly_ring, sqf_ring
 from gotzmann.counting import (
+    OSP_MAX_VARS,
     WITH_LINEAR,
     WITHOUT_LINEAR,
     OrderedSetPartition,
@@ -152,6 +153,10 @@ class TestEnumerateOsp:
         # bench/tracer.py times a generator function inside each next()
         assert inspect.isgeneratorfunction(enumerate_osp)
         assert list(enumerate_osp(0)) == [OrderedSetPartition(())]
+        # the size cap, wherever it is checked: at the call or at the first next()
+        message = f"^ordered set partition enumeration is limited to {OSP_MAX_VARS}$"
+        with pytest.raises(ValueError, match=message):
+            next(enumerate_osp(OSP_MAX_VARS + 1))
 
     def test_blocks_are_masks(self):
         o = osp({2}, {1, 3})

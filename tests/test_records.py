@@ -15,6 +15,7 @@ from gotzmann.decompose import Decomposition, GrowthEquality
 S3 = poly_ring(3)
 R3 = sqf_ring(3)
 R2 = sqf_ring(2)
+S2 = poly_ring(2)
 
 # each record type with the keyword arguments of one value, fields in order
 RECORDS = [
@@ -61,17 +62,21 @@ def test_record_is_an_immutable_value(cls, fields):
     assert repr(r) == f"{cls.__name__}({shown})"
 
 
-# each validating record built from lists or sets, beside the same fields frozen
-THAWED = [
-    (RingContext, (3, "S", ["x", "y", "z"]), (3, "S", ("x", "y", "z"))),
-    (MonomialSpace, (R3, 2, {0b011, 0b101}), (R3, 2, frozenset({0b011, 0b101}))),
-    (MonomialIdeal, (S3, [(2, 0, 0), (1, 1, 0)]), (S3, ((2, 0, 0), (1, 1, 0)))),
-    (SupernovaForm, ([[0, 0b011], (0b100, 0b1000)],), (((0, 0b011), (0b100, 0b1000)),)),
-    (OrderedSetPartition, ([0b010, 0b101],), ((0b010, 0b101),)),
-]
+# each validating record built from lists or sets, beside the same fields
+# frozen; the "-S" rows give a monomial of S as a list
+THAWED = {
+    "RingContext": (RingContext, (3, "S", ["x", "y", "z"]), (3, "S", ("x", "y", "z"))),
+    "MonomialSpace": (MonomialSpace, (R3, 2, {0b011, 0b101}), (R3, 2, frozenset({0b011, 0b101}))),
+    "MonomialSpace-S": (MonomialSpace, (S2, 1, [[1, 0]]), (S2, 1, frozenset({(1, 0)}))),
+    "MonomialIdeal": (MonomialIdeal, (S3, [(2, 0, 0), (1, 1, 0)]), (S3, ((2, 0, 0), (1, 1, 0)))),
+    "MonomialIdeal-S": (MonomialIdeal, (S2, [[1, 0]]), (S2, ((1, 0),))),
+    "SupernovaForm": (SupernovaForm, ([[0, 0b011], (0b100, 0b1000)],),
+                      (((0, 0b011), (0b100, 0b1000)),)),
+    "OrderedSetPartition": (OrderedSetPartition, ([0b010, 0b101],), ((0b010, 0b101),)),
+}
 
 
-@pytest.mark.parametrize("cls, thawed, frozen", THAWED, ids=[c.__name__ for c, *_ in THAWED])
+@pytest.mark.parametrize("cls, thawed, frozen", THAWED.values(), ids=THAWED)
 def test_validating_record_freezes_list_and_set_fields(cls, thawed, frozen):
     r = cls(*thawed)
     assert r == cls(*frozen) and hash(r) == hash(cls(*frozen))
@@ -92,7 +97,9 @@ def test_supernova_form_unit_defaults_to_false():
     (lambda: MonomialSpace(R3, 1, frozenset({(1, 0, 0)})),
      "basis representation does not match ring flavor"),
     (lambda: MonomialIdeal(S3, ((0, 1, 1), (1, 1, 0))), "generators must be sorted canonically"),
-    (lambda: MonomialIdeal(R3, ((2, 0, 0),)), "generator (2, 0, 0) is not squarefree"),
+    (lambda: MonomialIdeal(R3, ((2, 0, 0),)), "monomial (2, 0, 0) is not squarefree"),
+    (lambda: MonomialIdeal(S2, ((1.5, 0),)), "bad exponent tuple (1.5, 0) for 2 variables"),
+    (lambda: MonomialSpace(S2, 2, {"ab"}), "bad exponent tuple ('a', 'b') for 2 variables"),
     (lambda: SupernovaForm(((0, 0b01),), unit=True), "the unit form carries no stages"),
     (lambda: SupernovaForm(((0, 0b011), (0b001, 0b100))),
      "stage supports must be pairwise disjoint"),
