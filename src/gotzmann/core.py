@@ -43,7 +43,7 @@ class _Record:
 
     A record stores its attributes in __slots__, and _fields names those that
     make up its value.  Its __init__ freezes a list or set it is given into a
-    tuple or frozenset, and a monomial given as a list into a tuple; it
+    tuple or frozenset, and a monomial given as a sequence into a tuple; it
     validates, leaving the monomial rules to as_exps and minimalize, then
     sets each slot with object.__setattr__; assignment and deletion
     otherwise raise AttributeError.  Equality holds between records of one
@@ -119,10 +119,6 @@ class RingContext(_Record):
         _setattr(self, "n", n)
         _setattr(self, "flavor", flavor)
         _setattr(self, "names", names)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
 
     def dim_component(self, d: int) -> int:
         """Dimension of the full degree-d component of the ring."""
@@ -201,6 +197,23 @@ def mask_to_exps(mask: int, n: int) -> tuple[int, ...]:
     raise ValueError(f"variable count must be in 0..{MAX_VARS}, got {n}")
 
 
+def _exps_of(masks, n: int) -> tuple[tuple[int, ...], ...]:
+    """Exponent tuples of masks that fit in n variables: one table step, unchecked."""
+    if n <= 8:
+        table = _SMALL_EXPS[n]
+        return tuple([table[m] for m in masks])
+    low, high = _BYTE_EXPS, _SMALL_EXPS[n - 8]
+    return tuple([low[m & 255] + high[m >> 8] for m in masks])
+
+
+def _exps_tuple(m) -> tuple:
+    """A monomial sequence as a tuple; anything else raises ValueError naming it."""
+    try:
+        return tuple(m)
+    except TypeError:
+        raise ValueError(f"monomial {m!r} is not an exponent sequence") from None
+
+
 def exps_to_mask(exps) -> int:
     """Bit mask of a squarefree exponent tuple; rejects exponents above one."""
     mask = 0
@@ -220,7 +233,7 @@ def as_exps(m, n: int) -> tuple[int, ...]:
         if m < 0 or m >> n:
             raise ValueError(f"mask {m} does not fit in {n} variables")
         return mask_to_exps(m, n)
-    e = tuple(m)
+    e = _exps_tuple(m)
     if len(e) != n or not all(isinstance(x, int) and x >= 0 for x in e):
         raise ValueError(f"bad exponent tuple {e} for {n} variables")
     return e
@@ -286,21 +299,21 @@ def all_monomials(ctx: RingContext, d: int, order=None) -> tuple:
 class MonomialSpace(_Record):
     """A degree-homogeneous set of monomials inside S_d or R_d.
 
-    The basis is a frozenset of masks in R and of exponent tuples in S, a
-    list taken as a tuple.  The constructor validates it: the representation
-    matches the flavor, as_exps accepts each monomial, and each has the
-    given degree.  space() normalizes and then validates the same way, and
-    so does decompose.reassemble on a caller's parts.  Inside the package a
-    space that is valid by construction (a shadow, a component of an ideal,
-    a lex segment, the parts and reassembly of a decomposition, a colon, an
-    Alexander dual) is built by _space_from_basis instead, which skips these
-    checks.
+    The basis is a frozenset of masks in R and of exponent tuples in S, each
+    sequence stored as the tuple as_exps makes of it.  The constructor
+    validates it: the representation matches the flavor, as_exps accepts
+    each monomial, and each has the given degree.  space() normalizes and
+    then validates the same way, and so does decompose.reassemble on a
+    caller's parts.  Inside the package a space that is valid by
+    construction (a shadow, a component of an ideal, a lex segment, the
+    parts and reassembly of a decomposition, a colon, an Alexander dual) is
+    built by _space_from_basis instead, which skips these checks.
     """
 
     __slots__ = _fields = ("ctx", "degree", "basis")
 
     def __init__(self, ctx: RingContext, degree: int, basis: frozenset):
-        basis = frozenset(tuple(m) if isinstance(m, list) else m for m in basis)
+        basis = frozenset(m if isinstance(m, int) else _exps_tuple(m) for m in basis)
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         want_mask = ctx.flavor == SQF
@@ -390,7 +403,7 @@ class MonomialIdeal(_Record):
 
     def __init__(self, ctx: RingContext, gens: tuple):
         _setattr(self, "ctx", ctx)
-        _setattr(self, "gens", tuple(map(tuple, gens)))
+        _setattr(self, "gens", tuple(map(_exps_tuple, gens)))
         self.__post_init__()
 
     def __post_init__(self):
@@ -468,12 +481,11 @@ def _ideal_from_antichain(masks, ctx: RingContext, gens=None) -> MonomialIdeal:
     ideal_from_up_set) sorts them, sqf_lexify_in_S reads them off an ideal
     already built, and the three counting routes (osp_to_ideal,
     enumerate_gotzmann, enumerate_antichains) build them as one, in order.
-    gens are the exponent tuples of the masks, made here when not given.
+    gens are the exponent tuples of the masks, made by _exps_of when not given.
     """
     masks = tuple(masks)
     if gens is None:
-        n = ctx.n
-        gens = tuple([mask_to_exps(m, n) for m in masks])
+        gens = _exps_of(masks, ctx.n)
     ideal = object.__new__(MonomialIdeal)
     _setattr(ideal, "ctx", ctx)
     _setattr(ideal, "gens", gens)
@@ -486,19 +498,13 @@ def _ideal_from_minimal(masks, ctx: RingContext, squares=()) -> MonomialIdeal:
     distinct exponent tuples with a square in squares, all together an
     antichain, in any order.
 
-    Each exponent tuple is made once, and one sort of (-degree, exponent
-    tuple, mask) triples, descending, puts the generators in canonical order
-    with their masks beside them.  A tuple with a square joins the same sort
-    with mask None, never compared since no two triples share a tuple; when
-    there is one, the ideal records no masks.
+    Each exponent tuple is made once, by _exps_of, and one sort of (-degree,
+    exponent tuple, mask) triples, descending, puts the generators in
+    canonical order with their masks beside them.  A tuple with a square
+    joins the same sort with mask None, never compared since no two triples
+    share a tuple; when there is one, the ideal records no masks.
     """
-    n = ctx.n
-    if n <= 8:
-        exps = map(_SMALL_EXPS[n].__getitem__, masks)
-    else:  # mask_to_exps inlined: masks fit in ctx, so m >> 8 is a byte
-        low, high = _BYTE_EXPS, _SMALL_EXPS[n - 8]
-        exps = [low[m & 255] + high[m >> 8] for m in masks]
-    triples = zip(map(neg, map(int.bit_count, masks)), exps, masks)
+    triples = zip(map(neg, map(int.bit_count, masks)), _exps_of(masks, ctx.n), masks)
     if squares:
         triples = [*triples, *((-sum(e), e, None) for e in squares)]
     ranked = sorted(triples, reverse=True)

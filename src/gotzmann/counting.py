@@ -119,9 +119,10 @@ def osp_to_ideal(osp: OrderedSetPartition, family: str) -> MonomialIdeal:
     Blocks alternate between stage-monomial supports and variable blocks, and
     consecutive entries pair into supernova stages (m_j, B_j); the with-linear
     family puts an empty monomial in front, so its first block holds the
-    linear generators.  An odd tail t becomes the stage (t without its lowest
-    variable, that variable), a lone principal generator.  The image always
-    has full support and the same weight as the partition.
+    linear generators.  An odd tail t is split into the entries t without its
+    lowest variable and that variable, a lone principal generator, so the
+    entries pair off straight into stage_generators.  The image has the
+    partition's weight and full support, checked on the generator masks.
 
     The stage generators are an antichain in canonical order by construction,
     so they go to the builder unfiltered and unsorted.  The partition's blocks
@@ -135,27 +136,26 @@ def osp_to_ideal(osp: OrderedSetPartition, family: str) -> MonomialIdeal:
     stage_generators takes the block's bits in ascending order, and A_j*x
     before A_j*y for x < y is descending exponent tuple.
     """
-    if not osp.last_block_big:
+    blocks = osp.blocks
+    if blocks and blocks[-1].bit_count() < 2:
         raise ValueError("the partition's last block must have more than one element")
-    ctx = poly_ring(osp.nu)
-    if family == WITH_LINEAR:
-        if not osp.blocks:
-            return unit_ideal(ctx)
-        entries = (0,) + osp.blocks
-    elif family == WITHOUT_LINEAR:
-        if not osp.blocks:
-            return zero_ideal(ctx)
-        entries = osp.blocks
-    else:
+    n = sum(map(int.bit_count, blocks))
+    ctx = poly_ring(n)
+    if family not in (WITH_LINEAR, WITHOUT_LINEAR):
         raise ValueError(f"unknown family {family!r}")
-    stages = list(zip(entries[::2], entries[1::2]))
+    if not blocks:
+        return unit_ideal(ctx) if family == WITH_LINEAR else zero_ideal(ctx)
+    entries = (0, *blocks) if family == WITH_LINEAR else blocks
     if len(entries) % 2:
         t = entries[-1]
-        stages.append((t & (t - 1), t & -t))
-    ideal = _ideal_from_antichain(stage_generators(stages), ctx)
-    if ideal.support_mask != ctx.full_mask:
+        entries = (*entries[:-1], t & (t - 1), t & -t)
+    masks = stage_generators(zip(entries[::2], entries[1::2]))
+    support = 0
+    for m in masks:
+        support |= m
+    if support != (1 << n) - 1:
         raise InvariantViolation("partition image lost full support")
-    return ideal
+    return _ideal_from_antichain(masks, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +207,6 @@ def gotzmann_count_series(T: int = DEFAULT_TRUNCATION) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # enumeration
-
-def submasks(mask: int):
-    """All submasks of a mask, the mask itself first and zero last."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
 
 def _antichain_walk(n: int, cut: RingContext | None = None):
     """Every antichain of subsets of the variables, once, as a list of generator masks.
@@ -296,21 +286,25 @@ def _supernova_generator_sets(n: int) -> set:
     parent's list extended by that stage's.  Only the first stage monomial may
     be empty, so by the argument in osp_to_ideal each list is already in
     canonical order; that order is a function of the set, so keying on the
-    list as it stands deduplicates the sets.
+    list as it stands deduplicates the sets.  Two inline loops walk submasks
+    in descending order: a stage monomial of the pool (0 in the first stage
+    only), then a nonempty block of what it leaves.
     """
     out: set = set()
 
     def rec(pool, first, acc, gens):
-        for m in submasks(pool):
-            if m == 0 and not first:
-                continue
-            left = pool & ~m
-            for block in submasks(left):
-                if block == 0:
-                    continue
+        m = pool
+        while True:
+            left = pool ^ m
+            block = left if m or first else 0
+            while block:
                 new_gens = gens + stage_generators(((m, block),), acc)
                 out.add(tuple(new_gens))
-                rec(left & ~block, False, acc | m, new_gens)
+                rec(left ^ block, False, acc | m, new_gens)
+                block = (block - 1) & left
+            if not m:
+                break
+            m = (m - 1) & pool
 
     rec((1 << n) - 1, True, 0, [])
     return out

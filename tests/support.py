@@ -25,7 +25,8 @@ from gotzmann.core import (
     sqf_hilbert,
     sqf_ring,
 )
-from gotzmann.counting import OrderedSetPartition, enumerate_osp
+from gotzmann.classify import stage_generators
+from gotzmann.counting import WITH_LINEAR, OrderedSetPartition, enumerate_osp
 from gotzmann.textio import parse_monomial
 
 
@@ -107,6 +108,55 @@ def osp_by_frozensets(n):
 
     for blocks in rec(tuple(range(1, n + 1))):
         yield OrderedSetPartition(tuple(sum(1 << (v - 1) for v in b) for b in blocks))
+
+
+def osp_image_by_minimalize(osp: OrderedSetPartition, family: str) -> MonomialIdeal:
+    """The image of a big-last-block partition as a list of stage pairs, the
+    split odd tail appended, whose generators minimalize sorts and checks on
+    the partition's ring; the empty partition maps to the unit ideal (with
+    linear) or the zero ideal."""
+    ctx = poly_ring(osp.nu)
+    if not osp.blocks:
+        return minimalize([0] if family == WITH_LINEAR else [], ctx)
+    entries = ((0,) if family == WITH_LINEAR else ()) + osp.blocks
+    stages = list(zip(entries[::2], entries[1::2]))
+    if len(entries) % 2:
+        t = entries[-1]
+        stages.append((t & (t - 1), t & -t))
+    return minimalize(stage_generators(stages), ctx)
+
+
+def submasks(mask: int):
+    """All submasks of a mask, the mask itself first and zero last."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def supernova_generator_sets_by_submasks(n: int) -> set:
+    """The supernova generator sets on <= n variables, each a mask tuple in
+    canonical order, from a recursion over submasks generators: every stage
+    monomial of the pool (the empty one first stage only), then every
+    nonempty block of what it leaves, each submask walk in descending order."""
+    out: set = set()
+
+    def rec(pool, first, acc, gens):
+        for m in submasks(pool):
+            if m == 0 and not first:
+                continue
+            left = pool & ~m
+            for block in submasks(left):
+                if block == 0:
+                    continue
+                new_gens = gens + stage_generators(((m, block),), acc)
+                out.add(tuple(new_gens))
+                rec(left & ~block, False, acc | m, new_gens)
+
+    rec((1 << n) - 1, True, 0, [])
+    return out
 
 
 def full_support_class(I: MonomialIdeal):

@@ -17,6 +17,7 @@ from gotzmann.core import (
     MonomialSpace,
     _all_monomials,
     _binom_row,
+    _exps_of,
     _mask_level_bitsets,
     _space_from_basis,
     all_monomials,
@@ -271,6 +272,7 @@ class TestMinimalize:
             (R3, ((1, 1),), "bad exponent tuple (1, 1) for 3 variables"),
             (poly_ring(2), ((1.5, 0),), "bad exponent tuple (1.5, 0) for 2 variables"),
             (poly_ring(2), ("ab",), "bad exponent tuple ('a', 'b') for 2 variables"),
+            (poly_ring(2), (3,), "monomial 3 is not an exponent sequence"),
         ]
         for ctx, gens, message in cases:
             with pytest.raises(ValueError) as err:
@@ -282,6 +284,7 @@ class TestMinimalize:
                                ([(1, 0)], "bad exponent tuple (1, 0) for 3 variables"),
                                ([(1.5, 0, 0)], "bad exponent tuple (1.5, 0, 0) for 3 variables"),
                                (["abc"], "bad exponent tuple ('a', 'b', 'c') for 3 variables"),
+                               ([3.0], "monomial 3.0 is not an exponent sequence"),
                                # all masks: the first bad one in input order is named
                                ([8], "mask 8 does not fit in 3 variables"),
                                ([3, 8, -1], "mask 8 does not fit in 3 variables"),
@@ -367,6 +370,19 @@ class TestMaskToExps:
                 assert mask_to_exps(m, n) == self._digits(m, n), (m, n)
             assert mask_to_exps(-1, n) == (1,) * n
             assert mask_to_exps(1 << n, n) == (0,) * n
+
+    def test_table_step_matches_per_mask(self):
+        # _exps_of, the one table step for a batch of masks that fit, against
+        # mask_to_exps one mask at a time, sharing its tuples up to 8 variables
+        rng = random.Random(63)
+        batches = [(n, list(range(1 << n))) for n in (0, 7, 8, 9)]
+        batches.append((16, [rng.randrange(1 << 16) for _ in range(2000)]))
+        for n, masks in batches:
+            exps = _exps_of(masks, n)
+            assert type(exps) is tuple and exps == tuple(mask_to_exps(m, n) for m in masks)
+            if n <= 8:
+                assert all(e is mask_to_exps(m, n) for e, m in zip(exps, masks)), n
+        assert _exps_of([], 16) == ()
 
     def test_variable_count_out_of_range(self):
         for n in (17, 40, -1):
@@ -630,6 +646,7 @@ class TestMonomialSpaceValidation:
             (poly_ring(2), 1, {(1.5, 0)}, "bad exponent tuple (1.5, 0) for 2 variables"),
             (poly_ring(2), 2, {"ab"}, "bad exponent tuple ('a', 'b') for 2 variables"),
             (R3, 1, [[1, 0, 0]], "basis representation does not match ring flavor"),
+            (poly_ring(2), 1, [None], "monomial None is not an exponent sequence"),
         ]
         for ctx, d, basis, message in cases:
             with pytest.raises(ValueError) as err:
@@ -648,6 +665,7 @@ class TestMonomialSpaceValidation:
             (S3, 2, [1], "basis element (1, 0, 0) is not of degree 2"),
             (poly_ring(2), 1, [(1.5, 0)], "bad exponent tuple (1.5, 0) for 2 variables"),
             (poly_ring(2), 2, ["ab"], "bad exponent tuple ('a', 'b') for 2 variables"),
+            (poly_ring(2), 1, [None], "monomial None is not an exponent sequence"),
         ]
         for ctx, d, monomials, message in cases:
             with pytest.raises(ValueError) as err:

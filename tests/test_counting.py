@@ -28,7 +28,12 @@ from gotzmann.classify import SupernovaForm, canonicalize, supernova_to_ideal
 from gotzmann.lex import is_gotzmann_ideal
 from gotzmann.textio import parse_ideal_inline
 
-from support import full_support_class, osp_by_frozensets
+from support import (
+    full_support_class,
+    osp_by_frozensets,
+    osp_image_by_minimalize,
+    supernova_generator_sets_by_submasks,
+)
 
 GOTZMANN_COUNTS = [2, 3, 6, 19, 96, 669]
 ANTICHAIN_COUNTS = [2, 3, 6, 20, 168, 7581]
@@ -126,6 +131,14 @@ class TestEnumerateGotzmann:
         ideals = enumerate_gotzmann(4)
         assert len({I.gens for I in ideals}) == len(ideals)
 
+    def test_generator_sets_match_the_submask_walk(self):
+        # same sets, and the same iteration order, which only the same
+        # sequence of insertions is sure to give
+        for n in range(7):
+            sets = counting._supernova_generator_sets(n)
+            want = supernova_generator_sets_by_submasks(n)
+            assert sets == want and list(sets) == list(want), n
+
     def test_gotzmann_in_S_is_gotzmann_in_R(self):
         # on the same generators; at n = 7 the supernova sets stand for the
         # Gotzmann ideals of S other than zero and unit
@@ -188,8 +201,21 @@ class TestOspImages:
         assert I == parse_ideal_inline("ab", poly_ring(2))
 
     def test_singleton_last_block_rejected(self):
-        with pytest.raises(ValueError):
-            osp_to_ideal(osp({1, 2}, {3}), WITH_LINEAR)
+        message = "^the partition's last block must have more than one element$"
+        for o, family in ((osp({1, 2}, {3}), WITH_LINEAR), (osp({1}), "linear")):
+            with pytest.raises(ValueError, match=message):
+                osp_to_ideal(o, family)
+
+    def test_matches_minimalize_of_the_stage_list(self):
+        # every big-last-block partition of n <= 6, in both families
+        for n in range(7):
+            for o in enumerate_osp(n):
+                if not o.last_block_big:
+                    continue
+                for family in (WITH_LINEAR, WITHOUT_LINEAR):
+                    I, want = osp_to_ideal(o, family), osp_image_by_minimalize(o, family)
+                    assert I.gens == want.gens and I.ctx == want.ctx, (o, family)
+                    assert gen_masks(I) == gen_masks(want), (o, family)
 
     def test_unknown_family_rejected(self):
         for o in (osp(), osp({1, 2})):

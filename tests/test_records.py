@@ -63,11 +63,12 @@ def test_record_is_an_immutable_value(cls, fields):
 
 
 # each validating record built from lists or sets, beside the same fields
-# frozen; the "-S" rows give a monomial of S as a list
+# frozen; the "-S" rows give a monomial of S as a list or another sequence
 THAWED = {
     "RingContext": (RingContext, (3, "S", ["x", "y", "z"]), (3, "S", ("x", "y", "z"))),
     "MonomialSpace": (MonomialSpace, (R3, 2, {0b011, 0b101}), (R3, 2, frozenset({0b011, 0b101}))),
     "MonomialSpace-S": (MonomialSpace, (S2, 1, [[1, 0]]), (S2, 1, frozenset({(1, 0)}))),
+    "MonomialSpace-S-range": (MonomialSpace, (S2, 1, [range(2)]), (S2, 1, frozenset({(0, 1)}))),
     "MonomialIdeal": (MonomialIdeal, (S3, [(2, 0, 0), (1, 1, 0)]), (S3, ((2, 0, 0), (1, 1, 0)))),
     "MonomialIdeal-S": (MonomialIdeal, (S2, [[1, 0]]), (S2, ((1, 0),))),
     "SupernovaForm": (SupernovaForm, ([[0, 0b011], (0b100, 0b1000)],),
@@ -100,6 +101,8 @@ def test_supernova_form_unit_defaults_to_false():
     (lambda: MonomialIdeal(R3, ((2, 0, 0),)), "monomial (2, 0, 0) is not squarefree"),
     (lambda: MonomialIdeal(S2, ((1.5, 0),)), "bad exponent tuple (1.5, 0) for 2 variables"),
     (lambda: MonomialSpace(S2, 2, {"ab"}), "bad exponent tuple ('a', 'b') for 2 variables"),
+    (lambda: MonomialIdeal(S2, [3]), "monomial 3 is not an exponent sequence"),
+    (lambda: MonomialSpace(S2, 1, [None]), "monomial None is not an exponent sequence"),
     (lambda: SupernovaForm(((0, 0b01),), unit=True), "the unit form carries no stages"),
     (lambda: SupernovaForm(((0, 0b011), (0b001, 0b100))),
      "stage supports must be pairwise disjoint"),
