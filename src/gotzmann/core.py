@@ -228,13 +228,17 @@ def exps_to_mask(exps) -> int:
 def as_exps(m, n: int) -> tuple[int, ...]:
     """Normalize a monomial of n variables to exponents: the one check, for
     every public constructor, that a value is a mask that fits or a sequence
-    of n nonnegative ints; anything else raises ValueError."""
+    of n nonnegative ints; anything else raises ValueError.  An int means
+    type int exactly, so a bool, which would be kept as given and print as
+    True or False, is neither a mask nor an exponent."""
     if isinstance(m, int):
+        if type(m) is not int:
+            raise ValueError(f"mask {m!r} is a {type(m).__name__}, not an int")
         if m < 0 or m >> n:
             raise ValueError(f"mask {m} does not fit in {n} variables")
         return mask_to_exps(m, n)
     e = _exps_tuple(m)
-    if len(e) != n or not all(isinstance(x, int) and x >= 0 for x in e):
+    if len(e) != n or not all(type(x) is int and x >= 0 for x in e):
         raise ValueError(f"bad exponent tuple {e} for {n} variables")
     return e
 
@@ -440,18 +444,11 @@ class MonomialIdeal(_Record):
             mask |= m
         return mask
 
-    def _gen_degrees(self):
-        """The degree of each generator, in the order of gens."""
-        if self._masks is not None:
-            return map(int.bit_count, self._masks)
-        return map(sum, self.gens)
-
-    @property
-    def has_linear_gen(self) -> bool:
-        return 1 in self._gen_degrees()
-
     def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self._gen_degrees())))
+        """The distinct generator degrees, ascending."""
+        masks = self._masks
+        degs = map(sum, self.gens) if masks is None else map(int.bit_count, masks)
+        return tuple(sorted(set(degs)))
 
     def contains(self, m) -> bool:
         """Ideal membership of a monomial."""
@@ -500,9 +497,11 @@ def _ideal_from_minimal(masks, ctx: RingContext, squares=()) -> MonomialIdeal:
 
     Each exponent tuple is made once, by _exps_of, and one sort of (-degree,
     exponent tuple, mask) triples, descending, puts the generators in
-    canonical order with their masks beside them.  A tuple with a square
-    joins the same sort with mask None, never compared since no two triples
-    share a tuple; when there is one, the ideal records no masks.
+    canonical order with their masks beside them.  The input order is kept
+    up to that sort, so masks that already come in canonical order reach it
+    as one presorted run and cost one pass of comparisons.  A tuple with a
+    square joins the same sort with mask None, never compared since no two
+    triples share a tuple; when there is one, the ideal records no masks.
     """
     triples = zip(map(neg, map(int.bit_count, masks)), _exps_of(masks, ctx.n), masks)
     if squares:
@@ -526,21 +525,28 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
     divides a tuple exactly when it divides the tuple's support, so a tuple
     with a square is kept when its support is not in U and no tuple with a
     square kept before it, by rising degree, divides it.
+
+    The masks keep their input order, duplicates dropped.  The minimal
+    elements of U are among them, so when there are as many as masks none
+    was dropped and the masks go on as given; a canonical antichain, such
+    as the generators of a checked MonomialIdeal or the slices lexify_in_R
+    reads off the listing, then costs _ideal_from_minimal one sorting pass.
+    Otherwise the minimal masks are read off U, ascending.
     _ideal_from_minimal sorts both kinds once and builds the ideal with no
     checks, since the constructor checks by calling minimalize.
     """
     n = ctx.n
-    masks: set[int] = set()
+    masks: dict[int, None] = {}  # insertion order: the input order, deduplicated
     supports: dict[tuple[int, ...], int] = {}  # each tuple with a square
     for m in monomials:
-        if isinstance(m, int):
+        if type(m) is int:
             if m < 0 or m >> n:
                 raise ValueError(f"mask {m} does not fit in {n} variables")
-            masks.add(m)
+            masks[m] = None
             continue
         e = as_exps(m, n)
         if is_squarefree_exps(e):
-            masks.add(support_of_exps(e))
+            masks[support_of_exps(e)] = None
         elif ctx.flavor == SQF:
             raise ValueError(f"monomial {e} is not squarefree")
         else:
@@ -551,7 +557,10 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
     for e in sorted(supports, key=sum):
         if not up >> supports[e] & 1 and not any(divides(g, e) for g in squares):
             squares.append(e)
-    return _ideal_from_minimal(bitset_masks(up & ~upper_shadow(up, k)), ctx, squares)
+    minimal = up & ~upper_shadow(up, k)
+    if minimal.bit_count() != len(masks):
+        masks = bitset_masks(minimal)
+    return _ideal_from_minimal(masks, ctx, squares)
 
 
 def ideal_from_up_set(bits: int, ctx: RingContext) -> MonomialIdeal:
@@ -660,6 +669,21 @@ def lower_shadow(bits: int, n: int) -> int:
 def reflect_bitset(bits: int, n: int) -> int:
     """Move bit m to bit full ^ m, by reversing the 2^n-digit binary string."""
     return int(format(bits, f"0{1 << n}b")[::-1], 2)
+
+
+def insert_variable_bitset(bits: int, n: int, i: int) -> int:
+    """Bitset over the 2^(n+1) masks of a bitset over the 2^n masks, with a
+    new variable adjoined at index i: each mask m moves to
+    m & low | (m & ~low) << 1, low the bits below i, and none gains x_i.
+
+    From the top variable down to x_i, the masks with x_j move up by 2^j,
+    which carries that bit to x_{j+1}; one shift per variable, as in up_set.
+    """
+    without = _mask_level_bitsets(n + 1)[1]
+    for j in range(n - 1, i - 1, -1):
+        rest = without[j]
+        bits = bits & rest | (bits & ~rest) << (1 << j)
+    return bits
 
 
 def bitset_masks(bits: int) -> list[int]:

@@ -23,6 +23,7 @@ from .core import (
     bitset_masks,
     gen_masks,
     ideal_from_up_set,
+    insert_variable_bitset,
     lower_shadow,
     mask_bitset,
     q_context,
@@ -232,22 +233,28 @@ def reconstruct(vxi: MonomialSpace, i: int, name: str | None = None) -> Monomial
     """Rebuild (n_1 vxi) + x_i * vxi over the ring with x_i adjoined at index i.
 
     vxi must be Gotzmann in its ring; the rebuilt space is then Gotzmann one
-    variable up, which is asserted.  One upper_shadow of vxi gives both its
-    Kruskal-Katona test (is_gotzmann_space) and the masks of n_1 vxi.
+    variable up, which is asserted.  One upper_shadow of vxi's bitset gives
+    both its Kruskal-Katona test and n_1 vxi.  x_i is inserted by shifts on
+    the two bitsets, insert_variable_bitset, and x_i * vxi is one more shift
+    by 2^i; the rebuilt bitset's shadow is tested against the bound, and the
+    basis is read off it once.  The new ring is made before any bitset over
+    its masks, so a ring past MAX_VARS raises first.
     """
     _require_sqf(vxi.ctx)
     q = vxi.ctx
     if not 0 <= i <= q.n:
         raise ValueError(f"insertion index {i} out of range")
-    shadow = upper_shadow(mask_bitset(vxi.basis), q.n)
+    bits = mask_bitset(vxi.basis)
+    shadow = upper_shadow(bits, q.n)
     if shadow.bit_count() != minimal_growth(vxi.dim, vxi.degree, q):
         raise ValueError("reconstruction needs a Gotzmann space")
     if name is None:
         # None when the alphabet runs out; RingContext then rejects the ring size
         name = next((c for c in ALPHABET if c not in q.names), None)
     rctx = RingContext(q.n + 1, SQF, q.names[:i] + (name,) + q.names[i:])
-    basis = _reassembled_basis(i, bitset_masks(shadow), vxi.basis)
-    rebuilt = _space_from_basis(rctx, vxi.degree + 1, basis)
-    if not is_gotzmann_space(rebuilt):
+    rebuilt = (insert_variable_bitset(shadow, q.n, i)
+               | insert_variable_bitset(bits, q.n, i) << (1 << i))
+    dim = rebuilt.bit_count()
+    if upper_shadow(rebuilt, rctx.n).bit_count() != minimal_growth(dim, vxi.degree + 1, rctx):
         raise InvariantViolation("reconstruction produced a non-Gotzmann space")
-    return rebuilt
+    return _space_from_basis(rctx, vxi.degree + 1, frozenset(bitset_masks(rebuilt)))

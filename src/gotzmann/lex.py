@@ -257,6 +257,12 @@ def lexify_in_R(I: MonomialIdeal) -> MonomialIdeal:
     the slice [g:v_d] of the listing, g the growth of v_{d-1}, and a count
     below g raises InvariantViolation.  No segment is built, and a degree
     that is all shadow (v_d = g) is not listed.  I must be squarefree.
+
+    The slices already come in canonical order: the degrees rise, and the
+    listing of each degree is descending lex, which on masks of R is the
+    descending order of their exponent tuples.  Each slice lies outside the
+    shadow of everything before it, so together they are an antichain, and
+    minimalize keeps them as given and sorts them in one pass.
     """
     if not I.squarefree:
         raise ValueError("lexification needs a squarefree ideal")

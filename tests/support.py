@@ -159,6 +159,11 @@ def supernova_generator_sets_by_submasks(n: int) -> set:
     return out
 
 
+def has_linear_gen(I: MonomialIdeal) -> bool:
+    """Whether some generator of the ideal has degree one."""
+    return 1 in I.degrees()
+
+
 def full_support_class(I: MonomialIdeal):
     """Which of the five full-support families an ideal falls in, else None.
 
@@ -170,7 +175,7 @@ def full_support_class(I: MonomialIdeal):
         return None
     top = max(I.degrees())
     top_count = sum(1 for e in I.gens if sum(e) == top)
-    linear = I.has_linear_gen
+    linear = has_linear_gen(I)
     if n == 1:
         return "single_variable"
     if linear and top_count == 1 and top != 1:

@@ -29,6 +29,7 @@ from gotzmann.core import (
     exps_to_mask,
     gen_masks,
     ideal_from_up_set,
+    insert_variable_bitset,
     iter_bits,
     lower_shadow,
     mask_bitset,
@@ -83,6 +84,7 @@ from support import (
     canonical_order,
     direct_poly_dim,
     divide_by_variable,
+    has_linear_gen,
     ideal_gens_error,
     minimalize_by_tuples,
     quotient_by_variable,
@@ -273,6 +275,8 @@ class TestMinimalize:
             (poly_ring(2), ((1.5, 0),), "bad exponent tuple (1.5, 0) for 2 variables"),
             (poly_ring(2), ("ab",), "bad exponent tuple ('a', 'b') for 2 variables"),
             (poly_ring(2), (3,), "monomial 3 is not an exponent sequence"),
+            (poly_ring(2), ((True, 0),), "bad exponent tuple (True, 0) for 2 variables"),
+            (sqf_ring(2), ((0, False),), "bad exponent tuple (0, False) for 2 variables"),
         ]
         for ctx, gens, message in cases:
             with pytest.raises(ValueError) as err:
@@ -285,6 +289,9 @@ class TestMinimalize:
                                ([(1.5, 0, 0)], "bad exponent tuple (1.5, 0, 0) for 3 variables"),
                                (["abc"], "bad exponent tuple ('a', 'b', 'c') for 3 variables"),
                                ([3.0], "monomial 3.0 is not an exponent sequence"),
+                               ([True], "mask True is a bool, not an int"),
+                               ([1, False], "mask False is a bool, not an int"),
+                               ([(1, 0, True)], "bad exponent tuple (1, 0, True) for 3 variables"),
                                # all masks: the first bad one in input order is named
                                ([8], "mask 8 does not fit in 3 variables"),
                                ([3, 8, -1], "mask 8 does not fit in 3 variables"),
@@ -485,7 +492,7 @@ class TestRecordedMasks:
                 support |= support_of_exps(e)
             assert I.support_mask == support
             assert I.degrees() == tuple(sorted({sum(e) for e in I.gens}))
-            assert I.has_linear_gen == any(sum(e) == 1 for e in I.gens)
+            assert has_linear_gen(I) == any(sum(e) == 1 for e in I.gens)
 
     def test_gen_masks_rejects_non_squarefree(self):
         I = minimalize([(0, 1, 1), (2, 0, 0)], S3)
@@ -595,6 +602,27 @@ class TestUpSetBitsets:
         assert reflect_bitset(reflect_bitset(bits, 8), 8) == bits
 
 
+class TestInsertVariableBitset:
+    @staticmethod
+    def _by_masks(bits, i):
+        low = (1 << i) - 1
+        return mask_bitset(m & low | (m & ~low) << 1 for m in bitset_masks(bits))
+
+    def test_matches_per_mask_reindexing(self):
+        rng = random.Random(24)
+        for n in range(9):
+            for i in range(n + 1):
+                for bits in (0, (1 << (1 << n)) - 1,
+                             *(rng.getrandbits(1 << n) for _ in range(6))):
+                    assert insert_variable_bitset(bits, n, i) == self._by_masks(bits, i), (n, i)
+
+    def test_fifteen_variables(self):
+        rng = random.Random(25)
+        for i in (0, 15):
+            for bits in (rng.getrandbits(1 << 15), up_set([rng.randrange(1 << 15)], 15)):
+                assert insert_variable_bitset(bits, 15, i) == self._by_masks(bits, i), i
+
+
 class TestComponentSpace:
     def test_unique_multiple_in_R(self):
         V = component_space(ideal("ab", R3), 3)
@@ -647,6 +675,8 @@ class TestMonomialSpaceValidation:
             (poly_ring(2), 2, {"ab"}, "bad exponent tuple ('a', 'b') for 2 variables"),
             (R3, 1, [[1, 0, 0]], "basis representation does not match ring flavor"),
             (poly_ring(2), 1, [None], "monomial None is not an exponent sequence"),
+            (sqf_ring(1), 1, {True}, "mask True is a bool, not an int"),
+            (poly_ring(2), 1, {(True, False)}, "bad exponent tuple (True, False) for 2 variables"),
         ]
         for ctx, d, basis, message in cases:
             with pytest.raises(ValueError) as err:
@@ -666,6 +696,9 @@ class TestMonomialSpaceValidation:
             (poly_ring(2), 1, [(1.5, 0)], "bad exponent tuple (1.5, 0) for 2 variables"),
             (poly_ring(2), 2, ["ab"], "bad exponent tuple ('a', 'b') for 2 variables"),
             (poly_ring(2), 1, [None], "monomial None is not an exponent sequence"),
+            (sqf_ring(2), 1, [True], "mask True is a bool, not an int"),
+            (poly_ring(2), 1, [(True, False)], "bad exponent tuple (True, False) for 2 variables"),
+            (sqf_ring(2), 1, [(0, True)], "bad exponent tuple (0, True) for 2 variables"),
         ]
         for ctx, d, monomials, message in cases:
             with pytest.raises(ValueError) as err:
@@ -809,6 +842,34 @@ class TestMonomialKernel:
                     assert list(I.gens) == canonical_order(set(I.gens)), (n, masks)
                     assert I._masks == tuple(map(exps_to_mask, I.gens))
                     assert MonomialIdeal(ctx, I.gens) == I
+
+    def test_input_order_keeps_gens_and_masks(self):
+        # the masks keep their input order up to the one sort, so every order
+        # of the same monomials, repeats included, gives the same gens and the
+        # same recorded masks, each beside its generator
+        rng = random.Random(23)
+        for n in range(MAX_VARS + 1):
+            for _ in range(12):
+                masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 2 * n + 3))]
+                tuples = [mask_to_exps(m, n) for m in masks]
+                squares = [tuple(rng.choice((0, 0, 1, 2)) for _ in range(n))
+                           for _ in range(rng.randint(0, n))]
+                for ctx, items in ((sqf_ring(n), masks), (sqf_ring(n), tuples),
+                                   (poly_ring(n), masks), (poly_ring(n), tuples + squares)):
+                    want = minimalize(items, ctx)
+                    assert want == minimalize_by_tuples(items, ctx), (n, items)
+                    if want._masks is not None:
+                        assert want._masks == tuple(map(exps_to_mask, want.gens))
+                    gens = list(want.gens)
+                    shuffled = rng.sample(items, len(items))
+                    for order in (gens, gens[::-1], rng.sample(gens, len(gens)),
+                                  gens + gens[::-1], items[::-1], shuffled,
+                                  shuffled + items[:3]):
+                        got = minimalize(order, ctx)
+                        assert got.gens == want.gens and got._masks == want._masks, (n, order)
+                    if want._masks is not None:
+                        got = minimalize(list(want._masks)[::-1], ctx)
+                        assert got.gens == want.gens and got._masks == want._masks
 
     def test_ideal_from_up_set_matches_minimalize(self):
         rng = random.Random(20)

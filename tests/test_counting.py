@@ -30,6 +30,7 @@ from gotzmann.textio import parse_ideal_inline
 
 from support import (
     full_support_class,
+    has_linear_gen,
     osp_by_frozensets,
     osp_image_by_minimalize,
     supernova_generator_sets_by_submasks,
@@ -325,7 +326,7 @@ class TestSymmetryCounts:
 
     @staticmethod
     def _bucket(I):
-        linear = "linear" if I.has_linear_gen else "no_linear"
+        linear = "linear" if has_linear_gen(I) else "no_linear"
         support = "full" if I.support_mask == (1 << I.ctx.n) - 1 else "sub"
         return f"{linear}_{support}_support"
 

@@ -6,6 +6,7 @@ import pytest
 
 from gotzmann.core import (
     SQF,
+    InvariantViolation,
     all_monomials,
     binom,
     component_space,
@@ -449,6 +450,36 @@ class TestReconstruct:
         # every default name is taken, so no ring one variable up can be named
         with pytest.raises(ValueError, match="variable count must be in 0..16, got 17"):
             reconstruct(space(sqf_ring(16), 1, [1]), 0)
+
+    def test_seventeen_variables_rejected_after_the_input_test(self):
+        V = lex_segment(3, 2, sqf_ring(16))
+        for i in (0, 16):
+            with pytest.raises(ValueError, match="^variable count must be in 0..16, got 17$"):
+                reconstruct(V, i, "q")
+        with pytest.raises(ValueError, match="^reconstruction needs a Gotzmann space$"):
+            reconstruct(space(sqf_ring(16), 2, [0b11, 1 << 14 | 1 << 15]), 0, "q")
+
+    def test_sixteen_variables_match_the_oracle(self):
+        # q.n = 15: x_i inserted at the ends and inside, the result on 16 variables
+        rng = random.Random(47)
+        q = sqf_ring(15)
+        for d in (0, 1, 2, 3, 7, 14, 15):
+            for _ in range(3):
+                order = tuple(rng.sample(range(15), 15))
+                V = lex_segment(rng.randint(0, min(binom(15, d), 300)), d, q, order)
+                for i in (0, rng.randint(1, 14), 15):
+                    got = reconstruct(V, i)
+                    assert got.ctx.n == 16 and got == reconstruct_by_shadow_up(V, i), (d, i)
+
+    def test_rebuilt_space_is_tested_against_the_bound(self, monkeypatch):
+        # a bound one higher in the rebuilt degree only: the assertion fires
+        module = importlib.import_module("gotzmann.decompose")
+        bound = module.minimal_growth
+        monkeypatch.setattr(module, "minimal_growth",
+                            lambda dim, d, ctx: bound(dim, d, ctx) + (d == 3))
+        vxi = sp(sqf_ring(4), 2, "ab", "bc", "cd", "ad")
+        with pytest.raises(InvariantViolation, match="^reconstruction produced a non-Gotzmann space$"):
+            reconstruct(vxi, 4, "e")
 
 
 class TestStructureSweeps:
