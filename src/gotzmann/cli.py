@@ -9,7 +9,6 @@ Without --quiet, `check` prints a negative answer and exits 0.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .core import (
@@ -93,6 +92,8 @@ def _report(args, x, result, diagnostics=None, text=None):
     if text is not None and not args.json:
         print(text)
         return
+    import json  # imported here so that a command printing text does not pay for it
+
     gens = _basis(x) if isinstance(x, MonomialSpace) else [
         format_monomial(e, x.ctx) for e in x.gens]
     print(json.dumps({"gens": gens, "ring": x.ctx.flavor, "n": x.ctx.n,
@@ -176,6 +177,8 @@ def cmd_enumerate(args) -> int:
 def cmd_count(args) -> int:
     rows = count_table(args.max_n)
     if args.format == "json":
+        import json
+
         print(json.dumps(rows))
     elif args.format == "csv":
         print("n,enumerated,egf,brute,full_support,full_support_egf")

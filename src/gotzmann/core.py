@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from operator import attrgetter, le, mul, neg
+from operator import attrgetter, le, lt, mul, neg
 
 POLY = "S"
 SQF = "R"
@@ -206,6 +206,63 @@ def _exps_of(masks, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple([low[m & 255] + high[m >> 8] for m in masks])
 
 
+def _key_part(width: int, low: int, n: int) -> tuple[int, ...]:
+    """For each value b of the width bits of a mask on n variables from bit
+    low up: their share of the mask's canonical key, the popcount at bit 2n
+    and the reversed complement at bit n, beside b itself at bit low."""
+    reversed_bits = [0]  # grown a bit at a time: a new top bit reverses to bit 0
+    for _ in range(width):
+        reversed_bits = [r << 1 for r in reversed_bits] + [r << 1 | 1 for r in reversed_bits]
+    full = (1 << width) - 1
+    shift = n - low - width  # bit low + i of the mask reverses to bit n-1-low-i
+    return tuple([(b.bit_count() << n | (full ^ r) << shift) << n | b << low
+                  for b, r in enumerate(reversed_bits)])
+
+
+@lru_cache(maxsize=MAX_VARS + 1)
+def _key_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """The tables of _canonical_keys on n variables, built on first use: one
+    over the masks for n <= 8, else one over the low byte and one over the
+    high bits, whose entries add up to the key."""
+    if n <= 8:
+        return (_key_part(n, 0, n),)
+    return _key_part(8, 0, n), _key_part(n - 8, 8, n)
+
+
+def _canonical_keys(masks, n: int) -> list[int]:
+    """The canonical key of each mask m that fits in n variables, one table
+    step each, unchecked: (popcount(m) << n | full ^ rev_n(m)) << n | m,
+    where rev_n reverses the n low bits.  Keys ascend exactly as the
+    canonical order does, rising degree and then descending exponent tuple,
+    since rev_n makes x_0 the most significant bit of the part above m;
+    distinct masks have distinct keys, and key & full gives m back."""
+    if n <= 8:
+        table, = _key_tables(n)
+        return [table[m] for m in masks]
+    low, high = _key_tables(n)
+    return [low[m & 255] + high[m >> 8] for m in masks]
+
+
+# a bit above every mask, which _exps_masks sets for a tuple with a square
+_SQUARE = 1 << MAX_VARS
+
+
+@lru_cache(maxsize=MAX_VARS + 1)
+def _exps_masks(n: int) -> tuple[dict, dict]:
+    """The exponent tables inverted, built on first use: one dict from the
+    squarefree exponents at indices 0..7 of a tuple on n variables (all of
+    them for n <= 8) to their mask, one from those at indices 8..n-1 to
+    theirs (just () to 0 for n <= 8).  For a tuple e of n nonnegative ints,
+    low.get(e[:8], _SQUARE) | high.get(e[8:], _SQUARE) is its mask when it
+    is squarefree, and has the bit _SQUARE set when it has a square."""
+    if n <= 8:
+        table = _SMALL_EXPS[n][:1 << n]
+        return {e: m for m, e in enumerate(table)}, {(): 0}
+    high = _SMALL_EXPS[n - 8][:1 << (n - 8)]
+    return ({e: m for m, e in enumerate(_BYTE_EXPS)},
+            {e: m << 8 for m, e in enumerate(high)})
+
+
 def _exps_tuple(m) -> tuple:
     """A monomial sequence as a tuple; anything else raises ValueError naming it."""
     try:
@@ -247,10 +304,6 @@ def divides(u, v) -> bool:
     """Whether exponent tuple u divides exponent tuple v; masks are compared
     in bulk by the up-set kernel instead."""
     return all(map(le, u, v))
-
-
-def is_squarefree_exps(e) -> bool:
-    return all(x <= 1 for x in e)
 
 
 def support_of_exps(e) -> int:
@@ -475,7 +528,7 @@ def _ideal_from_antichain(masks, ctx: RingContext, gens=None) -> MonomialIdeal:
     the constructor's checks runs again; nothing is sorted either.
     Each caller knows its masks are a canonical antichain, for the reasons
     its docstring gives: _ideal_from_minimal (for minimalize and
-    ideal_from_up_set) sorts them, sqf_lexify_in_S reads them off an ideal
+    ideal_from_up_set) orders them, sqf_lexify_in_S reads them off an ideal
     already built, and the three counting routes (osp_to_ideal,
     enumerate_gotzmann, enumerate_antichains) build them as one, in order.
     gens are the exponent tuples of the masks, made by _exps_of when not given.
@@ -495,22 +548,28 @@ def _ideal_from_minimal(masks, ctx: RingContext, squares=()) -> MonomialIdeal:
     distinct exponent tuples with a square in squares, all together an
     antichain, in any order.
 
-    Each exponent tuple is made once, by _exps_of, and one sort of (-degree,
-    exponent tuple, mask) triples, descending, puts the generators in
-    canonical order with their masks beside them.  The input order is kept
-    up to that sort, so masks that already come in canonical order reach it
-    as one presorted run and cost one pass of comparisons.  A tuple with a
-    square joins the same sort with mask None, never compared since no two
-    triples share a tuple; when there is one, the ideal records no masks.
+    Squarefree generators are ordered by one integer each, _canonical_keys.
+    No sort runs when the keys already ascend, as they do for the masks of
+    a checked MonomialIdeal or a slice of a listing: the masks go on as
+    given.  Otherwise one sort of the keys orders them, and each key gives
+    its mask back from its low bits.  _ideal_from_antichain then makes each
+    exponent tuple once.
+
+    With a tuple with a square, one sort of (-degree, exponent tuple, mask)
+    triples, descending, orders all the generators instead; a tuple with a
+    square has mask None, never compared since no two triples share a
+    tuple, and the ideal records no masks.
     """
-    triples = zip(map(neg, map(int.bit_count, masks)), _exps_of(masks, ctx.n), masks)
     if squares:
-        triples = [*triples, *((-sum(e), e, None) for e in squares)]
-    ranked = sorted(triples, reverse=True)
-    _, gens, masks = zip(*ranked) if ranked else ((), (), ())
-    if squares:
+        triples = zip(map(neg, map(int.bit_count, masks)), _exps_of(masks, ctx.n), masks)
+        ranked = sorted([*triples, *((-sum(e), e, None) for e in squares)], reverse=True)
+        _, gens, _ = zip(*ranked)
         return _restore(MonomialIdeal, (ctx, gens, None))
-    return _ideal_from_antichain(masks, ctx, gens)
+    keys = _canonical_keys(masks, ctx.n)
+    if not all(map(lt, keys, keys[1:])):
+        full = (1 << ctx.n) - 1
+        masks = [key & full for key in sorted(keys)]
+    return _ideal_from_antichain(masks, ctx)
 
 
 def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
@@ -518,41 +577,47 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
 
     Accepts masks or exponent sequences in any mix; idempotent.  A value
     as_exps rejects, or in flavor R an exponent above one, raises ValueError
-    naming the first bad monomial in input order.  One up-set U of the
-    squarefree monomials is made over the variables up to the highest one a
-    mask or the support of a tuple with a square uses.  The minimal masks
-    are U less its shadow, with no pairwise test.  A squarefree monomial
-    divides a tuple exactly when it divides the tuple's support, so a tuple
-    with a square is kept when its support is not in U and no tuple with a
-    square kept before it, by rising degree, divides it.
+    naming the first bad monomial in input order.  One pass over the input
+    collects the masks, reading the mask of a squarefree tuple off the
+    inverted exponent tables (_exps_masks), and sets each mask's bit in a
+    bitset as it goes.  Closed upward over the variables up to the highest
+    one a mask or the support of a tuple with a square uses, that bitset is
+    the up-set U of the squarefree monomials.  The minimal masks are U less
+    its shadow, with no pairwise test.  A squarefree monomial divides a
+    tuple exactly when it divides the tuple's support, so a tuple with a
+    square is kept when its support is not in U and no tuple with a square
+    kept before it, by rising degree, divides it.
 
     The masks keep their input order, duplicates dropped.  The minimal
     elements of U are among them, so when there are as many as masks none
     was dropped and the masks go on as given; a canonical antichain, such
     as the generators of a checked MonomialIdeal or the slices lexify_in_R
-    reads off the listing, then costs _ideal_from_minimal one sorting pass.
+    reads off the listing, then needs no sort in _ideal_from_minimal.
     Otherwise the minimal masks are read off U, ascending.
-    _ideal_from_minimal sorts both kinds once and builds the ideal with no
+    _ideal_from_minimal orders both kinds and builds the ideal with no
     checks, since the constructor checks by calling minimalize.
     """
     n = ctx.n
+    low, high = _exps_masks(n)
     masks: dict[int, None] = {}  # insertion order: the input order, deduplicated
     supports: dict[tuple[int, ...], int] = {}  # each tuple with a square
+    bits = 0
     for m in monomials:
         if type(m) is int:
             if m < 0 or m >> n:
                 raise ValueError(f"mask {m} does not fit in {n} variables")
-            masks[m] = None
-            continue
-        e = as_exps(m, n)
-        if is_squarefree_exps(e):
-            masks[support_of_exps(e)] = None
-        elif ctx.flavor == SQF:
-            raise ValueError(f"monomial {e} is not squarefree")
         else:
-            supports[e] = support_of_exps(e)
+            e = as_exps(m, n)
+            m = low.get(e[:8], _SQUARE) | high.get(e[8:], _SQUARE)
+            if m >> n:
+                if ctx.flavor == SQF:
+                    raise ValueError(f"monomial {e} is not squarefree")
+                supports[e] = support_of_exps(e)
+                continue
+        masks[m] = None
+        bits |= 1 << m
     k = max(max(masks, default=0), max(supports.values(), default=0)).bit_length()
-    up = up_set(masks, k)
+    up = _close_up(bits, k)
     squares: list[tuple[int, ...]] = []
     for e in sorted(supports, key=sum):
         if not up >> supports[e] & 1 and not any(divides(g, e) for g in squares):
@@ -634,13 +699,18 @@ def mask_bitset(masks) -> int:
 
 
 def up_set(masks, n: int) -> int:
-    """Bitset over the 2^n masks of every squarefree multiple of the masks.
+    """Bitset over the 2^n masks of every squarefree multiple of the masks."""
+    return _close_up(mask_bitset(masks), n)
+
+
+def _close_up(bits: int, n: int) -> int:
+    """The bitset over the 2^n masks closed upward: every squarefree multiple
+    of a mask in it.
 
     One shift per variable, each closing the set under x_i.  Once a step has
     closed the set under x_i, later steps keep it closed, so one pass over the
     variables suffices.
     """
-    bits = mask_bitset(masks)
     for i, rest in enumerate(_mask_level_bitsets(n)[1]):
         bits |= (bits & rest) << (1 << i)
     return bits

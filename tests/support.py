@@ -15,7 +15,6 @@ from gotzmann.core import (
     exps_to_mask,
     gen_masks,
     ideal_from_up_set,
-    is_squarefree_exps,
     mask_bitset,
     minimalize,
     poly_ring,
@@ -38,6 +37,10 @@ def random_sqf_ideal(rng, n, flavor="S", max_gens=None):
     return minimalize(masks, ctx)
 
 
+def is_squarefree_exps(e) -> bool:
+    return all(x <= 1 for x in e)
+
+
 def minimalize_by_tuples(monomials, ctx):
     """Minimal generators by pairwise divisibility on exponent tuples."""
     items = {as_exps(m, ctx.n) for m in monomials}
@@ -51,9 +54,36 @@ def minimalize_by_tuples(monomials, ctx):
         minimal, key=lambda e: (sum(e), tuple(-x for x in e)))))
 
 
+def minimalize_error(monomials, ctx):
+    """The ValueError message minimalize gives for monomials, or None when it
+    accepts them: the first bad monomial in input order names the error.
+
+    The rules, per monomial: an int must be of type int exactly and fit in n
+    variables; anything else must be a sequence of n nonnegative ints, each
+    of type int exactly, and in R have no exponent above one.
+    """
+    n = ctx.n
+    for m in monomials:
+        if isinstance(m, int):
+            if type(m) is not int:
+                return f"mask {m!r} is a {type(m).__name__}, not an int"
+            if not 0 <= m < 1 << n:
+                return f"mask {m} does not fit in {n} variables"
+            continue
+        try:
+            e = tuple(m)
+        except TypeError:
+            return f"monomial {m!r} is not an exponent sequence"
+        if len(e) != n or any(type(x) is not int or x < 0 for x in e):
+            return f"bad exponent tuple {e} for {n} variables"
+        if ctx.flavor == SQF and any(x > 1 for x in e):
+            return f"monomial {e} is not squarefree"
+    return None
+
+
 def canonical_order(gens):
     """Generators by rising degree, then descending exponent tuple: two stable
-    sorts, independent of the one triple sort minimalize ends in."""
+    sorts, independent of the canonical keys minimalize sorts by."""
     return sorted(sorted(gens, reverse=True), key=sum)
 
 

@@ -17,6 +17,7 @@ from gotzmann.core import (
     MonomialSpace,
     _all_monomials,
     _binom_row,
+    _canonical_keys,
     _exps_of,
     _mask_level_bitsets,
     _space_from_basis,
@@ -87,6 +88,7 @@ from support import (
     has_linear_gen,
     ideal_gens_error,
     minimalize_by_tuples,
+    minimalize_error,
     quotient_by_variable,
     random_space,
     random_sqf_ideal,
@@ -249,12 +251,12 @@ class TestMinimalize:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(core, "up_set", counted("up_set", core.up_set))
+        monkeypatch.setattr(core, "_close_up", counted("close_up", core._close_up))
         monkeypatch.setattr(MonomialIdeal, "__post_init__",
                             counted("check", MonomialIdeal.__post_init__))
         I = minimalize([(2, 0, 0), (0, 1, 1), (1, 1, 0)], S3)
         assert I.gens == ((2, 0, 0), (1, 1, 0), (0, 1, 1)) and I._masks is None
-        assert calls == {"up_set": 1}
+        assert calls == {"close_up": 1}
 
     def test_validation_messages(self):
         ab, ac, abc = (1, 1, 0), (1, 0, 1), (1, 1, 1)
@@ -830,9 +832,9 @@ class TestMonomialKernel:
                 reflect_bitset(upper_shadow(reflect_bitset(bits, n), n), n)
 
     def test_minimalize_sorts_canonically_at_every_size(self):
-        # one sort of (-degree, exponent tuple, mask) triples against the two
-        # stable sorts of canonical_order: the table path for n <= 8 and the
-        # two-byte path above it
+        # the canonical key sort against the two stable sorts of
+        # canonical_order: the table path for n <= 8 and the two-byte path
+        # above it
         rng = random.Random(19)
         for n in range(MAX_VARS + 1):
             for _ in range(25):
@@ -962,6 +964,124 @@ class TestMonomialKernel:
         for order in ((0, 0, 1), (0, 1), (1, 2, 3)):
             with pytest.raises(ValueError, match="is not a permutation of 0..2"):
                 all_monomials(R3, 1, order)
+
+
+class TestCanonicalKeys:
+    """The integer key of the canonical order, and the builders that order
+    squarefree generators by it, against the exponent tuple order."""
+
+    @staticmethod
+    def _tuple_key(m, n):
+        e = tuple(m >> i & 1 for i in range(n))
+        return sum(e), tuple(-x for x in e)
+
+    def _check_keys(self, masks, n):
+        keys = _canonical_keys(masks, n)
+        full = (1 << n) - 1
+        reversed_masks = [int(format(m, f"0{n}b")[::-1], 2) for m in masks]
+        assert keys == [(m.bit_count() << n | full ^ r) << n | m
+                        for m, r in zip(masks, reversed_masks)]
+        assert len(set(keys)) == len(masks)
+        ranked = [m for _, m in sorted(zip(keys, masks))]
+        assert ranked == sorted(masks, key=lambda m: self._tuple_key(m, n)), n
+
+    def test_every_mask_up_to_8(self):
+        for n in range(9):
+            self._check_keys(list(range(1 << n)), n)
+
+    def test_random_masks_9_to_16(self):
+        # 2000 distinct masks, or every mask when there are fewer
+        rng = random.Random(41)
+        for n in range(9, MAX_VARS + 1):
+            self._check_keys(rng.sample(range(1 << n), min(2000, 1 << n)), n)
+
+    def test_ideal_from_minimal_in_any_order(self):
+        # canonical input is kept as given, every other order is sorted; the
+        # ascending order is the one bitset_masks gives, as for a dual
+        rng = random.Random(42)
+        for n in range(MAX_VARS + 1):
+            for _ in range(10):
+                items = [rng.randrange(1 << n) for _ in range(rng.randint(0, 3 * n + 3))]
+                for ctx in (sqf_ring(n), poly_ring(n)):
+                    want = minimalize_by_tuples(items, ctx)
+                    masks = list(map(exps_to_mask, want.gens))
+                    ascending = bitset_masks(mask_bitset(masks))
+                    for order in (masks, masks[::-1], rng.sample(masks, len(masks)), ascending):
+                        got = core._ideal_from_minimal(order, ctx)
+                        assert got.gens == want.gens, (n, order)
+                        assert got._masks == tuple(masks), (n, order)
+
+    @staticmethod
+    def _tuple_inputs(rng, n, squares):
+        """Exponent sequences, some with a square if squares, a few masks
+        beside them, and now and then one bad monomial of a kind the rules
+        name."""
+        items = []
+        for _ in range(rng.randint(0, 2 * n + 3)):
+            e = [int(rng.random() < 0.3) for _ in range(n)]
+            if squares and n and rng.random() < 0.2:
+                # a sparse support, so that few masks divide it
+                e = [0] * n
+                for i in rng.sample(range(n), min(n, rng.randint(1, 2))):
+                    e[i] = rng.randint(2, 3)
+            kind = rng.random()
+            items.append(e if kind < 0.2 else rng.randrange(1 << n) if kind < 0.3 else tuple(e))
+        if rng.random() < 0.4:
+            bad = rng.choice([
+                (0,) * (n + 1), (-1,) + (0,) * n, (True,) + (0,) * (n - 1),
+                (0,) * (n - 1) + (1.5,), "ab", None, 3.0, True, 1 << n, -1,
+            ])
+            items.insert(rng.randint(0, len(items)), bad)
+        return items
+
+    def test_tuple_input_matches_oracle(self):
+        # the inverted exponent tables on both sides of 8 variables, the
+        # squares' triple sort, and the first bad monomial in input order
+        rng = random.Random(43)
+        rejected, accepted = 0, Counter()
+        for n in range(MAX_VARS + 1):
+            for _ in range(40):
+                for ctx in (sqf_ring(n), poly_ring(n)):
+                    items = self._tuple_inputs(rng, n, rng.random() < 0.5)
+                    message = minimalize_error(items, ctx)
+                    if message is not None:
+                        with pytest.raises(ValueError) as err:
+                            minimalize(items, ctx)
+                        assert str(err.value) == message, (n, ctx.flavor, items)
+                        rejected += 1
+                        continue
+                    got = minimalize(items, ctx)
+                    want = minimalize_by_tuples(items, ctx)
+                    assert got.gens == want.gens, (n, ctx.flavor, items)
+                    squares = any(x > 1 for e in want.gens for x in e)
+                    masks = None if squares else tuple(map(exps_to_mask, want.gens))
+                    assert got._masks == masks, (n, ctx.flavor, items)
+                    accepted[ctx.flavor, n > 8, squares] += 1
+        assert rejected > 300 and min(accepted.values()) > 10, (rejected, accepted)
+
+    def test_every_error_message_at_every_width(self):
+        for n in (3, 8, 9, 12, MAX_VARS):
+            zeros = (0,) * n
+            cases = [
+                (zeros[:-1] + (2,), "monomial {} is not squarefree"),
+                (zeros + (0,), "bad exponent tuple {} for %d variables" % n),
+                ((-1,) + zeros[1:], "bad exponent tuple {} for %d variables" % n),
+                ((True,) + zeros[1:], "bad exponent tuple {} for %d variables" % n),
+                (zeros[:-1] + (1.5,), "bad exponent tuple {} for %d variables" % n),
+                (None, "monomial None is not an exponent sequence"),
+                (1 << n, f"mask {1 << n} does not fit in {n} variables"),
+                (False, "mask False is a bool, not an int"),
+            ]
+            for bad, message in cases:
+                for ctx in (sqf_ring(n), poly_ring(n)):
+                    if ctx.flavor == POLY and "squarefree" in message:
+                        continue
+                    want = message.format(tuple(bad)) if "{}" in message else message
+                    items = [1, zeros[:-1] + (1,), list(zeros), bad, 1 << n, None]
+                    assert minimalize_error(items, ctx) == want
+                    with pytest.raises(ValueError) as err:
+                        minimalize(items, ctx)
+                    assert str(err.value) == want, (n, ctx.flavor, bad)
 
 
 class TestHilbert:

@@ -28,13 +28,14 @@ def test_absolute_imports_are_stdlib():
 
 def test_cold_cli_import():
     """A fresh interpreter (-S: no site hooks) importing gotzmann.cli loads
-    neither dataclasses, fractions, decimal nor the selftest module, and does load every module
-    bench/worker.py reads out of sys.modules after that import."""
+    neither dataclasses, fractions, decimal, json nor the selftest module,
+    and does load every module bench/worker.py reads out of sys.modules
+    after that import."""
     code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import gotzmann.cli; "
             "print(*sorted(sys.modules))")
     loaded = set(subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                                 text=True, check=True).stdout.split())
-    assert not {"dataclasses", "fractions", "decimal", "gotzmann.selftest"} & loaded
+    assert not {"dataclasses", "fractions", "decimal", "json", "gotzmann.selftest"} & loaded
     wanted = {f"gotzmann.{name}" for name in
               ("core", "lex", "classify", "decompose", "counting", "series", "textio")}
     assert wanted <= loaded
