@@ -108,6 +108,8 @@ class RingContext(_Record):
 
     def __init__(self, n: int, flavor: str, names: tuple[str, ...]):
         names = tuple(names)
+        if type(n) is not int:
+            raise ValueError(f"variable count must be an int, got {n!r}")
         if not 0 <= n <= MAX_VARS:
             raise ValueError(f"variable count must be in 0..{MAX_VARS}, got {n}")
         if flavor not in (POLY, SQF):
@@ -131,8 +133,8 @@ class RingContext(_Record):
 @lru_cache(maxsize=2 * (MAX_VARS + 1), typed=True)
 def _default_ring(n: int, flavor: str) -> RingContext:
     """The one shared context per (n, flavor) with default names; an invalid
-    n raises in RingContext and is not cached."""
-    return RingContext(n, flavor, default_names(n))
+    n, of any type, raises in RingContext and is not cached."""
+    return RingContext(n, flavor, default_names(n) if type(n) is int else ())
 
 
 def poly_ring(n: int, names=None) -> RingContext:
@@ -167,100 +169,74 @@ def iter_bits(mask: int):
         mask ^= low
 
 
-# the exponent tuple of each byte value, bit i at index i
-_BYTE_EXPS = tuple(tuple(b >> i & 1 for i in range(8)) for b in range(256))
+def _chunk(width: int, low: int, n: int) -> tuple:
+    """For each value b of the width bits of a mask on n variables from bit
+    low up: their exponent tuple, bit low + i at index i, repeated for the
+    byte values that agree in those bits; their share of the mask's
+    canonical key (see _canonical_keys); and a dict from the tuple back to
+    b << low."""
+    exps, reversed_bits = [()], [0]  # grown a bit at a time: a new top bit reverses to bit 0
+    for _ in range(width):
+        exps = [e + (0,) for e in exps] + [e + (1,) for e in exps]
+        reversed_bits = [r << 1 for r in reversed_bits] + [r << 1 | 1 for r in reversed_bits]
+    full = (1 << width) - 1
+    shift = n - low - width  # bit low + i of the mask reverses to bit n-1-low-i
+    keys = tuple([(b.bit_count() << n | (full ^ r) << shift) << n | b << low
+                  for b, r in enumerate(reversed_bits)])
+    return tuple(exps) * (256 >> width), keys, {e: b << low for b, e in enumerate(exps)}
 
 
-def _low_bits_exps(n: int) -> tuple[tuple[int, ...], ...]:
-    """The exponent tuple of the low n bits of each byte value, n <= 8: one
-    tuple object per monomial on n variables, repeated for the byte values
-    that agree in those bits."""
-    return tuple([e[:n] for e in _BYTE_EXPS[:1 << n]]) * (256 >> n)
-
-
-# _SMALL_EXPS[n][b] is the exponent tuple of the low n bits of byte b
-_SMALL_EXPS = tuple(map(_low_bits_exps, range(8))) + (_BYTE_EXPS,)
+@lru_cache(maxsize=MAX_VARS + 1)
+def _tables(n: int) -> tuple[tuple, tuple, tuple]:
+    """The mask encoding on n variables, built on first use: the (low, high)
+    pairs of exponent tables, key tables and inverse dicts of _chunk, low
+    over the bits 0..7 (all of them for n <= 8) and high over the bits
+    8..n-1 (an empty chunk for n <= 8).  Any other n raises ValueError."""
+    if not 0 <= n <= MAX_VARS:
+        raise ValueError(f"variable count must be in 0..{MAX_VARS}, got {n}")
+    low = min(n, 8)
+    return tuple(zip(_chunk(low, 0, n), _chunk(n - low, low, n)))
 
 
 def mask_to_exps(mask: int, n: int) -> tuple[int, ...]:
     """Exponent tuple of the low n bits of a mask, bit i at index i.
 
-    For n <= 8 one lookup in a table built at import, so every ideal on at
-    most 8 variables shares one tuple object per monomial; up to MAX_VARS
-    the low byte's tuple joined to one of that table; any other n raises
-    ValueError.
+    For n <= 8 one lookup in the exponent table of _tables(n), so every
+    ideal on at most 8 variables shares one tuple object per monomial; up
+    to MAX_VARS the low byte's tuple joined to that of the high bits; any
+    other n raises ValueError.
     """
-    if 0 <= n <= 8:
-        return _SMALL_EXPS[n][mask & 255]
-    if 8 < n <= MAX_VARS:
-        return _BYTE_EXPS[mask & 255] + _SMALL_EXPS[n - 8][mask >> 8 & 255]
-    raise ValueError(f"variable count must be in 0..{MAX_VARS}, got {n}")
+    low, high = _tables(n)[0]
+    if n <= 8:
+        return low[mask & 255]
+    return low[mask & 255] + high[mask >> 8 & 255]
 
 
 def _exps_of(masks, n: int) -> tuple[tuple[int, ...], ...]:
-    """Exponent tuples of masks that fit in n variables: one table step, unchecked."""
+    """Exponent tuples of masks that fit in n variables, read off _tables(n)
+    as mask_to_exps does: one table step each, unchecked."""
+    low, high = _tables(n)[0]
     if n <= 8:
-        table = _SMALL_EXPS[n]
-        return tuple([table[m] for m in masks])
-    low, high = _BYTE_EXPS, _SMALL_EXPS[n - 8]
+        return tuple([low[m] for m in masks])
     return tuple([low[m & 255] + high[m >> 8] for m in masks])
 
 
-def _key_part(width: int, low: int, n: int) -> tuple[int, ...]:
-    """For each value b of the width bits of a mask on n variables from bit
-    low up: their share of the mask's canonical key, the popcount at bit 2n
-    and the reversed complement at bit n, beside b itself at bit low."""
-    reversed_bits = [0]  # grown a bit at a time: a new top bit reverses to bit 0
-    for _ in range(width):
-        reversed_bits = [r << 1 for r in reversed_bits] + [r << 1 | 1 for r in reversed_bits]
-    full = (1 << width) - 1
-    shift = n - low - width  # bit low + i of the mask reverses to bit n-1-low-i
-    return tuple([(b.bit_count() << n | (full ^ r) << shift) << n | b << low
-                  for b, r in enumerate(reversed_bits)])
-
-
-@lru_cache(maxsize=MAX_VARS + 1)
-def _key_tables(n: int) -> tuple[tuple[int, ...], ...]:
-    """The tables of _canonical_keys on n variables, built on first use: one
-    over the masks for n <= 8, else one over the low byte and one over the
-    high bits, whose entries add up to the key."""
-    if n <= 8:
-        return (_key_part(n, 0, n),)
-    return _key_part(8, 0, n), _key_part(n - 8, 8, n)
-
-
 def _canonical_keys(masks, n: int) -> list[int]:
-    """The canonical key of each mask m that fits in n variables, one table
-    step each, unchecked: (popcount(m) << n | full ^ rev_n(m)) << n | m,
-    where rev_n reverses the n low bits.  Keys ascend exactly as the
-    canonical order does, rising degree and then descending exponent tuple,
-    since rev_n makes x_0 the most significant bit of the part above m;
-    distinct masks have distinct keys, and key & full gives m back."""
+    """The canonical key of each mask m that fits in n variables, one step
+    in the key tables of _tables(n) each, unchecked:
+    (popcount(m) << n | full ^ rev_n(m)) << n | m, where rev_n reverses the
+    n low bits.  Keys ascend exactly as the canonical order does, rising
+    degree and then descending exponent tuple, since rev_n makes x_0 the
+    most significant bit of the part above m; distinct masks have distinct
+    keys, and key & full gives m back."""
+    low, high = _tables(n)[1]
     if n <= 8:
-        table, = _key_tables(n)
-        return [table[m] for m in masks]
-    low, high = _key_tables(n)
+        return [low[m] for m in masks]
     return [low[m & 255] + high[m >> 8] for m in masks]
 
 
-# a bit above every mask, which _exps_masks sets for a tuple with a square
+# a bit above every mask, set by the inverse dicts of _tables for a tuple with a square
 _SQUARE = 1 << MAX_VARS
-
-
-@lru_cache(maxsize=MAX_VARS + 1)
-def _exps_masks(n: int) -> tuple[dict, dict]:
-    """The exponent tables inverted, built on first use: one dict from the
-    squarefree exponents at indices 0..7 of a tuple on n variables (all of
-    them for n <= 8) to their mask, one from those at indices 8..n-1 to
-    theirs (just () to 0 for n <= 8).  For a tuple e of n nonnegative ints,
-    low.get(e[:8], _SQUARE) | high.get(e[8:], _SQUARE) is its mask when it
-    is squarefree, and has the bit _SQUARE set when it has a square."""
-    if n <= 8:
-        table = _SMALL_EXPS[n][:1 << n]
-        return {e: m for m, e in enumerate(table)}, {(): 0}
-    high = _SMALL_EXPS[n - 8][:1 << (n - 8)]
-    return ({e: m for m, e in enumerate(_BYTE_EXPS)},
-            {e: m << 8 for m, e in enumerate(high)})
 
 
 def _exps_tuple(m) -> tuple:
@@ -272,13 +248,16 @@ def _exps_tuple(m) -> tuple:
 
 
 def exps_to_mask(exps) -> int:
-    """Bit mask of a squarefree exponent tuple; rejects exponents above one."""
-    mask = 0
-    for i, e in enumerate(exps):
-        if e > 1:
-            raise ValueError(f"monomial is not squarefree: exponent {e} at index {i}")
-        if e:
-            mask |= 1 << i
+    """Bit mask of a squarefree exponent tuple, read off the inverse dicts of
+    _tables after as_exps; an exponent other than int 0 or 1, or more than
+    MAX_VARS of them, raises ValueError."""
+    e = _exps_tuple(exps)
+    e = as_exps(e, len(e))
+    low, high = _tables(len(e))[2]
+    mask = low.get(e[:8], _SQUARE) | high.get(e[8:], _SQUARE)
+    if mask >> MAX_VARS:
+        i = [*map((1).__lt__, e)].index(True)  # the first exponent above one
+        raise ValueError(f"monomial is not squarefree: exponent {e[i]} at index {i}")
     return mask
 
 
@@ -371,6 +350,8 @@ class MonomialSpace(_Record):
 
     def __init__(self, ctx: RingContext, degree: int, basis: frozenset):
         basis = frozenset(m if isinstance(m, int) else _exps_tuple(m) for m in basis)
+        if type(degree) is not int:
+            raise ValueError(f"degree must be an int, got {degree!r}")
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         want_mask = ctx.flavor == SQF
@@ -520,7 +501,7 @@ def gen_masks(I: MonomialIdeal) -> tuple[int, ...]:
     return I._masks
 
 
-def _ideal_from_antichain(masks, ctx: RingContext, gens=None) -> MonomialIdeal:
+def _ideal_from_antichain(masks, ctx: RingContext) -> MonomialIdeal:
     """The ideal generated by distinct masks that fit in ctx, form an antichain
     and come in canonical order: rising degree, then descending exponent tuple.
 
@@ -531,14 +512,12 @@ def _ideal_from_antichain(masks, ctx: RingContext, gens=None) -> MonomialIdeal:
     ideal_from_up_set) orders them, sqf_lexify_in_S reads them off an ideal
     already built, and the three counting routes (osp_to_ideal,
     enumerate_gotzmann, enumerate_antichains) build them as one, in order.
-    gens are the exponent tuples of the masks, made by _exps_of when not given.
+    _exps_of makes the exponent tuples of the masks.
     """
     masks = tuple(masks)
-    if gens is None:
-        gens = _exps_of(masks, ctx.n)
     ideal = object.__new__(MonomialIdeal)
     _setattr(ideal, "ctx", ctx)
-    _setattr(ideal, "gens", gens)
+    _setattr(ideal, "gens", _exps_of(masks, ctx.n))
     _setattr(ideal, "_masks", masks)
     return ideal
 
@@ -579,7 +558,7 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
     as_exps rejects, or in flavor R an exponent above one, raises ValueError
     naming the first bad monomial in input order.  One pass over the input
     collects the masks, reading the mask of a squarefree tuple off the
-    inverted exponent tables (_exps_masks), and sets each mask's bit in a
+    inverse dicts of _tables(n), and sets each mask's bit in a
     bitset as it goes.  Closed upward over the variables up to the highest
     one a mask or the support of a tuple with a square uses, that bitset is
     the up-set U of the squarefree monomials.  The minimal masks are U less
@@ -598,7 +577,7 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
     checks, since the constructor checks by calling minimalize.
     """
     n = ctx.n
-    low, high = _exps_masks(n)
+    low, high = _tables(n)[2]
     masks: dict[int, None] = {}  # insertion order: the input order, deduplicated
     supports: dict[tuple[int, ...], int] = {}  # each tuple with a square
     bits = 0

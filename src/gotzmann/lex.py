@@ -262,7 +262,8 @@ def lexify_in_R(I: MonomialIdeal) -> MonomialIdeal:
     listing of each degree is descending lex, which on masks of R is the
     descending order of their exponent tuples.  Each slice lies outside the
     shadow of everything before it, so together they are an antichain, and
-    minimalize keeps them as given and sorts them in one pass.
+    minimalize keeps them as given: their keys already ascend, so no sort
+    runs.
     """
     if not I.squarefree:
         raise ValueError("lexification needs a squarefree ideal")
@@ -281,8 +282,9 @@ def lexify_in_R(I: MonomialIdeal) -> MonomialIdeal:
 def sqf_lexify_in_S(I: MonomialIdeal) -> MonomialIdeal:
     """The squarefree lexification: the S-ideal on the same generators as lexify_in_R.
 
-    The masks and exponent tuples of the lex ideal of R, already built, are
-    an antichain in canonical order and go to the builder as they stand.
+    The masks of the lex ideal of R, already built, are an antichain in
+    canonical order and go to the builder as they stand, which makes their
+    exponent tuples again (the same objects for n <= 8).
     """
     L = lexify_in_R(I)
-    return _ideal_from_antichain(L._masks, reflavor(L.ctx, POLY), L.gens)
+    return _ideal_from_antichain(L._masks, reflavor(L.ctx, POLY))

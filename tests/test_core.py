@@ -1,9 +1,11 @@
 import copy
 import pickle
 import random
+import subprocess
 import sys
 from collections import Counter
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,7 @@ from gotzmann.core import (
     _exps_of,
     _mask_level_bitsets,
     _space_from_basis,
+    _tables,
     all_monomials,
     as_exps,
     binom,
@@ -402,6 +405,45 @@ class TestMaskToExps:
         assert as_exps(7, 3) == (1, 1, 1)
         with pytest.raises(ValueError, match="^mask 8 does not fit in 3 variables$"):
             as_exps(8, 3)
+
+    def test_exps_to_mask_takes_int_zero_or_one_only(self):
+        cases = [
+            ((-1, 0), "bad exponent tuple (-1, 0) for 2 variables"),
+            ((0.5, 0), "bad exponent tuple (0.5, 0) for 2 variables"),
+            ((True, 0), "bad exponent tuple (True, 0) for 2 variables"),
+            ((1.0, 0), "bad exponent tuple (1.0, 0) for 2 variables"),
+            ((2, 0, 0), "monomial is not squarefree: exponent 2 at index 0"),
+            ((0, 1, 3, 2), "monomial is not squarefree: exponent 3 at index 2"),
+            ((0,) * 12 + (2,), "monomial is not squarefree: exponent 2 at index 12"),
+            (5, "monomial 5 is not an exponent sequence"),
+            ((0,) * 17, "variable count must be in 0..16, got 17"),
+        ]
+        for exps, message in cases:
+            with pytest.raises(ValueError) as err:
+                exps_to_mask(exps)
+            assert str(err.value) == message, exps
+
+
+class TestTables:
+    """The one per-size cache of the mask encoding: built on first use, one
+    entry per variable count."""
+
+    def test_nothing_built_at_import(self):
+        # a fresh interpreter (-S: no site hooks), so no other test has touched the cache
+        src = str(Path(core.__file__).resolve().parent.parent)
+        code = (f"import sys; sys.path.insert(0, {src!r}); import gotzmann.core; "
+                "print(gotzmann.core._tables.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                             text=True, check=True).stdout
+        assert out.split() == ["0"]
+
+    def test_one_entry_per_size(self):
+        for n in range(MAX_VARS + 1):
+            assert mask_to_exps((1 << n) - 1, n) == (1,) * n
+            assert _canonical_keys([0], n) == [((1 << n) - 1) << n]
+            assert exps_to_mask((0,) * n) == 0
+        info = _tables.cache_info()
+        assert info.currsize == info.maxsize == MAX_VARS + 1
 
 
 class TestSharedRings:

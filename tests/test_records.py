@@ -8,7 +8,7 @@ import re
 import pytest
 
 from gotzmann.classify import SupernovaForm
-from gotzmann.core import MonomialIdeal, MonomialSpace, RingContext, poly_ring, sqf_ring
+from gotzmann.core import MonomialIdeal, MonomialSpace, RingContext, poly_ring, space, sqf_ring
 from gotzmann.counting import OrderedSetPartition
 from gotzmann.decompose import Decomposition, GrowthEquality
 
@@ -92,8 +92,16 @@ def test_supernova_form_unit_defaults_to_false():
 @pytest.mark.parametrize("build, message", [
     (lambda: RingContext(17, "S", tuple("abcdefghijklmnopq")),
      "variable count must be in 0..16, got 17"),
+    (lambda: RingContext(3.0, "R", "abc"), "variable count must be an int, got 3.0"),
+    (lambda: sqf_ring(True), "variable count must be an int, got True"),
+    (lambda: poly_ring(3.0), "variable count must be an int, got 3.0"),
+    (lambda: RingContext(17.0, "S", tuple("abcdefghijklmnopq")),
+     "variable count must be an int, got 17.0"),
     (lambda: RingContext(2, "T", ("a", "b")), "flavor must be 'S' or 'R', got 'T'"),
     (lambda: RingContext(2, "S", ("a", "a")), "variable names must be distinct and nonempty"),
+    (lambda: MonomialSpace(R3, 1.0, frozenset({0b001})), "degree must be an int, got 1.0"),
+    (lambda: space(R3, 1.0, [0b001]), "degree must be an int, got 1.0"),
+    (lambda: MonomialSpace(R3, -1.0, frozenset()), "degree must be an int, got -1.0"),
     (lambda: MonomialSpace(R3, 2, frozenset({0b001})), "basis element 1 is not of degree 2"),
     (lambda: MonomialSpace(R3, 1, frozenset({(1, 0, 0)})),
      "basis representation does not match ring flavor"),
