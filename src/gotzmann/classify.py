@@ -26,8 +26,20 @@ from .core import (
 CANONICALIZE_MAX_VARS = 7
 
 
+def _stage(stage) -> tuple[int, int]:
+    """A stage as a (monomial, block) pair of masks, each of type int exactly;
+    anything else raises ValueError naming it."""
+    try:
+        pair = tuple(stage)
+    except TypeError:
+        pair = ()
+    if len(pair) != 2 or not all(type(m) is int for m in pair):
+        raise ValueError(f"stage {stage!r} is not a (monomial, block) pair of int masks")
+    return pair
+
+
 class SupernovaForm(_Record):
-    """Stages (monomial mask, block mask) with pairwise disjoint supports.
+    """Stages (monomial mask, block mask), int masks with pairwise disjoint supports.
 
     The empty form generates the zero ideal.  The unit flag marks the one
     degenerate form whose ideal is the whole ring; it carries no stages.
@@ -36,7 +48,7 @@ class SupernovaForm(_Record):
     __slots__ = _fields = ("stages", "unit")
 
     def __init__(self, stages: tuple[tuple[int, int], ...], unit: bool = False):
-        stages = tuple(map(tuple, stages))
+        stages = tuple(map(_stage, stages))
         if unit and stages:
             raise ValueError("the unit form carries no stages")
         used = 0

@@ -172,9 +172,8 @@ def iter_bits(mask: int):
 def _chunk(width: int, low: int, n: int) -> tuple:
     """For each value b of the width bits of a mask on n variables from bit
     low up: their exponent tuple, bit low + i at index i, repeated for the
-    byte values that agree in those bits; their share of the mask's
-    canonical key (see _canonical_keys); and a dict from the tuple back to
-    b << low."""
+    byte values that agree in those bits; and their share of the mask's
+    canonical key (see _canonical_keys)."""
     exps, reversed_bits = [()], [0]  # grown a bit at a time: a new top bit reverses to bit 0
     for _ in range(width):
         exps = [e + (0,) for e in exps] + [e + (1,) for e in exps]
@@ -183,15 +182,16 @@ def _chunk(width: int, low: int, n: int) -> tuple:
     shift = n - low - width  # bit low + i of the mask reverses to bit n-1-low-i
     keys = tuple([(b.bit_count() << n | (full ^ r) << shift) << n | b << low
                   for b, r in enumerate(reversed_bits)])
-    return tuple(exps) * (256 >> width), keys, {e: b << low for b, e in enumerate(exps)}
+    return tuple(exps) * (256 >> width), keys
 
 
 @lru_cache(maxsize=MAX_VARS + 1)
-def _tables(n: int) -> tuple[tuple, tuple, tuple]:
+def _tables(n: int) -> tuple[tuple, tuple]:
     """The mask encoding on n variables, built on first use: the (low, high)
-    pairs of exponent tables, key tables and inverse dicts of _chunk, low
-    over the bits 0..7 (all of them for n <= 8) and high over the bits
-    8..n-1 (an empty chunk for n <= 8).  Any other n raises ValueError."""
+    pairs of exponent tables and key tables of _chunk, low over the bits
+    0..7 (all of them for n <= 8) and high over the bits 8..n-1 (an empty
+    chunk for n <= 8).  Any other n raises ValueError.  The way back, tuple
+    to mask, is support_of_exps."""
     if not 0 <= n <= MAX_VARS:
         raise ValueError(f"variable count must be in 0..{MAX_VARS}, got {n}")
     low = min(n, 8)
@@ -235,10 +235,6 @@ def _canonical_keys(masks, n: int) -> list[int]:
     return [low[m & 255] + high[m >> 8] for m in masks]
 
 
-# a bit above every mask, set by the inverse dicts of _tables for a tuple with a square
-_SQUARE = 1 << MAX_VARS
-
-
 def _exps_tuple(m) -> tuple:
     """A monomial sequence as a tuple; anything else raises ValueError naming it."""
     try:
@@ -248,17 +244,17 @@ def _exps_tuple(m) -> tuple:
 
 
 def exps_to_mask(exps) -> int:
-    """Bit mask of a squarefree exponent tuple, read off the inverse dicts of
-    _tables after as_exps; an exponent other than int 0 or 1, or more than
-    MAX_VARS of them, raises ValueError."""
+    """Bit mask of a squarefree exponent tuple: as_exps, then the first
+    exponent above one, then support_of_exps.  An exponent other than int 0
+    or 1, or more than MAX_VARS of them, raises ValueError."""
     e = _exps_tuple(exps)
     e = as_exps(e, len(e))
-    low, high = _tables(len(e))[2]
-    mask = low.get(e[:8], _SQUARE) | high.get(e[8:], _SQUARE)
-    if mask >> MAX_VARS:
-        i = [*map((1).__lt__, e)].index(True)  # the first exponent above one
-        raise ValueError(f"monomial is not squarefree: exponent {e[i]} at index {i}")
-    return mask
+    if len(e) > MAX_VARS:
+        raise ValueError(f"variable count must be in 0..{MAX_VARS}, got {len(e)}")
+    for i, x in enumerate(e):
+        if x > 1:
+            raise ValueError(f"monomial is not squarefree: exponent {x} at index {i}")
+    return support_of_exps(e)
 
 
 def as_exps(m, n: int) -> tuple[int, ...]:
@@ -286,6 +282,8 @@ def divides(u, v) -> bool:
 
 
 def support_of_exps(e) -> int:
+    """The mask of the variables with a nonzero exponent: the one step from
+    an exponent tuple to a mask."""
     mask = 0
     for i, x in enumerate(e):
         if x:
@@ -505,14 +503,14 @@ def _ideal_from_antichain(masks, ctx: RingContext) -> MonomialIdeal:
     """The ideal generated by distinct masks that fit in ctx, form an antichain
     and come in canonical order: rising degree, then descending exponent tuple.
 
-    Every ideal the package builds from masks comes from here, and none of
-    the constructor's checks runs again; nothing is sorted either.
+    Every ideal the package builds from masks comes from here, apart from
+    lex.sqf_lexify_in_S, which moves a lex ideal of R to S as it stands, and
+    none of the constructor's checks runs again; nothing is sorted either.
     Each caller knows its masks are a canonical antichain, for the reasons
     its docstring gives: _ideal_from_minimal (for minimalize and
-    ideal_from_up_set) orders them, sqf_lexify_in_S reads them off an ideal
-    already built, and the three counting routes (osp_to_ideal,
-    enumerate_gotzmann, enumerate_antichains) build them as one, in order.
-    _exps_of makes the exponent tuples of the masks.
+    ideal_from_up_set) orders them, and the three counting routes
+    (osp_to_ideal, enumerate_gotzmann, enumerate_antichains) build them as
+    one, in order.  _exps_of makes the exponent tuples of the masks.
     """
     masks = tuple(masks)
     ideal = object.__new__(MonomialIdeal)
@@ -557,11 +555,11 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
     Accepts masks or exponent sequences in any mix; idempotent.  A value
     as_exps rejects, or in flavor R an exponent above one, raises ValueError
     naming the first bad monomial in input order.  One pass over the input
-    collects the masks, reading the mask of a squarefree tuple off the
-    inverse dicts of _tables(n), and sets each mask's bit in a
-    bitset as it goes.  Closed upward over the variables up to the highest
-    one a mask or the support of a tuple with a square uses, that bitset is
-    the up-set U of the squarefree monomials.  The minimal masks are U less
+    collects the masks, taking each tuple's support once (the tuple has a
+    square when its degree is more than the support's), and sets each
+    mask's bit in a bitset as it goes.  Closed upward over the variables up
+    to the highest one a mask or the support of a tuple with a square uses,
+    that bitset is the up-set U of the squarefree monomials.  The minimal masks are U less
     its shadow, with no pairwise test.  A squarefree monomial divides a
     tuple exactly when it divides the tuple's support, so a tuple with a
     square is kept when its support is not in U and no tuple with a square
@@ -577,7 +575,6 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
     checks, since the constructor checks by calling minimalize.
     """
     n = ctx.n
-    low, high = _tables(n)[2]
     masks: dict[int, None] = {}  # insertion order: the input order, deduplicated
     supports: dict[tuple[int, ...], int] = {}  # each tuple with a square
     bits = 0
@@ -587,11 +584,11 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
                 raise ValueError(f"mask {m} does not fit in {n} variables")
         else:
             e = as_exps(m, n)
-            m = low.get(e[:8], _SQUARE) | high.get(e[8:], _SQUARE)
-            if m >> n:
+            m = support_of_exps(e)
+            if m.bit_count() != sum(e):
                 if ctx.flavor == SQF:
                     raise ValueError(f"monomial {e} is not squarefree")
-                supports[e] = support_of_exps(e)
+                supports[e] = m
                 continue
         masks[m] = None
         bits |= 1 << m
@@ -780,7 +777,11 @@ def _binom_row(a: int) -> tuple[int, ...]:
 
 
 def q_context(ctx: RingContext, i: int) -> RingContext:
-    """The ring of the same flavor with variable i removed."""
+    """The ring of the same flavor with variable i removed.  The one check of
+    a variable index: an int, of type int exactly, that names a variable of
+    ctx; anything else raises ValueError."""
+    if type(i) is not int:
+        raise ValueError(f"variable index must be an int, got {i!r}")
     if not 0 <= i < ctx.n:
         raise ValueError(f"variable index {i} out of range")
     return RingContext(ctx.n - 1, ctx.flavor, ctx.names[:i] + ctx.names[i + 1:])

@@ -46,7 +46,7 @@ WITHOUT_LINEAR = "without_linear"
 
 class OrderedSetPartition(_Record):
     """Disjoint nonempty blocks, in order, covering {1..n}; each block is a
-    variable mask, element v at bit v - 1."""
+    variable mask of type int, element v at bit v - 1."""
 
     __slots__ = _fields = ("blocks",)
 
@@ -54,6 +54,8 @@ class OrderedSetPartition(_Record):
         blocks = tuple(blocks)
         seen = 0
         for block in blocks:
+            if type(block) is not int:
+                raise ValueError(f"block {block!r} is not an int mask")
             if not block:
                 raise ValueError("blocks must be nonempty")
             if block & seen:

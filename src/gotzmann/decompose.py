@@ -60,11 +60,10 @@ def _split_ring(V: MonomialSpace, i: int) -> RingContext:
     """The ring Q without x_i, after the checks every x_i-split makes: R, a
     variable of the ring, degree at least one."""
     _require_sqf(V.ctx)
-    if not 0 <= i < V.ctx.n:
-        raise ValueError(f"variable index {i} out of range")
+    q = q_context(V.ctx, i)
     if V.degree < 1:
         raise ValueError("decomposition needs degree at least one")
-    return q_context(V.ctx, i)
+    return q
 
 
 def decompose(V: MonomialSpace, i: int) -> Decomposition:
@@ -226,7 +225,9 @@ def pick_variable(V: MonomialSpace) -> int:
     """Index i maximizing how many basis monomials x_i divides; ties go low."""
     if not V.basis:
         raise ValueError("cannot pick a variable of the zero space")
-    return max(range(V.ctx.n), key=lambda i: _count_with(V.basis, i), default=0)
+    if not V.ctx.n:
+        raise ValueError("cannot pick a variable of a ring with no variables")
+    return max(range(V.ctx.n), key=lambda i: _count_with(V.basis, i))
 
 
 def reconstruct(vxi: MonomialSpace, i: int, name: str | None = None) -> MonomialSpace:
@@ -242,6 +243,8 @@ def reconstruct(vxi: MonomialSpace, i: int, name: str | None = None) -> Monomial
     """
     _require_sqf(vxi.ctx)
     q = vxi.ctx
+    if type(i) is not int:
+        raise ValueError(f"insertion index must be an int, got {i!r}")
     if not 0 <= i <= q.n:
         raise ValueError(f"insertion index {i} out of range")
     bits = mask_bitset(vxi.basis)

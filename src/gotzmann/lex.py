@@ -18,8 +18,8 @@ from .core import (
     MonomialIdeal,
     MonomialSpace,
     RingContext,
-    _ideal_from_antichain,
     _mask_level_bitsets,
+    _restore,
     _space_from_basis,
     all_monomials,
     component_dim,
@@ -282,9 +282,9 @@ def lexify_in_R(I: MonomialIdeal) -> MonomialIdeal:
 def sqf_lexify_in_S(I: MonomialIdeal) -> MonomialIdeal:
     """The squarefree lexification: the S-ideal on the same generators as lexify_in_R.
 
-    The masks of the lex ideal of R, already built, are an antichain in
-    canonical order and go to the builder as they stand, which makes their
-    exponent tuples again (the same objects for n <= 8).
+    The lex ideal of R, already built, is a canonical antichain of S as
+    well, so its gens and masks go to S as they stand, the same objects: no
+    exponent tuple is made again.
     """
     L = lexify_in_R(I)
-    return _ideal_from_antichain(L._masks, reflavor(L.ctx, POLY))
+    return _restore(MonomialIdeal, (reflavor(L.ctx, POLY), L.gens, L._masks))

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -417,11 +418,17 @@ class TestMaskToExps:
             ((0,) * 12 + (2,), "monomial is not squarefree: exponent 2 at index 12"),
             (5, "monomial 5 is not an exponent sequence"),
             ((0,) * 17, "variable count must be in 0..16, got 17"),
+            ((2,) + (0,) * 16, "variable count must be in 0..16, got 17"),
         ]
         for exps, message in cases:
             with pytest.raises(ValueError) as err:
                 exps_to_mask(exps)
             assert str(err.value) == message, exps
+        # the accepted tuples, each exponent at its own bit
+        accepted = [((), 0), ((1,), 1), ((0, 1, 1), 0b110), ([1, 0, 1], 0b101),
+                    ((0,) * 15 + (1,), 1 << 15), ((1,) * 16, (1 << 16) - 1)]
+        for exps, mask in accepted:
+            assert exps_to_mask(exps) == mask, exps
 
 
 class TestTables:
@@ -495,6 +502,12 @@ class TestSharedRings:
         assert q_context(R3, 2).names == ("a", "b")
         for i in (3, -1):
             with pytest.raises(ValueError, match=f"^variable index {i} out of range$"):
+                q_context(R3, i)
+
+    def test_q_context_index_must_be_an_int(self):
+        for i in (True, False, 1.0, 3.0, "a", None):
+            message = f"variable index must be an int, got {i!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 q_context(R3, i)
 
 
@@ -1124,6 +1137,11 @@ class TestCanonicalKeys:
                     with pytest.raises(ValueError) as err:
                         minimalize(items, ctx)
                     assert str(err.value) == want, (n, ctx.flavor, bad)
+            # the good items alone are accepted, each exponent at its own bit
+            for ctx in (sqf_ring(n), poly_ring(n)):
+                got = minimalize([1, zeros[:-1] + (1,)], ctx)
+                assert got.gens == ((1,) + zeros[1:], zeros[:-1] + (1,)), n
+                assert got._masks == (1, 1 << n - 1), n
 
 
 class TestHilbert:

@@ -94,6 +94,25 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(sp(R4, 2, "ab"), 4)
 
+    @pytest.mark.parametrize("split", [decompose, compress, growth_equality])
+    def test_split_checks_in_order(self, split):
+        # ring flavor, then the index (an int exactly, then its range), then
+        # the degree, each with its own message
+        S4 = poly_ring(4)
+        cases = [
+            (space(S4, 1, [(1, 0, 0, 0)]), True, "this operation lives in the squarefree ring"),
+            (sp(R4, 2, "ab"), True, "variable index must be an int, got True"),
+            (sp(R4, 2, "ab"), 1.0, "variable index must be an int, got 1.0"),
+            (sp(R4, 2, "ab"), 0.5, "variable index must be an int, got 0.5"),
+            (space(R4, 0, [0]), 1.0, "variable index must be an int, got 1.0"),
+            (space(R4, 0, [0]), 4, "variable index 4 out of range"),
+            (sp(R4, 2, "ab"), -1, "variable index -1 out of range"),
+            (space(R4, 0, [0]), 0, "decomposition needs degree at least one"),
+        ]
+        for V, i, message in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                split(V, i)
+
     def test_reassemble_validates_a_callers_parts(self):
         q = sqf_ring(3)
         dec = Decomposition(0, R4, space(q, 2, [0b011]), space(q, 2, [0b110]))
@@ -408,6 +427,14 @@ class TestPickVariable:
         with pytest.raises(ValueError):
             pick_variable(space(R4, 2, []))
 
+    def test_ring_with_no_variables_rejected(self):
+        R0 = sqf_ring(0)
+        with pytest.raises(ValueError,
+                           match="^cannot pick a variable of a ring with no variables$"):
+            pick_variable(space(R0, 0, [0]))
+        with pytest.raises(ValueError, match="^cannot pick a variable of the zero space$"):
+            pick_variable(space(R0, 0, []))
+
 
 class TestReconstruct:
     def test_worked_example(self):
@@ -445,6 +472,13 @@ class TestReconstruct:
         vxi = sp(sqf_ring(4), 2, "ab", "bc", "cd", "ad")
         with pytest.raises(ValueError, match="^insertion index 5 out of range$"):
             reconstruct(vxi, 5)
+
+    def test_insertion_index_must_be_an_int(self):
+        vxi = sp(sqf_ring(4), 2, "ab", "bc", "cd", "ad")
+        for i in (True, 1.0, 4.0, "1"):
+            message = f"insertion index must be an int, got {i!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                reconstruct(vxi, i)
 
     def test_full_alphabet_ring_rejected(self):
         # every default name is taken, so no ring one variable up can be named

@@ -5,7 +5,9 @@ import pytest
 
 from gotzmann import lex
 from gotzmann.core import (
+    MAX_VARS,
     InvariantViolation,
+    MonomialIdeal,
     MonomialSpace,
     all_monomials,
     binom,
@@ -503,6 +505,32 @@ class TestLexify:
         assert lexify_in_R(I) == want
         L = sqf_lexify_in_S(I)
         assert L.ctx is reflavor(I.ctx, "S") and L.gens == want.gens
+
+    def test_s_lexification_moves_the_r_ideal_as_built(self, monkeypatch):
+        # the lex ideal of R goes to S as it stands, at every size: the same
+        # tuple objects (so none is made twice, past the shared tables of
+        # n <= 8 too), the same masks, and the lexification by segments
+        built = []
+
+        def lexify(I):
+            built.append(lexify_in_R(I))
+            return built[-1]
+
+        monkeypatch.setattr(lex, "lexify_in_R", lexify)
+        rng = random.Random(34)
+        for n in range(MAX_VARS + 1):
+            S = poly_ring(n)
+            for flavor in ("R", "S"):
+                for _ in range(4):
+                    I = random_sqf_ideal(rng, n, flavor, 2 * n)
+                    L = sqf_lexify_in_S(I)
+                    R = built.pop()
+                    assert L.ctx is S, (n, I)
+                    assert len(L.gens) == len(R.gens), (n, I)
+                    assert all(a is b for a, b in zip(L.gens, R.gens)), (n, I)
+                    assert L._masks == R._masks, (n, I)
+                    want = lexify_by_segments(I)
+                    assert L == MonomialIdeal(S, want.gens) and L._masks == want._masks, (n, I)
 
     def test_every_antichain_on_five_variables_matches_segments(self):
         for flavor in ("R", "S"):

@@ -119,6 +119,19 @@ def test_supernova_form_unit_defaults_to_false():
     (lambda: OrderedSetPartition((0b001, 0b100)),
      "blocks must cover an initial segment of the positive integers"),
     (lambda: OrderedSetPartition((0b011, 0b010)), "blocks must be disjoint"),
+    (lambda: SupernovaForm(((True, 2),)),
+     "stage (True, 2) is not a (monomial, block) pair of int masks"),
+    (lambda: SupernovaForm(((0, False),)),
+     "stage (0, False) is not a (monomial, block) pair of int masks"),
+    (lambda: SupernovaForm(((1.5, 2),)),
+     "stage (1.5, 2) is not a (monomial, block) pair of int masks"),
+    (lambda: SupernovaForm((1,)), "stage 1 is not a (monomial, block) pair of int masks"),
+    (lambda: SupernovaForm(((0, 1, 2),)),
+     "stage (0, 1, 2) is not a (monomial, block) pair of int masks"),
+    (lambda: SupernovaForm(("ab",)), "stage 'ab' is not a (monomial, block) pair of int masks"),
+    (lambda: OrderedSetPartition((True, 2)), "block True is not an int mask"),
+    (lambda: OrderedSetPartition((1.0,)), "block 1.0 is not an int mask"),
+    (lambda: OrderedSetPartition(("a",)), "block 'a' is not an int mask"),
 ])
 def test_validating_record_rejects_bad_input(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
