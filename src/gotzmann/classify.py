@@ -48,7 +48,13 @@ class SupernovaForm(_Record):
     __slots__ = _fields = ("stages", "unit")
 
     def __init__(self, stages: tuple[tuple[int, int], ...], unit: bool = False):
+        try:
+            stages = tuple(stages)
+        except TypeError:
+            raise ValueError(f"stages {stages!r} is not a sequence of stages") from None
         stages = tuple(map(_stage, stages))
+        if type(unit) is not bool:
+            raise ValueError(f"unit must be a bool, got {unit!r}")
         if unit and stages:
             raise ValueError("the unit form carries no stages")
         used = 0

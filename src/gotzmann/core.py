@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from operator import attrgetter, le, lt, mul, neg
+from operator import attrgetter, itemgetter, le, lt, mul, neg
 
 POLY = "S"
 SQF = "R"
@@ -213,12 +213,16 @@ def mask_to_exps(mask: int, n: int) -> tuple[int, ...]:
 
 
 def _exps_of(masks, n: int) -> tuple[tuple[int, ...], ...]:
-    """Exponent tuples of masks that fit in n variables, read off _tables(n)
-    as mask_to_exps does: one table step each, unchecked."""
+    """Exponent tuples of a sequence of masks that fit in n variables, read
+    off _tables(n) as mask_to_exps does: one table step each, unchecked.
+    For n <= 8 one itemgetter call takes every step, given two masks or
+    more: given one, it returns that mask's tuple bare."""
     low, high = _tables(n)[0]
-    if n <= 8:
-        return tuple([low[m] for m in masks])
-    return tuple([low[m & 255] + high[m >> 8] for m in masks])
+    if n > 8:
+        return tuple([low[m & 255] + high[m >> 8] for m in masks])
+    if len(masks) > 1:
+        return itemgetter(*masks)(low)
+    return tuple([low[m] for m in masks])
 
 
 def _canonical_keys(masks, n: int) -> list[int]:
@@ -499,6 +503,10 @@ def gen_masks(I: MonomialIdeal) -> tuple[int, ...]:
     return I._masks
 
 
+_set_ctx, _set_gens, _set_masks = (getattr(MonomialIdeal, name).__set__
+                                   for name in MonomialIdeal.__slots__)
+
+
 def _ideal_from_antichain(masks, ctx: RingContext) -> MonomialIdeal:
     """The ideal generated by distinct masks that fit in ctx, form an antichain
     and come in canonical order: rising degree, then descending exponent tuple.
@@ -510,13 +518,15 @@ def _ideal_from_antichain(masks, ctx: RingContext) -> MonomialIdeal:
     its docstring gives: _ideal_from_minimal (for minimalize and
     ideal_from_up_set) orders them, and the three counting routes
     (osp_to_ideal, enumerate_gotzmann, enumerate_antichains) build them as
-    one, in order.  _exps_of makes the exponent tuples of the masks.
+    one, in order.  _exps_of makes the exponent tuples of the masks.  The
+    three slots are set through their descriptors, which skips the name
+    lookup of object.__setattr__.
     """
     masks = tuple(masks)
     ideal = object.__new__(MonomialIdeal)
-    _setattr(ideal, "ctx", ctx)
-    _setattr(ideal, "gens", _exps_of(masks, ctx.n))
-    _setattr(ideal, "_masks", masks)
+    _set_ctx(ideal, ctx)
+    _set_gens(ideal, _exps_of(masks, ctx.n))
+    _set_masks(ideal, masks)
     return ideal
 
 

@@ -8,8 +8,10 @@ Counts include the zero and unit ideals.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import or_
 
 from .classify import stage_generators
 from .core import (
@@ -20,10 +22,10 @@ from .core import (
     MonomialIdeal,
     RingContext,
     _Record,
+    _canonical_keys,
     _ideal_from_antichain,
     _setattr,
     all_monomials,
-    mask_bitset,
     poly_ring,
     sqf_ring,
     unit_ideal,
@@ -39,6 +41,7 @@ DEFAULT_TRUNCATION = 12
 
 WITH_LINEAR = "with_linear"
 WITHOUT_LINEAR = "without_linear"
+_FAMILIES = frozenset((WITH_LINEAR, WITHOUT_LINEAR))
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +54,10 @@ class OrderedSetPartition(_Record):
     __slots__ = _fields = ("blocks",)
 
     def __init__(self, blocks: tuple[int, ...]):
-        blocks = tuple(blocks)
+        try:
+            blocks = tuple(blocks)
+        except TypeError:
+            raise ValueError(f"blocks {blocks!r} is not a sequence of int masks") from None
         seen = 0
         for block in blocks:
             if type(block) is not int:
@@ -72,7 +78,11 @@ class OrderedSetPartition(_Record):
     @property
     def last_block_big(self) -> bool:
         """Whether the last block has more than one element (vacuous if empty)."""
-        return not self.blocks or self.blocks[-1].bit_count() > 1
+        blocks = self.blocks
+        return not blocks or blocks[-1].bit_count() > 1
+
+
+_set_blocks = OrderedSetPartition.blocks.__set__
 
 
 def enumerate_osp(n: int):
@@ -82,7 +92,10 @@ def enumerate_osp(n: int):
     One explicit stack of (remaining, block) pairs, the next first block to
     try for each level of the partition being built, and the list of the
     blocks chosen above the top level: O(n) state.  A level's last choice is
-    all that remains, which ends a partition.
+    all that remains, which ends a partition.  After a pop, one inner loop
+    descends to the next partition: at each level it pushes the level's next
+    choice and takes its lowest element as the first block of what is left,
+    so each partition costs one pop and one push per level it opens.
 
     Each partition is built without the constructor's checks, which it
     passes by construction: every block is a nonempty submask of the
@@ -102,17 +115,16 @@ def enumerate_osp(n: int):
     head: list[int] = []
     while stack:
         remaining, block = stack.pop()
-        if block == remaining:
-            osp = new(OrderedSetPartition)
-            _setattr(osp, "blocks", (*head, block))
-            yield osp
-            if head:
-                head.pop()
-            continue
-        stack.append((remaining, (block - remaining) & remaining))
-        head.append(block)
-        rest = remaining ^ block
-        stack.append((rest, rest & -rest))
+        while block != remaining:
+            stack.append((remaining, (block - remaining) & remaining))
+            head.append(block)
+            remaining ^= block
+            block = remaining & -remaining
+        osp = new(OrderedSetPartition)
+        _set_blocks(osp, (*head, block))
+        yield osp
+        if head:
+            head.pop()
 
 
 def osp_to_ideal(osp: OrderedSetPartition, family: str) -> MonomialIdeal:
@@ -123,8 +135,11 @@ def osp_to_ideal(osp: OrderedSetPartition, family: str) -> MonomialIdeal:
     family puts an empty monomial in front, so its first block holds the
     linear generators.  An odd tail t is split into the entries t without its
     lowest variable and that variable, a lone principal generator, so the
-    entries pair off straight into stage_generators.  The image has the
-    partition's weight and full support, checked on the generator masks.
+    entries pair off straight into stage_generators, from one iterator.  The
+    blocks are disjoint and cover {1..n}, so their sum is the full mask and
+    its bit length is n.  The image has the partition's weight and full
+    support, checked by one OR-reduction of the generator masks against that
+    sum.
 
     The stage generators are an antichain in canonical order by construction,
     so they go to the builder unfiltered and unsorted.  The partition's blocks
@@ -141,9 +156,9 @@ def osp_to_ideal(osp: OrderedSetPartition, family: str) -> MonomialIdeal:
     blocks = osp.blocks
     if blocks and blocks[-1].bit_count() < 2:
         raise ValueError("the partition's last block must have more than one element")
-    n = sum(map(int.bit_count, blocks))
-    ctx = poly_ring(n)
-    if family not in (WITH_LINEAR, WITHOUT_LINEAR):
+    full = sum(blocks)
+    ctx = poly_ring(full.bit_length())
+    if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if not blocks:
         return unit_ideal(ctx) if family == WITH_LINEAR else zero_ideal(ctx)
@@ -151,11 +166,9 @@ def osp_to_ideal(osp: OrderedSetPartition, family: str) -> MonomialIdeal:
     if len(entries) % 2:
         t = entries[-1]
         entries = (*entries[:-1], t & (t - 1), t & -t)
-    masks = stage_generators(zip(entries[::2], entries[1::2]))
-    support = 0
-    for m in masks:
-        support |= m
-    if support != (1 << n) - 1:
+    pairs = iter(entries)
+    masks = stage_generators(zip(pairs, pairs))
+    if reduce(or_, masks, 0) != full:
         raise InvariantViolation("partition image lost full support")
     return _ideal_from_antichain(masks, ctx)
 
@@ -222,6 +235,12 @@ def _antichain_walk(n: int, cut: RingContext | None = None):
     levels rise in degree, and each level's choices keep the order of
     all_monomials, which is descending exponent tuple.
 
+    The shadow of a union is the union of the shadows, so each level takes
+    the shadow of its forced set once, and each choice ORs onto it the
+    shadows of its masks, read from a table of the shadow of every single
+    mask built once per walk.  The tests, and their order, are those of a
+    walk that takes the shadow of each whole level anew.
+
     With cut a ring context on n variables, only the generator sets of the
     Gotzmann ideals of that ring are yielded.  A branch ends right after
     level d is chosen when it takes new generators in degree d and
@@ -242,6 +261,7 @@ def _antichain_walk(n: int, cut: RingContext | None = None):
       between its smallest and largest generator degrees.
     """
     levels = [all_monomials(sqf_ring(n), d) for d in range(n + 1)]
+    shadows = [upper_shadow(1 << m, n) for m in range(1 << n)]
 
     def rec(d, forced, counts, gens):
         if d > n:
@@ -249,10 +269,11 @@ def _antichain_walk(n: int, cut: RingContext | None = None):
             return
         free = [m for m in levels[d] if not forced >> m & 1]
         base = forced.bit_count()
+        below = upper_shadow(forced, n)
         for r in range(len(free) + 1):
+            here = counts + [base + r]
             for chosen in combinations(free, r):
-                shadow = upper_shadow(forced | mask_bitset(chosen), n)
-                here = counts + [base + r]
+                shadow = reduce(or_, map(shadows.__getitem__, chosen), below)
                 if cut is not None and chosen and \
                         not _grows_at(here, shadow.bit_count(), d, cut):
                     continue
@@ -320,14 +341,31 @@ def enumerate_gotzmann(n: int) -> list[MonomialIdeal]:
     of a form, an antichain in canonical order by the argument in
     osp_to_ideal (disjoint stage monomials and nonempty blocks, only the first
     monomial empty), so it goes to the builder unfiltered and unsorted.
+
+    The ideals come by generator count, then by their generators' exponent
+    tuples.  One integer per set sorts them so: its length, then its masks
+    with their n bits reversed, packed n bits each.  A reversed mask holds
+    bit 0 in its top place, so reversed masks ascend as exponent tuples do;
+    sets of one length pack to one width, and a longer set packs to a larger
+    integer.  The zero ideal (no generators) and the unit ideal (the one
+    mask 0) come first, as no supernova set is empty or holds 0.
     """
     if n > ENUMERATE_MAX_VARS:
         raise ValueError(f"enumeration is limited to {ENUMERATE_MAX_VARS} variables")
     ctx = poly_ring(n)
-    keys = _supernova_generator_sets(n)
+    full = (1 << n) - 1
+    # each mask with its n bits reversed, read off its canonical key
+    reverse = [full ^ (key >> n & full) for key in _canonical_keys(range(1 << n), n)]
+
+    def order(masks):
+        key = len(masks)
+        for m in masks:
+            key = key << n | reverse[m]
+        return key
+
     ideals = [zero_ideal(ctx), unit_ideal(ctx)]
-    ideals.extend(_ideal_from_antichain(masks, ctx) for masks in keys)
-    ideals.sort(key=lambda I: (len(I.gens), I.gens))
+    ideals.extend(_ideal_from_antichain(masks, ctx)
+                  for masks in sorted(_supernova_generator_sets(n), key=order))
     return ideals
 
 

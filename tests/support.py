@@ -23,9 +23,11 @@ from gotzmann.core import (
     shadow_up,
     sqf_hilbert,
     sqf_ring,
+    upper_shadow,
 )
 from gotzmann.classify import stage_generators
 from gotzmann.counting import WITH_LINEAR, OrderedSetPartition, enumerate_osp
+from gotzmann.lex import _grows_at
 from gotzmann.textio import parse_monomial
 
 
@@ -187,6 +189,43 @@ def supernova_generator_sets_by_submasks(n: int) -> set:
 
     rec((1 << n) - 1, True, 0, [])
     return out
+
+
+def gotzmann_by_sorting(n: int) -> list:
+    """The Gotzmann squarefree ideals of S on n variables in enumeration
+    order: the zero and unit ideals and every supernova generator set of the
+    submask recursion, each built by minimalize, sorted by generator count
+    and then by the tuple of generator exponent tuples."""
+    ctx = poly_ring(n)
+    ideals = [minimalize(masks, ctx) for masks in supernova_generator_sets_by_submasks(n)]
+    ideals += [minimalize([], ctx), minimalize([0], ctx)]
+    return sorted(ideals, key=lambda I: (len(I.gens), I.gens))
+
+
+def cut_walk_growth_tests(n: int, ctx) -> list:
+    """The (counts, shadow size, degree) of each growth test the
+    persistence-cut antichain walk on n variables makes, in order, with each
+    level's shadow taken anew from the whole level: its forced set and the
+    masks chosen in it."""
+    levels = [all_monomials(sqf_ring(n), d) for d in range(n + 1)]
+    tests = []
+
+    def rec(d, forced, counts):
+        if d > n:
+            return
+        free = [m for m in levels[d] if not forced >> m & 1]
+        for r in range(len(free) + 1):
+            for chosen in combinations(free, r):
+                shadow = upper_shadow(forced | mask_bitset(chosen), n)
+                here = counts + [forced.bit_count() + r]
+                if chosen:
+                    tests.append((tuple(here), shadow.bit_count(), d))
+                    if not _grows_at(here, shadow.bit_count(), d, ctx):
+                        continue
+                rec(d + 1, shadow, here)
+
+    rec(0, 0, [])
+    return tests
 
 
 def has_linear_gen(I: MonomialIdeal) -> bool:

@@ -25,11 +25,13 @@ from gotzmann.counting import (
     osp_to_ideal,
 )
 from gotzmann.classify import SupernovaForm, canonicalize, supernova_to_ideal
-from gotzmann.lex import is_gotzmann_ideal
+from gotzmann.lex import _grows_at, is_gotzmann_ideal
 from gotzmann.textio import parse_ideal_inline
 
 from support import (
+    cut_walk_growth_tests,
     full_support_class,
+    gotzmann_by_sorting,
     has_linear_gen,
     osp_by_frozensets,
     osp_image_by_minimalize,
@@ -102,6 +104,22 @@ class TestPersistenceCutWalk:
                 assert set(got) == want, (flavor, n)
                 assert len(got) == len(want) == counts[n], (flavor, n)
 
+    def test_growth_tests_match_whole_level_shadows(self, monkeypatch):
+        # the same _grows_at tests in the same order as a walk that takes the
+        # shadow of each whole level
+        seen = []
+
+        def record(counts, shadow, d, ctx):
+            seen.append((tuple(counts), shadow, d))
+            return _grows_at(counts, shadow, d, ctx)
+
+        monkeypatch.setattr(counting, "_grows_at", record)
+        for ring in (poly_ring, sqf_ring):
+            for n in range(6):
+                seen.clear()
+                sum(1 for _ in _antichain_walk(n, ring(n)))
+                assert seen == cut_walk_growth_tests(n, ring(n)), (ring, n)
+
     @pytest.mark.skipif(os.environ.get("GOTZ_SLOW_TESTS") != "1",
                         reason="set GOTZ_SLOW_TESTS=1 to run the n = 6 walks")
     def test_six_variables(self):
@@ -131,6 +149,14 @@ class TestEnumerateGotzmann:
     def test_deduplicated(self):
         ideals = enumerate_gotzmann(4)
         assert len({I.gens for I in ideals}) == len(ideals)
+
+    def test_order_matches_sorting_by_exponent_tuples(self):
+        # the integer sort key against the tuple comparison it stands for
+        for n in range(7):
+            ideals = enumerate_gotzmann(n)
+            want = gotzmann_by_sorting(n)
+            assert [I.gens for I in ideals] == [I.gens for I in want], n
+            assert [gen_masks(I) for I in ideals] == [gen_masks(I) for I in want], n
 
     def test_generator_sets_match_the_submask_walk(self):
         # same sets, and the same iteration order, which only the same
@@ -230,6 +256,16 @@ class TestOspImages:
         assert osp_to_ideal(o, WITH_LINEAR) == parse_ideal_inline("a,bc,bd", poly_ring(4))
         # without linear, stage (a, b) and the odd tail cd: ab, acd
         assert osp_to_ideal(o, WITHOUT_LINEAR) == parse_ideal_inline("ab,acd", poly_ring(4))
+
+    @pytest.mark.parametrize("family", [WITH_LINEAR, WITHOUT_LINEAR])
+    def test_lost_support_raises(self, monkeypatch, family):
+        # a stage loop that drops the last generator loses the variables
+        # only that generator holds: c with linear (a, bc), c without (ab, ac)
+        stage_generators = counting.stage_generators
+        monkeypatch.setattr(counting, "stage_generators",
+                            lambda stages: stage_generators(stages)[:-1])
+        with pytest.raises(InvariantViolation, match="^partition image lost full support$"):
+            osp_to_ideal(osp({1}, {2, 3}), family)
 
     def test_empty_partition_maps_to_the_trivial_ideals(self):
         assert osp_to_ideal(osp(), WITH_LINEAR).is_unit

@@ -132,6 +132,13 @@ def test_supernova_form_unit_defaults_to_false():
     (lambda: OrderedSetPartition((True, 2)), "block True is not an int mask"),
     (lambda: OrderedSetPartition((1.0,)), "block 1.0 is not an int mask"),
     (lambda: OrderedSetPartition(("a",)), "block 'a' is not an int mask"),
+    (lambda: SupernovaForm(5), "stages 5 is not a sequence of stages"),
+    (lambda: SupernovaForm(None), "stages None is not a sequence of stages"),
+    (lambda: OrderedSetPartition(5), "blocks 5 is not a sequence of int masks"),
+    (lambda: OrderedSetPartition(None), "blocks None is not a sequence of int masks"),
+    (lambda: SupernovaForm((), unit="yes"), "unit must be a bool, got 'yes'"),
+    (lambda: SupernovaForm((), unit=1), "unit must be a bool, got 1"),
+    (lambda: SupernovaForm((), unit=None), "unit must be a bool, got None"),
 ])
 def test_validating_record_rejects_bad_input(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
