@@ -2,20 +2,23 @@
 
 A supernova form is a list of stages (m_j, B_j) with all supports pairwise
 disjoint; it generates the ideal whose stage-j generators are m_1...m_j * x
-for x in B_j.  Squarefree ideals of the polynomial ring are Gotzmann exactly
-when they admit such a form.
+for x in B_j.  By the paper's structure theorem a squarefree ideal of S is
+Gotzmann exactly when it has such a form, so lex.is_gotzmann_ideal decides
+those ideals by _supernova_stages.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations
+from operator import and_
 
 from .core import (
     InvariantViolation,
     MonomialIdeal,
     RingContext,
     _Record,
+    _restore,
     _setattr,
     gen_masks,
     iter_bits,
@@ -102,12 +105,51 @@ def supernova_to_ideal(form: SupernovaForm, ctx: RingContext) -> MonomialIdeal:
     return ideal
 
 
-def recognize_supernova(I: MonomialIdeal):
-    """Find a supernova form generating exactly I, or None.
+def _supernova_stages(masks):
+    """The stages of the supernova form of a squarefree antichain of nonunit
+    masks, or None when it has none.
 
-    Degree-one generators are stripped into a block; otherwise a variable
-    common to every remaining generator is divided out and absorbed into the
-    pending stage monomial.  When neither step applies the ideal has no form.
+    Linear generators are stripped into one block; otherwise the mask common
+    to every generator is divided out whole into the pending stage monomial,
+    and one nonlinear generator left ends the form with its highest bit as
+    the block.  When no step applies there is no form.  Dividing the common
+    mask whole gives the forms of dividing it one bit at a time: two or more
+    masks of an antichain each hold a bit outside it, so none turns linear
+    before all of it is divided out.
+    """
+    stages = []
+    pending = 0
+    rest = masks
+    while rest:
+        block = 0
+        kept = []
+        for g in rest:
+            if g & (g - 1):
+                kept.append(g)
+            else:
+                block |= g
+        if block:
+            stages.append((pending, block))
+            pending = 0
+            rest = kept
+            continue
+        if len(rest) == 1:
+            top = 1 << rest[0].bit_length() - 1
+            stages.append((pending | rest[0] ^ top, top))
+            break
+        common = reduce(and_, rest)
+        if not common:
+            return None
+        pending |= common
+        rest = [g ^ common for g in rest]
+    return stages
+
+
+def recognize_supernova(I: MonomialIdeal):
+    """The supernova form generating exactly I, or None; I must be squarefree.
+
+    The stages of _supernova_stages are disjoint by construction, so the
+    form is built unchecked.
     """
     if not I.squarefree:
         raise ValueError("supernova recognition needs a squarefree ideal")
@@ -115,28 +157,8 @@ def recognize_supernova(I: MonomialIdeal):
         return SupernovaForm(())
     if I.is_unit:
         return SupernovaForm((), unit=True)
-    remaining = set(gen_masks(I))
-    stages = []
-    pending = 0
-    while remaining:
-        linear = {g for g in remaining if g.bit_count() == 1}
-        if linear:
-            block = 0
-            for g in linear:
-                block |= g
-            stages.append((pending, block))
-            pending = 0
-            remaining -= linear
-            continue
-        common = ~0
-        for g in remaining:
-            common &= g
-        if not common:
-            return None
-        low = common & -common
-        pending |= low
-        remaining = {g ^ low for g in remaining}
-    return SupernovaForm(tuple(stages))
+    stages = _supernova_stages(gen_masks(I))
+    return None if stages is None else _restore(SupernovaForm, (tuple(stages), False))
 
 
 def format_supernova(form: SupernovaForm, ctx: RingContext) -> str:

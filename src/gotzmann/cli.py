@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 a negative answer of `classify` (not a supernova)
 or of `check --quiet` (not Gotzmann), 2 parse/usage error, 3 runtime invariant
-failure (for example a count mismatch in `count`, or a failing `selftest`).
-Without --quiet, `check` prints a negative answer and exits 0.
+failure (for example a count mismatch in `count`, or a failing `selftest`) or
+a computation that ran out of memory.  Without --quiet, `check` prints a
+negative answer and exits 0.
 """
 
 from __future__ import annotations
@@ -280,6 +281,10 @@ def main(argv=None) -> int:
         return 2
     except (InvariantViolation, AssertionError) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory: the input is too large for this computation",
+              file=sys.stderr)
         return 3
 
 

@@ -340,12 +340,9 @@ class MonomialSpace(_Record):
     The basis is a frozenset of masks in R and of exponent tuples in S, each
     sequence stored as the tuple as_exps makes of it.  The constructor
     validates it: the representation matches the flavor, as_exps accepts
-    each monomial, and each has the given degree.  space() normalizes and
-    then validates the same way, and so does decompose.reassemble on a
-    caller's parts.  Inside the package a space that is valid by
-    construction (a shadow, a component of an ideal, a lex segment, the
-    parts and reassembly of a decomposition, a colon, an Alexander dual) is
-    built by _space_from_basis instead, which skips these checks.
+    each monomial, and each has the given degree.  Inside the package a
+    space that is valid by construction is built by _space_from_basis
+    instead, which skips these checks.
     """
 
     __slots__ = _fields = ("ctx", "degree", "basis")
@@ -376,13 +373,9 @@ def _space_from_basis(ctx: RingContext, degree: int, basis: frozenset) -> Monomi
     degree-`degree` monomials of ctx in its flavor's representation.
 
     The counterpart of _ideal_from_antichain for spaces: none of the
-    constructor's checks runs.  Each caller knows its basis is valid because
-    it derived it from a valid space or ideal by an operation that stays in
-    the ring and moves the degree as it says: shadow_up, component_space,
-    lex_segment, decompose, colon_with_n1, alexander_dual_space, the
-    reassembly in compress (of two lex segments) and in reconstruct (of vxi
-    and its shadow), and the pieces is_gotzmann_ideal grows for an ideal of
-    S with a square.
+    constructor's checks runs.  Each caller derives its basis from a valid
+    space or ideal by an operation that stays in the ring and moves the
+    degree as it says.
     """
     V = object.__new__(MonomialSpace)
     _setattr(V, "ctx", ctx)
@@ -511,16 +504,8 @@ def _ideal_from_antichain(masks, ctx: RingContext) -> MonomialIdeal:
     """The ideal generated by distinct masks that fit in ctx, form an antichain
     and come in canonical order: rising degree, then descending exponent tuple.
 
-    Every ideal the package builds from masks comes from here, apart from
-    lex.sqf_lexify_in_S, which moves a lex ideal of R to S as it stands, and
-    none of the constructor's checks runs again; nothing is sorted either.
-    Each caller knows its masks are a canonical antichain, for the reasons
-    its docstring gives: _ideal_from_minimal (for minimalize and
-    ideal_from_up_set) orders them, and the three counting routes
-    (osp_to_ideal, enumerate_gotzmann, enumerate_antichains) build them as
-    one, in order.  _exps_of makes the exponent tuples of the masks.  The
-    three slots are set through their descriptors, which skips the name
-    lookup of object.__setattr__.
+    No check runs and nothing is sorted: each caller knows its masks are a
+    canonical antichain, for the reasons its docstring gives.
     """
     masks = tuple(masks)
     ideal = object.__new__(MonomialIdeal)
@@ -535,16 +520,11 @@ def _ideal_from_minimal(masks, ctx: RingContext, squares=()) -> MonomialIdeal:
     distinct exponent tuples with a square in squares, all together an
     antichain, in any order.
 
-    Squarefree generators are ordered by one integer each, _canonical_keys.
-    No sort runs when the keys already ascend, as they do for the masks of
-    a checked MonomialIdeal or a slice of a listing: the masks go on as
-    given.  Otherwise one sort of the keys orders them, and each key gives
-    its mask back from its low bits.  _ideal_from_antichain then makes each
-    exponent tuple once.
-
-    With a tuple with a square, one sort of (-degree, exponent tuple, mask)
-    triples, descending, orders all the generators instead; a tuple with a
-    square has mask None, never compared since no two triples share a
+    Squarefree generators are ordered by one integer key each, with no sort
+    when the keys already ascend, as for the masks of a checked
+    MonomialIdeal or a slice of a listing.  With a tuple with a square, one
+    descending sort of (-degree, exponent tuple, mask) triples orders all the
+    generators; a mask None is never compared, since no two triples share a
     tuple, and the ideal records no masks.
     """
     if squares:
@@ -564,25 +544,18 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
 
     Accepts masks or exponent sequences in any mix; idempotent.  A value
     as_exps rejects, or in flavor R an exponent above one, raises ValueError
-    naming the first bad monomial in input order.  One pass over the input
-    collects the masks, taking each tuple's support once (the tuple has a
-    square when its degree is more than the support's), and sets each
-    mask's bit in a bitset as it goes.  Closed upward over the variables up
-    to the highest one a mask or the support of a tuple with a square uses,
-    that bitset is the up-set U of the squarefree monomials.  The minimal masks are U less
-    its shadow, with no pairwise test.  A squarefree monomial divides a
+    naming the first bad monomial in input order.  The masks, and the
+    supports of the tuples, set their bits in one bitset; closed upward, it
+    is the up-set U of the squarefree monomials, and the minimal masks are U
+    less its shadow, with no pairwise test.  A squarefree monomial divides a
     tuple exactly when it divides the tuple's support, so a tuple with a
     square is kept when its support is not in U and no tuple with a square
     kept before it, by rising degree, divides it.
 
-    The masks keep their input order, duplicates dropped.  The minimal
-    elements of U are among them, so when there are as many as masks none
-    was dropped and the masks go on as given; a canonical antichain, such
-    as the generators of a checked MonomialIdeal or the slices lexify_in_R
-    reads off the listing, then needs no sort in _ideal_from_minimal.
-    Otherwise the minimal masks are read off U, ascending.
-    _ideal_from_minimal orders both kinds and builds the ideal with no
-    checks, since the constructor checks by calling minimalize.
+    When every distinct mask is minimal, they go on in input order, so a
+    canonical antichain needs no sort in _ideal_from_minimal; otherwise the
+    minimal masks are read off U.  No constructor check runs, since the
+    constructor checks by calling minimalize.
     """
     n = ctx.n
     masks: dict[int, None] = {}  # insertion order: the input order, deduplicated

@@ -130,16 +130,12 @@ def enumerate_osp(n: int):
 def osp_to_ideal(osp: OrderedSetPartition, family: str) -> MonomialIdeal:
     """Image of a big-last-block partition in one of the two counting families.
 
-    Blocks alternate between stage-monomial supports and variable blocks, and
-    consecutive entries pair into supernova stages (m_j, B_j); the with-linear
-    family puts an empty monomial in front, so its first block holds the
-    linear generators.  An odd tail t is split into the entries t without its
-    lowest variable and that variable, a lone principal generator, so the
-    entries pair off straight into stage_generators, from one iterator.  The
-    blocks are disjoint and cover {1..n}, so their sum is the full mask and
-    its bit length is n.  The image has the partition's weight and full
-    support, checked by one OR-reduction of the generator masks against that
-    sum.
+    Consecutive entries pair into supernova stages (m_j, B_j); the
+    with-linear family puts an empty monomial in front, so its first block
+    holds the linear generators.  An odd tail t is split into t without its
+    lowest variable and that variable, a lone principal generator.  The
+    blocks are disjoint and cover {1..n}, so their sum is the full mask,
+    which the generator masks must cover: the image has full support.
 
     The stage generators are an antichain in canonical order by construction,
     so they go to the builder unfiltered and unsorted.  The partition's blocks
@@ -249,8 +245,8 @@ def _antichain_walk(n: int, cut: RingContext | None = None):
 
     - The test at d reads only levels <= d, which are fixed in the branch,
       and every leaf below it has a generator of degree d.  So d lies between
-      the leaf's smallest and largest generator degrees, where
-      is_gotzmann_ideal tests it, and the leaf is not Gotzmann.
+      the leaf's smallest and largest generator degrees, where the growth
+      route lex._grows_minimally tests it, and the leaf is not Gotzmann.
     - A level that takes no new generators is not tested.  Its piece is the
       shadow of the level below, so the ideal up to it is generated in lower
       degrees; by persistence (Gotzmann in S, Aramova-Herzog-Hibi in R) it

@@ -11,6 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
+from .classify import _supernova_stages
 from .core import (
     POLY,
     SQF,
@@ -224,16 +225,17 @@ def _grows_minimally(bits: int, ctx: RingContext) -> bool:
 def is_gotzmann_ideal(I: MonomialIdeal) -> bool:
     """Whether every component of the ideal has minimal shadow growth.
 
-    By persistence it is enough to look at degrees between the smallest and
-    largest generator degrees; all later components stay Gotzmann.  A
-    squarefree ideal, of S or R, is read off the up-set of its generators by
-    _grows_minimally.  An ideal of S with a square is grown piece by piece
-    from its smallest generator degree: each piece is the shadow of the one
-    below plus the generators of its degree, so S_d is never listed.  Both
-    are valid already, so each piece is built by _space_from_basis.
+    A squarefree ideal of S is decided by the paper's structure theorem: it
+    is Gotzmann exactly when it has a supernova form.  A squarefree ideal of
+    R is read off the up-set of its generators by _grows_minimally.  An
+    ideal of S with a square is grown piece by piece, each the shadow of the
+    one below plus the generators of its degree, over the degrees that
+    persistence leaves to test.
     """
     ctx = I.ctx
     if I.squarefree:
+        if ctx.flavor == POLY:
+            return I.is_unit or _supernova_stages(gen_masks(I)) is not None
         return _grows_minimally(up_set(gen_masks(I), ctx.n), ctx)
     degs = I.degrees()
     piece = frozenset()

@@ -25,7 +25,7 @@ from gotzmann.core import (
     sqf_ring,
     upper_shadow,
 )
-from gotzmann.classify import stage_generators
+from gotzmann.classify import SupernovaForm, stage_generators
 from gotzmann.counting import WITH_LINEAR, OrderedSetPartition, enumerate_osp
 from gotzmann.lex import _grows_at
 from gotzmann.textio import parse_monomial
@@ -395,6 +395,39 @@ def quotient_by_variable(I: MonomialIdeal, i: int) -> MonomialIdeal:
     small = q_context(I.ctx, i)
     kept = [e[:i] + e[i + 1:] for e in I.gens if e[i] == 0]
     return minimalize(kept, small)
+
+
+def recognize_supernova_by_bits(I: MonomialIdeal):
+    """The supernova form of a squarefree ideal of S, or None, found one bit
+    at a time: degree-one generators are stripped into a block; otherwise
+    the lowest variable common to every generator is divided out into the
+    pending stage monomial.  When neither step applies there is no form."""
+    if I.is_zero:
+        return SupernovaForm(())
+    if I.is_unit:
+        return SupernovaForm((), unit=True)
+    remaining = set(gen_masks(I))
+    stages = []
+    pending = 0
+    while remaining:
+        linear = {g for g in remaining if g.bit_count() == 1}
+        if linear:
+            block = 0
+            for g in linear:
+                block |= g
+            stages.append((pending, block))
+            pending = 0
+            remaining -= linear
+            continue
+        common = ~0
+        for g in remaining:
+            common &= g
+        if not common:
+            return None
+        low = common & -common
+        pending |= low
+        remaining = {g ^ low for g in remaining}
+    return SupernovaForm(tuple(stages))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from gotzmann.classify import (  # noqa: E402
     supernova_to_ideal,
 )
 from gotzmann.decompose import colon_with_n1  # noqa: E402
-from gotzmann.lex import _grows_at, is_gotzmann_ideal, lexify_in_R  # noqa: E402
+from gotzmann.lex import _grows_at, _grows_minimally, is_gotzmann_ideal, lexify_in_R  # noqa: E402
 
 from support import gotzmann_by_components, minimalize_by_tuples  # noqa: E402
 
@@ -96,11 +96,11 @@ def supernova_masks(n, later_empty=True):
 
 
 @st.composite
-def sqf_poly_ideals(draw):
-    """A squarefree ideal of S on n <= 10 variables: a random antichain, a
-    supernova ideal, or a supernova ideal with extra random generators, so
+def sqf_poly_ideals(draw, max_vars=10):
+    """A squarefree ideal of S on n <= max_vars variables: a random antichain,
+    a supernova ideal, or a supernova ideal with extra random generators, so
     that Gotzmann and non-Gotzmann ideals both occur."""
-    n = draw(st.integers(0, 10))
+    n = draw(st.integers(0, max_vars))
     ctx = poly_ring(n)
     extra = draw(st.lists(nonunit_masks(n), max_size=12))
     kind = draw(st.sampled_from(("antichain", "supernova", "perturbed")))
@@ -187,7 +187,15 @@ def test_colon_matches_definition(n, data):
 @SETTINGS
 @given(sqf_poly_ideals())
 def test_gotzmann_in_S_iff_supernova(I):
-    assert is_gotzmann_ideal(I) == (recognize_supernova(I) is not None)
+    # the growth route on the up-set, which does not rest on the theorem
+    grows = _grows_minimally(up_set(gen_masks(I), I.ctx.n), I.ctx)
+    assert grows == (recognize_supernova(I) is not None)
+
+
+@SETTINGS
+@given(sqf_poly_ideals(max_vars=7))
+def test_gotzmann_in_S_matches_components(I):
+    assert is_gotzmann_ideal(I) == gotzmann_by_components(I)
 
 
 @SETTINGS

@@ -10,11 +10,24 @@ from gotzmann.classify import (
     recognize_supernova,
     supernova_to_ideal,
 )
-from gotzmann.core import poly_ring, unit_ideal, zero_ideal
-from gotzmann.lex import is_gotzmann_ideal
-from gotzmann.counting import enumerate_antichains, enumerate_gotzmann
+from gotzmann.core import gen_masks, poly_ring, unit_ideal, up_set, zero_ideal
+from gotzmann.lex import _grows_minimally, is_gotzmann_ideal
+from gotzmann.counting import (
+    WITH_LINEAR,
+    WITHOUT_LINEAR,
+    enumerate_antichains,
+    enumerate_gotzmann,
+    enumerate_osp,
+    osp_to_ideal,
+)
 from gotzmann.textio import parse_ideal_inline
-from support import FacetComplex, facet_complex_of, is_star_shaped, is_supernova_complex
+from support import (
+    FacetComplex,
+    facet_complex_of,
+    is_star_shaped,
+    is_supernova_complex,
+    recognize_supernova_by_bits,
+)
 
 S3 = poly_ring(3)
 S4 = poly_ring(4)
@@ -106,6 +119,31 @@ class TestRecognize:
             g = recognize_supernova(I)
             assert g is not None
             assert supernova_to_ideal(g, ctx) == I
+
+    @staticmethod
+    def assert_matches_bit_oracle(I):
+        f = recognize_supernova(I)
+        assert f == recognize_supernova_by_bits(I), I
+        if f is not None:
+            assert f == SupernovaForm(f.stages, unit=f.unit)
+            assert supernova_to_ideal(f, I.ctx) == I
+
+    def test_bit_oracle_on_every_antichain_up_to_five_variables(self):
+        count = 0
+        for n in range(6):
+            for I in enumerate_antichains(n, flavor="S"):
+                self.assert_matches_bit_oracle(I)
+                count += 1
+        assert count == 7780
+
+    def test_bit_oracle_on_partition_images_at_seven(self):
+        count = 0
+        for o in enumerate_osp(7):
+            if o.last_block_big:
+                for family in (WITH_LINEAR, WITHOUT_LINEAR):
+                    self.assert_matches_bit_oracle(osp_to_ideal(o, family))
+                    count += 1
+        assert count == 29024
 
     def test_rejects_non_squarefree(self):
         from gotzmann.core import minimalize
@@ -223,11 +261,13 @@ class TestCanonicalize:
 
 class TestClassificationEquivalence:
     def test_equivalence_up_to_five_variables(self):
+        # the growth route on the up-set, independent of the theorem, against
+        # the recognizer and the theorem route of is_gotzmann_ideal
         for n in range(6):
             for I in enumerate_antichains(n, flavor="S"):
-                gotz = is_gotzmann_ideal(I)
+                grows = _grows_minimally(up_set(gen_masks(I), n), I.ctx)
                 f = recognize_supernova(I)
-                assert gotz == (f is not None)
+                assert grows == (f is not None) == is_gotzmann_ideal(I)
                 if f is not None:
                     assert supernova_to_ideal(f, I.ctx) == I
 

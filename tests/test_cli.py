@@ -1,5 +1,6 @@
 import json
 
+from gotzmann import cli
 from gotzmann.cli import main
 from gotzmann.core import poly_ring
 from support import read_ideal_stanzas
@@ -284,3 +285,17 @@ class TestSeriesAndSelftest:
         code, out, _ = run(capsys, "selftest")
         assert code == 0
         assert "FAIL" not in out
+
+
+class TestOutOfMemory:
+    def test_memory_error_is_one_line_exit_3(self, capsys, monkeypatch):
+        # a stand-in command raises MemoryError; no memory is really exhausted
+        def exhausted(args):
+            raise MemoryError
+
+        for name, argv in (("cmd_check", ("check", "--ring", "S", "a^30,b^60")),
+                           ("cmd_count", ("count",))):
+            monkeypatch.setattr(cli, name, exhausted)
+            code, out, err = run(capsys, *argv)
+            assert code == 3 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and "memory" in err

@@ -12,12 +12,14 @@ from gotzmann.core import (
     all_monomials,
     binom,
     component_space,
+    gen_masks,
     mask_bitset,
     poly_ring,
     reflavor,
     shadow_up,
     space,
     sqf_ring,
+    up_set,
     upper_shadow,
 )
 from gotzmann.lex import (
@@ -412,9 +414,16 @@ class TestOneShadowPerGrowthTest:
         return out
 
     def test_gotzmann_ideal_in_both_rings(self, monkeypatch):
-        for flavor in ("S", "R"):
-            for I in self.ideals(flavor):
-                assert self.shadow_calls(monkeypatch, is_gotzmann_ideal, I) == 1, I
+        # one shadow in R; in S the structure theorem decides, so neither the
+        # growth route nor a shadow runs
+        for I in self.ideals("R"):
+            assert self.shadow_calls(monkeypatch, is_gotzmann_ideal, I) == 1, I
+        calls = []
+        grows = lex._grows_minimally
+        monkeypatch.setattr(lex, "_grows_minimally", lambda *a: calls.append(a) or grows(*a))
+        for I in self.ideals("S"):
+            assert is_gotzmann_ideal(I) == grows(up_set(gen_masks(I), I.ctx.n), I.ctx), I
+        assert calls == []
 
     def test_gdual_ideal(self, monkeypatch):
         ideals = [I for n in range(5) for I in enumerate_antichains(n, "R")] + self.ideals("R")
