@@ -73,13 +73,12 @@ class SupernovaForm(_Record):
         _setattr(self, "unit", unit)
 
 
-def stage_generators(stages, acc: int = 0) -> list[int]:
-    """Generator masks of stages (m_j, B_j): acc * m_1...m_j * x for x in B_j.
-
-    Stage validity is the caller's to ensure; acc is the product of the stage
-    monomials that come before these stages.
-    """
+def stage_generators(stages) -> list[int]:
+    """Generator masks of stages (m_j, B_j): m_1...m_j * x for x in B_j, in
+    stage order and within a stage by ascending x.  Stage validity is the
+    caller's to ensure."""
     out = []
+    acc = 0
     for m, block in stages:
         acc |= m
         while block:

@@ -16,7 +16,6 @@ from .core import (
     InvariantViolation,
     MonomialSpace,
     iter_bits,
-    mask_to_exps,
     poly_ring,
     space,
     sqf_ring,
@@ -119,7 +118,7 @@ def cmd_classify(args) -> int:
         _report(args, I, None, text="not a supernova (not Gotzmann)")
         return 1
     ctx = I.ctx
-    stages = [{"monomial": format_monomial(mask_to_exps(m, ctx.n), ctx),
+    stages = [{"monomial": format_monomial(m, ctx),
                "block": [ctx.name(i) for i in iter_bits(block)]}
               for m, block in form.stages]
     text = format_supernova(form, ctx)

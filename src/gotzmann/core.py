@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from operator import attrgetter, itemgetter, le, lt, mul, neg
+from operator import attrgetter, itemgetter, le, lt, mul
 
 POLY = "S"
 SQF = "R"
@@ -515,23 +515,11 @@ def _ideal_from_antichain(masks, ctx: RingContext) -> MonomialIdeal:
     return ideal
 
 
-def _ideal_from_minimal(masks, ctx: RingContext, squares=()) -> MonomialIdeal:
-    """The ideal generated by distinct masks that fit in ctx and, in S, the
-    distinct exponent tuples with a square in squares, all together an
-    antichain, in any order.
-
-    Squarefree generators are ordered by one integer key each, with no sort
-    when the keys already ascend, as for the masks of a checked
-    MonomialIdeal or a slice of a listing.  With a tuple with a square, one
-    descending sort of (-degree, exponent tuple, mask) triples orders all the
-    generators; a mask None is never compared, since no two triples share a
-    tuple, and the ideal records no masks.
-    """
-    if squares:
-        triples = zip(map(neg, map(int.bit_count, masks)), _exps_of(masks, ctx.n), masks)
-        ranked = sorted([*triples, *((-sum(e), e, None) for e in squares)], reverse=True)
-        _, gens, _ = zip(*ranked)
-        return _restore(MonomialIdeal, (ctx, gens, None))
+def _ideal_from_minimal(masks, ctx: RingContext) -> MonomialIdeal:
+    """The ideal generated by distinct masks that fit in ctx and form an
+    antichain, in any order: one canonical key each orders them, with no sort
+    when the keys already ascend, as for the masks of a checked MonomialIdeal
+    or a slice of a listing."""
     keys = _canonical_keys(masks, ctx.n)
     if not all(map(lt, keys, keys[1:])):
         full = (1 << ctx.n) - 1
@@ -554,8 +542,9 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
 
     When every distinct mask is minimal, they go on in input order, so a
     canonical antichain needs no sort in _ideal_from_minimal; otherwise the
-    minimal masks are read off U.  No constructor check runs, since the
-    constructor checks by calling minimalize.
+    minimal masks are read off U.  An ideal with a square is sorted here and
+    records no masks.  No constructor check runs, since the constructor
+    checks by calling minimalize.
     """
     n = ctx.n
     masks: dict[int, None] = {}  # insertion order: the input order, deduplicated
@@ -584,7 +573,10 @@ def minimalize(monomials, ctx: RingContext) -> MonomialIdeal:
     minimal = up & ~upper_shadow(up, k)
     if minimal.bit_count() != len(masks):
         masks = bitset_masks(minimal)
-    return _ideal_from_minimal(masks, ctx, squares)
+    if squares:
+        gens = sorted([*_exps_of(masks, n), *squares], key=lambda e: (-sum(e), e), reverse=True)
+        return _restore(MonomialIdeal, (ctx, tuple(gens), None))
+    return _ideal_from_minimal(masks, ctx)
 
 
 def ideal_from_up_set(bits: int, ctx: RingContext) -> MonomialIdeal:
@@ -625,6 +617,8 @@ def component_space(I: MonomialIdeal, d: int) -> MonomialSpace:
     In flavor R it is read off the up-set of the generators, and is zero
     above degree n; in S it filters the listing of S_d.
     """
+    if type(d) is not int:
+        raise ValueError(f"degree must be an int, got {d!r}")
     if d < 0:
         raise ValueError("degree must be nonnegative")
     ctx = I.ctx

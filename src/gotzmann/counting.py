@@ -22,7 +22,6 @@ from .core import (
     MonomialIdeal,
     RingContext,
     _Record,
-    _canonical_keys,
     _ideal_from_antichain,
     _setattr,
     all_monomials,
@@ -178,8 +177,10 @@ def osp_series(T: int = DEFAULT_TRUNCATION) -> tuple[int, ...]:
     From (2 - e^t) A = 1: a_0 = 1 and a_n = sum_{k=1..n} C(n, k) a_{n-k},
     a first block of k elements followed by a partition of the rest.  The
     other three series are built on this one, so a truncation T below zero
-    raises ValueError here for all four.
+    raises ValueError here for all four, as does a T not of type int.
     """
+    if type(T) is not int:
+        raise ValueError(f"truncation must be an int, got {T!r}")
     if T < 0:
         raise ValueError(f"truncation must be nonnegative, got {T}")
     a = [1]
@@ -297,19 +298,21 @@ def enumerate_antichains(n: int, flavor: str = POLY):
     return (_ideal_from_antichain(gens, ctx) for gens in _antichain_walk(n))
 
 
-def _supernova_generator_sets(n: int) -> set:
-    """Generator sets (as mask tuples in canonical order) of every supernova
-    form on <= n variables.
+def _supernova_generator_sets(n: int) -> list:
+    """Generator sets (mask tuples in canonical order) of the supernova forms
+    on <= n variables, each once.
 
-    Each form is its parent form plus one stage, so its generators are the
-    parent's list extended by that stage's.  Only the first stage monomial may
-    be empty, so by the argument in osp_to_ideal each list is already in
-    canonical order; that order is a function of the set, so keying on the
-    list as it stands deduplicates the sets.  Two inline loops walk submasks
-    in descending order: a stage monomial of the pool (0 in the first stage
-    only), then a nonempty block of what it leaves.
+    Each form is its parent form plus one stage, whose generators extend the
+    parent's; by the argument in osp_to_ideal each list is in canonical order.
+    Two inline loops walk submasks in descending order: a stage monomial of
+    the pool (0 in the first stage only), then a nonempty block of what it
+    leaves.  A set is kept from the normal form of classify._supernova_stages
+    alone, whose one-variable last block is the top bit of its stage (block
+    > m); swapping any other such block with the top bit of m gives the same
+    set.  Every form is still recursed from: a stage that is not last may
+    have any block.
     """
-    out: set = set()
+    out = []
 
     def rec(pool, first, acc, gens):
         m = pool
@@ -317,8 +320,9 @@ def _supernova_generator_sets(n: int) -> set:
             left = pool ^ m
             block = left if m or first else 0
             while block:
-                new_gens = gens + stage_generators(((m, block),), acc)
-                out.add(tuple(new_gens))
+                new_gens = gens + stage_generators(((acc | m, block),))
+                if block & (block - 1) or block > m:
+                    out.append(tuple(new_gens))
                 rec(left ^ block, False, acc | m, new_gens)
                 block = (block - 1) & left
             if not m:
@@ -332,11 +336,9 @@ def _supernova_generator_sets(n: int) -> set:
 def enumerate_gotzmann(n: int) -> list[MonomialIdeal]:
     """All Gotzmann squarefree ideals of S on n variables, zero and unit included.
 
-    Generated structurally from supernova forms over every variable subset and
-    deduplicated by minimal generator set.  Each set is the stage generators
-    of a form, an antichain in canonical order by the argument in
-    osp_to_ideal (disjoint stage monomials and nonempty blocks, only the first
-    monomial empty), so it goes to the builder unfiltered and unsorted.
+    One ideal per set of _supernova_generator_sets, an antichain in
+    canonical order by the argument in osp_to_ideal, so it goes to the
+    builder unfiltered and unsorted.
 
     The ideals come by generator count, then by their generators' exponent
     tuples.  One integer per set sorts them so: its length, then its masks
@@ -349,9 +351,7 @@ def enumerate_gotzmann(n: int) -> list[MonomialIdeal]:
     if n > ENUMERATE_MAX_VARS:
         raise ValueError(f"enumeration is limited to {ENUMERATE_MAX_VARS} variables")
     ctx = poly_ring(n)
-    full = (1 << n) - 1
-    # each mask with its n bits reversed, read off its canonical key
-    reverse = [full ^ (key >> n & full) for key in _canonical_keys(range(1 << n), n)]
+    reverse = [int(format(m, f"0{n}b")[::-1], 2) for m in range(1 << n)]
 
     def order(masks):
         key = len(masks)
@@ -390,6 +390,8 @@ def count_up_to_symmetry(n: int) -> dict:
     linear (|m_1| = 0) x full support (all n variables used); each holds
     2^(n-2) orbits and the nonunit total is 2^n.
     """
+    if type(n) is not int:
+        raise ValueError(f"variable count must be an int, got {n!r}")
     if not 2 <= n <= MAX_VARS:
         raise ValueError(f"symmetry counts need 2 <= n <= {MAX_VARS}")
     counts = dict.fromkeys(("no_linear_full_support", "linear_full_support",
@@ -412,6 +414,8 @@ def count_table(n_max: int) -> list[dict]:
     agree: a row whose enumerated, egf and brute counts differ, or whose
     full-support counts differ, raises InvariantViolation.
     """
+    if type(n_max) is not int:
+        raise ValueError(f"variable count must be an int, got {n_max!r}")
     if n_max < 0:
         raise ValueError(f"variable count must be nonnegative, got {n_max}")
     if n_max > ENUMERATE_MAX_VARS:

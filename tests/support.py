@@ -183,7 +183,7 @@ def supernova_generator_sets_by_submasks(n: int) -> set:
             for block in submasks(left):
                 if block == 0:
                     continue
-                new_gens = gens + stage_generators(((m, block),), acc)
+                new_gens = gens + stage_generators(((acc | m, block),))
                 out.add(tuple(new_gens))
                 rec(left & ~block, False, acc | m, new_gens)
 

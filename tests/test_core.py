@@ -246,6 +246,20 @@ class TestMinimalize:
             assert (got._masks is None) == any(max(e) > 1 for e in want)
             assert MonomialIdeal(ctx, got.gens) == got
 
+    @pytest.mark.parametrize("n", range(9, MAX_VARS + 1))
+    def test_shuffled_squares_with_repeats_above_8_variables(self, n):
+        # a square on the top variable that no mask or other square divides
+        # stays a generator, so the ideal records no masks
+        rng = random.Random(n)
+        top_square = (0,) * (n - 1) + (2,)
+        for _ in range(20):
+            items = [m for m in self._mixed_inputs(rng, n) if m not in (0, 1 << (n - 1))]
+            items += [top_square] + rng.choices(items, k=rng.randint(1, 4))
+            rng.shuffle(items)
+            got = minimalize(items, poly_ring(n))
+            assert got.gens == minimalize_by_tuples(items, poly_ring(n)).gens, items
+            assert top_square in got.gens and got._masks is None, items
+
     def test_mixed_input_filtered_once(self, monkeypatch):
         calls = Counter()
 
@@ -704,6 +718,12 @@ class TestComponentSpace:
         with pytest.raises(ValueError):
             component_space(ideal("ab", R3), -1)
 
+    @pytest.mark.parametrize("d", [True, 1.0])
+    def test_degree_must_be_an_int(self, d):
+        for ctx in (R3, S3):
+            with pytest.raises(ValueError, match=f"^degree must be an int, got {d!r}$"):
+                component_space(ideal("ab", ctx), d)
+
     def test_up_set_piece_matches_listing_filter(self):
         # in R the piece is read off the up-set; the oracle filters the listing
         rng = random.Random(21)
@@ -1091,7 +1111,7 @@ class TestCanonicalKeys:
 
     def test_tuple_input_matches_oracle(self):
         # the inverted exponent tables on both sides of 8 variables, the
-        # squares' triple sort, and the first bad monomial in input order
+        # sort of an ideal with a square, and the first bad monomial in input order
         rng = random.Random(43)
         rejected, accepted = 0, Counter()
         for n in range(MAX_VARS + 1):

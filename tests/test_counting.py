@@ -24,7 +24,13 @@ from gotzmann.counting import (
     gotzmann_count_series,
     osp_to_ideal,
 )
-from gotzmann.classify import SupernovaForm, canonicalize, supernova_to_ideal
+from gotzmann.classify import (
+    SupernovaForm,
+    canonicalize,
+    recognize_supernova,
+    stage_generators,
+    supernova_to_ideal,
+)
 from gotzmann.lex import _grows_at, is_gotzmann_ideal
 from gotzmann.textio import parse_ideal_inline
 
@@ -159,12 +165,21 @@ class TestEnumerateGotzmann:
             assert [gen_masks(I) for I in ideals] == [gen_masks(I) for I in want], n
 
     def test_generator_sets_match_the_submask_walk(self):
-        # same sets, and the same iteration order, which only the same
-        # sequence of insertions is sure to give
-        for n in range(7):
+        # the walk keeps one form per set: a list with no repeats, holding
+        # every set of the walk over all forms
+        for n in range(8):
             sets = counting._supernova_generator_sets(n)
-            want = supernova_generator_sets_by_submasks(n)
-            assert sets == want and list(sets) == list(want), n
+            assert type(sets) is list and len(set(sets)) == len(sets), n
+            assert set(sets) == supernova_generator_sets_by_submasks(n), n
+
+    def test_walked_sets_are_the_recognized_forms(self):
+        # each walked set is an ideal whose recognized stages expand back to
+        # exactly its masks, in order
+        for n in range(7):
+            ctx = poly_ring(n)
+            for masks in counting._supernova_generator_sets(n):
+                form = recognize_supernova(_ideal_from_antichain(masks, ctx))
+                assert tuple(stage_generators(form.stages)) == masks, masks
 
     def test_gotzmann_in_S_is_gotzmann_in_R(self):
         # on the same generators; at n = 7 the supernova sets stand for the
@@ -428,3 +443,9 @@ class TestCountTable:
     def test_negative_max_rejected(self):
         with pytest.raises(ValueError, match="variable count must be nonnegative, got -1"):
             count_table(-1)
+
+    @pytest.mark.parametrize("count, n", [
+        (count_table, 2.0), (count_table, True), (count_up_to_symmetry, 3.0)])
+    def test_variable_count_must_be_an_int(self, count, n):
+        with pytest.raises(ValueError, match=f"^variable count must be an int, got {n!r}$"):
+            count(n)

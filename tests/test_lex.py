@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from gotzmann import lex
+from gotzmann import core, lex
 from gotzmann.core import (
     MAX_VARS,
     InvariantViolation,
@@ -111,6 +111,18 @@ class TestLexSegment:
                 lex_segment(1, -1, ctx)
             with pytest.raises(ValueError, match="^degree must be nonnegative$"):
                 lex_segment(0, -1, ctx)
+
+    # a float degree both before and after the listing of R_1 is cached
+    # under the equal key 1
+    @pytest.mark.parametrize("d, ctx, warm", [
+        (True, S3, False), (1.0, sqf_ring(3), False), (1.0, sqf_ring(3), True),
+    ], ids=["bool", "float-cold", "float-warm"])
+    def test_degree_must_be_an_int(self, d, ctx, warm):
+        core._all_monomials.cache_clear()
+        if warm:
+            all_monomials(ctx, 1)
+        with pytest.raises(ValueError, match=f"^degree must be an int, got {d!r}$"):
+            lex_segment(1, d, ctx)
 
     def test_nesting(self):
         for ctx in (R4, S3):

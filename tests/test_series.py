@@ -91,6 +91,12 @@ class TestCountingSeries:
                 build(-1)
             assert len(build(0)) == 1
 
+    @pytest.mark.parametrize("build, T", [
+        (osp_series, 2.5), (gotzmann_count_series, 3.0), (osp_series, True)])
+    def test_truncation_must_be_an_int(self, build, T):
+        with pytest.raises(ValueError, match=f"^truncation must be an int, got {T!r}$"):
+            build(T)
+
     def test_full_support_coefficients(self):
         h = full_support_series(12)
         assert [egf_coefficient(h, n) for n in range(6)] == [2, 1, 2, 8, 46, 332]
