@@ -5,11 +5,13 @@ or of `check --quiet` (not Gotzmann), 2 parse/usage error, 3 runtime invariant
 failure (for example a count mismatch in `count`, or a failing `selftest`) or
 a computation that ran out of memory.  Without --quiet, `check` prints a
 negative answer and exits 0.
+
+The commands that use decompose and counting import them, so check, classify
+and lexify never execute either module.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from .core import (
@@ -22,20 +24,6 @@ from .core import (
 )
 from .lex import is_gotzmann_ideal, lexify_in_R, sqf_lexify_in_S
 from .classify import format_supernova, recognize_supernova
-from .decompose import (
-    alexander_dual_ideal,
-    compress,
-    decompose,
-    growth_equality,
-    q_context,
-)
-from .counting import (
-    count_table,
-    enumerate_gotzmann,
-    full_support_series,
-    gotzmann_count_series,
-    osp_series,
-)
 from .textio import (
     format_ideal,
     format_monomial,
@@ -46,6 +34,10 @@ from .textio import (
     var_index,
     write_ideal_stanzas,
 )
+
+# after the package modules, which compile on first use: compiling core with
+# argparse's objects already live raised a cold command's peak RSS by 0.4 MB
+import argparse  # noqa: E402
 
 
 def _nonnegative(text: str) -> int:
@@ -135,6 +127,8 @@ def cmd_lexify(args) -> int:
 
 
 def cmd_dual(args) -> int:
+    from .decompose import alexander_dual_ideal
+
     I = _ideal(args)
     D = alexander_dual_ideal(I)
     grows = is_gotzmann_ideal(D)  # is_gdual_ideal(I) by definition: both keys report it
@@ -144,6 +138,8 @@ def cmd_dual(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .decompose import decompose
+
     V, i = _space(args)
     dec = decompose(V, i)
     result = {"vhat": _basis(dec.vhat), "vxi": _basis(dec.vxi)}
@@ -153,6 +149,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_compress(args) -> int:
+    from .decompose import compress, growth_equality, q_context
+
     V, i = _space(args)
     order = None if args.order is None else parse_order(args.order, q_context(V.ctx, i))
     eq = growth_equality(V, i)
@@ -163,6 +161,8 @@ def cmd_compress(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .counting import enumerate_gotzmann
+
     ideals = enumerate_gotzmann(args.n)
     text = write_ideal_stanzas(ideals)
     if args.output:
@@ -175,6 +175,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from .counting import count_table
+
     rows = count_table(args.max_n)
     if args.format == "json":
         import json
@@ -196,6 +198,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_series(args) -> int:
+    from .counting import full_support_series, gotzmann_count_series, osp_series
+
     builders = {"osp": osp_series, "fullsupport": full_support_series,
                 "gotzmann": gotzmann_count_series}
     for n, coefficient in enumerate(builders[args.name](args.terms)):

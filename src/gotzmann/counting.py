@@ -101,6 +101,8 @@ def enumerate_osp(n: int):
     elements still remaining, so it is disjoint from the blocks before it,
     and the last block is all that remains, so together they cover {1..n}.
     """
+    if type(n) is not int:
+        raise ValueError(f"set size must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"set size must be nonnegative, got {n}")
     if n > OSP_MAX_VARS:
@@ -191,6 +193,8 @@ def osp_series(T: int = DEFAULT_TRUNCATION) -> tuple[int, ...]:
 
 def fubini(n: int) -> int:
     """Number of ordered set partitions of an n-set."""
+    if type(n) is not int:
+        raise ValueError(f"set size must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"set size must be nonnegative, got {n}")
     return osp_series(n)[n]

@@ -40,6 +40,8 @@ def lex_segment(dim: int, d: int, ctx: RingContext, order=None) -> MonomialSpace
     """The first dim degree-d monomials of the ring in the given order."""
     if type(d) is not int:
         raise ValueError(f"degree must be an int, got {d!r}")
+    if type(dim) is not int:
+        raise ValueError(f"dimension must be an int, got {dim!r}")
     mons = all_monomials(ctx, d, order)
     if not 0 <= dim <= len(mons):
         raise ValueError(f"dimension {dim} out of range 0..{len(mons)}")

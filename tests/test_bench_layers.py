@@ -9,7 +9,7 @@ import json
 import sys
 from pathlib import Path
 
-import gotzmann.cli  # noqa: F401  (the package __init__ imports the other modules)
+import gotzmann.cli  # noqa: F401  (the package __init__ registers the other modules)
 
 LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.json"
 

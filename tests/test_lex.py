@@ -124,6 +124,16 @@ class TestLexSegment:
         with pytest.raises(ValueError, match=f"^degree must be an int, got {d!r}$"):
             lex_segment(1, d, ctx)
 
+    @pytest.mark.parametrize("dim, warm", [(True, False), (1.0, False), (1.0, True)],
+                             ids=["bool", "float-cold", "float-warm"])
+    def test_dimension_must_be_an_int(self, dim, warm):
+        ctx = sqf_ring(3)
+        core._all_monomials.cache_clear()
+        if warm:
+            all_monomials(ctx, 1)
+        with pytest.raises(ValueError, match=f"^dimension must be an int, got {dim!r}$"):
+            lex_segment(dim, 1, ctx)
+
     def test_nesting(self):
         for ctx in (R4, S3):
             for d in range(4):

@@ -45,6 +45,15 @@ class TestOrderedSetPartitionSeries:
         with pytest.raises(ValueError, match="nonnegative"):
             list(enumerate_osp(-2))
 
+    # enumerate_osp is a generator function, so it checks at the first next()
+    @pytest.mark.parametrize("size, n", [
+        (fubini, 2.0), (fubini, True),
+        (lambda n: next(enumerate_osp(n)), 2.0), (lambda n: next(enumerate_osp(n)), True),
+    ], ids=["fubini-float", "fubini-bool", "enumerate_osp-float", "enumerate_osp-bool"])
+    def test_set_size_must_be_an_int(self, size, n):
+        with pytest.raises(ValueError, match=f"^set size must be an int, got {n!r}$"):
+            size(n)
+
     def test_osp_series_against_stirling_numbers(self):
         # an ordered partition into k blocks is a partition into k blocks, ordered
         rows = stirling2_rows(60)
