@@ -208,14 +208,14 @@ def is_gdual_ideal(I: MonomialIdeal) -> bool:
     """Whether every componentwise Alexander dual of the ideal is Gotzmann.
 
     The dual of the degree-(n - k) component of I is the degree-k piece of
-    the dual bitset.  That bitset is the reflected complement of an up-set, so
-    it is an up-set too: the monomials of alexander_dual_ideal(I).  So this is
-    is_gotzmann_ideal of the dual, and lex._grows_minimally tests its pieces
-    against the Kruskal-Katona bound off one shadow, in the degrees its
-    generators span.
+    the dual bitset, the reflected complement of an up-set and so an up-set:
+    the monomials of alexander_dual_ideal(I).  So this is is_gotzmann_ideal
+    of the dual.  An up-set contains its one shadow, which leaves out its
+    generators, bits ^ shadow; lex._grows_minimally reads the rest off counts.
     """
     _require_sqf(I.ctx)
-    return _grows_minimally(_dual_bitset(I), I.ctx)
+    bits = _dual_bitset(I)
+    return _grows_minimally(bits, bits ^ upper_shadow(bits, I.ctx.n), I.ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .core import (
     MonomialIdeal,
     MonomialSpace,
     RingContext,
+    _close_up,
     _mask_level_bitsets,
     _restore,
     _space_from_basis,
@@ -31,7 +32,6 @@ from .core import (
     reflavor,
     shadow_up,
     sqf_hilbert,
-    up_set,
     upper_shadow,
 )
 
@@ -121,6 +121,10 @@ def is_lex_some_order(V: MonomialSpace):
 
 def macaulay_rep(m: int, d: int) -> tuple[tuple[int, int], ...]:
     """Greedy representation m = C(a_d,d) + C(a_{d-1},d-1) + ... with a_i strictly decreasing."""
+    if type(m) is not int:
+        raise ValueError(f"count must be an int, got {m!r}")
+    if type(d) is not int:
+        raise ValueError(f"degree must be an int, got {d!r}")
     if m < 0 or d < 1:
         raise ValueError("need m >= 0 and d >= 1")
     terms = []
@@ -147,20 +151,23 @@ def minimal_growth(dim: int, d: int, ctx: RingContext) -> int:
     sum C(a_i + 1, i + 1) in S (Macaulay) and sum C(a_i, i + 1) in R
     (Kruskal-Katona).  In degree 0 the shadow of the unit is every variable.
 
-    The value is read from _growth_bound, a bounded memo of the closed form;
-    an out-of-range dim raises there on every call, since a raise is never
-    remembered.
+    The value is read from _growth_bound, a bounded memo keyed by type too,
+    so 2.0 never reads the entry of 2; a bad dim or d raises on every call.
     """
     return _growth_bound(dim, d, ctx.n, ctx.flavor)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)
 def _growth_bound(dim: int, d: int, n: int, flavor: str) -> int:
     """minimal_growth on the ring with n variables and the given flavor.
 
     The persistence-cut walk asks for a few hundred keys millions of times
-    at n = 6, so a few thousand entries hold them all.
+    at n = 6, so a few thousand entries hold them all.  Only misses check.
     """
+    if type(d) is not int:
+        raise ValueError(f"degree must be an int, got {d!r}")
+    if type(dim) is not int:
+        raise ValueError(f"dimension must be an int, got {dim!r}")
     total = component_dim(n, flavor, d)
     if not 0 <= dim <= total:
         raise ValueError(f"dimension {dim} out of range 0..{total}")
@@ -204,26 +211,25 @@ def _grows_at(counts, shadow: int, d: int, ctx: RingContext) -> bool:
     return grown == minimal_growth(dim_d, d, ctx)
 
 
-def _grows_minimally(bits: int, ctx: RingContext) -> bool:
+def _grows_minimally(bits: int, gens: int, ctx: RingContext) -> bool:
     """Whether a squarefree up-set grows minimally in every degree.
 
-    bits is a bitset over the 2^n masks that contains its own shadow: the
-    squarefree monomials of an ideal.  One upper_shadow serves every degree,
-    since its degree-(d+1) part is the shadow of the degree-d piece
-    bits & levels[d], and bits & ~shadow are the minimal generators.  By
-    persistence (Gotzmann in S, Aramova-Herzog-Hibi in R) _grows_at tests
-    only the degrees from the lowest to the highest generator degree; an
+    bits is a bitset over the 2^n masks that contains its own shadow, the
+    squarefree monomials of an ideal, and gens its minimal elements.  A mask
+    of bits of degree d + 1 outside gens is x_j times one of degree d, so the
+    shadow of the degree-d piece has counts[d + 1] - |gens & levels[d + 1]|
+    masks and none is taken.  By persistence (Gotzmann in S,
+    Aramova-Herzog-Hibi in R) _grows_at tests the degrees from the lowest to
+    the highest generator degree, so levels are counted to one above it; an
     up-set with no generators, the zero ideal, passes.
     """
-    n = ctx.n
-    levels = _mask_level_bitsets(n)[0]
-    above = levels[1:] + (0,)  # the level that holds the shadow of each degree
-    shadow = upper_shadow(bits, n)
-    gens = bits & ~shadow
-    counts = [(bits & level).bit_count() for level in levels]
+    levels = _mask_level_bitsets(ctx.n)[0] + (0,)  # 0: the level above degree n
     tested = [d for d, level in enumerate(levels) if gens & level]
-    return not tested or all(_grows_at(counts, (shadow & above[d]).bit_count(), d, ctx)
-                             for d in range(tested[0], tested[-1] + 1))
+    if not tested:
+        return True
+    counts = [(bits & level).bit_count() for level in levels[:tested[-1] + 2]]
+    return all(_grows_at(counts, counts[d + 1] - (gens & levels[d + 1]).bit_count(), d, ctx)
+               for d in range(tested[0], tested[-1] + 1))
 
 
 def is_gotzmann_ideal(I: MonomialIdeal) -> bool:
@@ -231,16 +237,17 @@ def is_gotzmann_ideal(I: MonomialIdeal) -> bool:
 
     A squarefree ideal of S is decided by the paper's structure theorem: it
     is Gotzmann exactly when it has a supernova form.  A squarefree ideal of
-    R is read off the up-set of its generators by _grows_minimally.  An
-    ideal of S with a square is grown piece by piece, each the shadow of the
-    one below plus the generators of its degree, over the degrees that
-    persistence leaves to test.
+    R is read by _grows_minimally off level counts of its up-set and of the
+    bitset of its generator masks, with no shadow taken.  An ideal of S with
+    a square is grown piece by piece, each the shadow of the one below plus
+    the generators of its degree, over the degrees persistence leaves.
     """
     ctx = I.ctx
     if I.squarefree:
         if ctx.flavor == POLY:
             return I.is_unit or _supernova_stages(gen_masks(I)) is not None
-        return _grows_minimally(up_set(gen_masks(I), ctx.n), ctx)
+        gens = mask_bitset(gen_masks(I))
+        return _grows_minimally(_close_up(gens, ctx.n), gens, ctx)
     degs = I.degrees()
     piece = frozenset()
     for d in range(degs[0], degs[-1] + 1):

@@ -23,11 +23,12 @@ from gotzmann.core import (
     shadow_up,
     sqf_hilbert,
     sqf_ring,
+    up_set,
     upper_shadow,
 )
 from gotzmann.classify import SupernovaForm, stage_generators
 from gotzmann.counting import WITH_LINEAR, OrderedSetPartition, enumerate_osp
-from gotzmann.lex import _grows_at
+from gotzmann.lex import _grows_at, _grows_minimally
 from gotzmann.textio import parse_monomial
 
 
@@ -226,6 +227,14 @@ def cut_walk_growth_tests(n: int, ctx) -> list:
 
     rec(0, 0, [])
     return tests
+
+
+def grows_by_levels(I: MonomialIdeal) -> bool:
+    """lex._grows_minimally on the up-set of a squarefree ideal and the bitset
+    of its generator masks: the growth route in either ring, which does not
+    rest on the structure theorem."""
+    masks = gen_masks(I)
+    return _grows_minimally(up_set(masks, I.ctx.n), mask_bitset(masks), I.ctx)
 
 
 def has_linear_gen(I: MonomialIdeal) -> bool:

@@ -14,11 +14,14 @@ from gotzmann.classify import canonicalize  # noqa: E402
 from gotzmann.core import (  # noqa: E402
     MonomialIdeal,
     MonomialSpace,
+    _close_up,
     _ideal_from_antichain,
     _mask_level_bitsets,
     all_monomials,
+    bitset_masks,
     gen_masks,
     ideal_from_up_set,
+    mask_bitset,
     mask_to_exps,
     minimalize,
     poly_ring,
@@ -33,9 +36,9 @@ from gotzmann.classify import (  # noqa: E402
     supernova_to_ideal,
 )
 from gotzmann.decompose import colon_with_n1  # noqa: E402
-from gotzmann.lex import _grows_at, _grows_minimally, is_gotzmann_ideal, lexify_in_R  # noqa: E402
+from gotzmann.lex import _grows_at, is_gotzmann_ideal, lexify_in_R  # noqa: E402
 
-from support import gotzmann_by_components, minimalize_by_tuples  # noqa: E402
+from support import gotzmann_by_components, grows_by_levels, minimalize_by_tuples  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None)
 
@@ -188,8 +191,7 @@ def test_colon_matches_definition(n, data):
 @given(sqf_poly_ideals())
 def test_gotzmann_in_S_iff_supernova(I):
     # the growth route on the up-set, which does not rest on the theorem
-    grows = _grows_minimally(up_set(gen_masks(I), I.ctx.n), I.ctx)
-    assert grows == (recognize_supernova(I) is not None)
+    assert grows_by_levels(I) == (recognize_supernova(I) is not None)
 
 
 @SETTINGS
@@ -247,13 +249,33 @@ def bitsets(draw):
 @given(bitsets())
 def test_one_shadow_holds_every_level_shadow(case):
     """The degree-(d+1) part of the shadow of a bitset is the shadow of its
-    degree-d piece, which is what lets _grows_minimally take one shadow."""
+    degree-d piece.  So one shadow of an up-set leaves out its generators in
+    every degree at once, which is how is_gdual_ideal reads the dual's
+    generators for _grows_minimally, whose level-count rule takes no shadow
+    (test_level_counts_give_every_level_shadow)."""
     n, bits = case
     levels = _mask_level_bitsets(n)[0]
     shadow = upper_shadow(bits, n)
     for d in range(n):
         assert shadow & levels[d + 1] == upper_shadow(bits & levels[d], n)
     assert upper_shadow(bits & levels[n], n) == 0
+
+
+@SETTINGS
+@given(bitsets())
+def test_level_counts_give_every_level_shadow(case):
+    """Close a bitset upward to U and let G be its minimal elements, by their
+    definition.  The shadow of U's degree-d piece has as many masks as U's
+    degree-(d+1) level less G: the rule by which _grows_minimally reads each
+    grown dimension off level counts, against direct shadows."""
+    n, bits = case
+    levels = _mask_level_bitsets(n)[0] + (0,)
+    up = _close_up(bits, n)
+    gens = mask_bitset(m for m in bitset_masks(up)
+                       if not any(up >> (m ^ 1 << j) & 1 for j in range(n) if m >> j & 1))
+    for d in range(n + 1):
+        assert (upper_shadow(up & levels[d], n).bit_count()
+                == (up & levels[d + 1]).bit_count() - (gens & levels[d + 1]).bit_count())
 
 
 def relabeled_stages(stages, n):

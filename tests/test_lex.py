@@ -1,3 +1,4 @@
+import importlib
 import random
 from collections import Counter
 
@@ -12,14 +13,12 @@ from gotzmann.core import (
     all_monomials,
     binom,
     component_space,
-    gen_masks,
     mask_bitset,
     poly_ring,
     reflavor,
     shadow_up,
     space,
     sqf_ring,
-    up_set,
     upper_shadow,
 )
 from gotzmann.lex import (
@@ -44,6 +43,7 @@ from support import (
     brute_min_shadow,
     direct_sqf_counts,
     gotzmann_by_components,
+    grows_by_levels,
     growth_by_construction,
     lex_order_by_permutations,
     lexify_by_segments,
@@ -248,6 +248,16 @@ class TestMacaulay:
             with pytest.raises(ValueError, match="^need m >= 0 and d >= 1$"):
                 macaulay_rep(m, d)
 
+    @pytest.mark.parametrize("m, d, message", [
+        (True, 1, "count must be an int, got True"),
+        (3.0, 2, "count must be an int, got 3.0"),
+        (3, 2.0, "degree must be an int, got 2.0"),
+        (3, True, "degree must be an int, got True"),
+    ], ids=["bool-count", "float-count", "float-degree", "bool-degree"])
+    def test_count_and_degree_must_be_ints(self, m, d, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            macaulay_rep(m, d)
+
     def test_round_trip(self):
         rng = random.Random(3)
         for _ in range(300):
@@ -305,6 +315,22 @@ class TestMinimalGrowth:
                 minimal_growth(7, 2, R4)
             with pytest.raises(ValueError, match=r"^dimension -1 out of range 0\.\.6$"):
                 minimal_growth(-1, 2, S3)
+
+    # each value both before and after the bound of the equal int is cached
+    @pytest.mark.parametrize("dim, d, message", [
+        (2.0, 1, "dimension must be an int, got 2.0"),
+        (True, 1, "dimension must be an int, got True"),
+        (2, 1.0, "degree must be an int, got 1.0"),
+        (2, True, "degree must be an int, got True"),
+    ], ids=["float-dim", "bool-dim", "float-degree", "bool-degree"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_dimension_and_degree_must_be_ints(self, dim, d, message, warm):
+        _growth_bound.cache_clear()
+        if warm:
+            minimal_growth(int(dim), int(d), R4)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                minimal_growth(dim, d, R4)
 
     def test_named_rings_share_the_bound(self):
         named = sqf_ring(4, "wxyz")
@@ -409,21 +435,25 @@ class TestGotzmannIdeals:
 
 
 class TestOneShadowPerGrowthTest:
-    """The squarefree growth tests take one upper_shadow, whatever the number of
-    degrees they test: its degree-(d+1) part is the shadow of the degree-d piece."""
+    """The squarefree growth test of an ideal of R takes no shadow: it holds the
+    generators, and the shadow of the degree-d piece is the degree-(d+1) level
+    less its generators.  The gdual test takes one, of the dual bitset, whose
+    generators are what the shadow leaves out."""
 
     @staticmethod
     def shadow_calls(monkeypatch, test, I):
-        calls = []
+        """The upper_shadow calls of test(I), by the namespace that makes them."""
+        calls = Counter()
+        # gotzmann.decompose as an attribute is the function decompose
+        for module in (core, lex, importlib.import_module("gotzmann.decompose")):
+            def counted(bits, n, name=module.__name__):
+                calls[name] += 1
+                return upper_shadow(bits, n)
 
-        def counted(bits, n):
-            calls.append(n)
-            return upper_shadow(bits, n)
-
-        monkeypatch.setattr(lex, "upper_shadow", counted)
+            monkeypatch.setattr(module, "upper_shadow", counted)
         test(I)
         monkeypatch.undo()
-        return len(calls)
+        return calls
 
     @staticmethod
     def ideals(flavor):
@@ -436,21 +466,22 @@ class TestOneShadowPerGrowthTest:
         return out
 
     def test_gotzmann_ideal_in_both_rings(self, monkeypatch):
-        # one shadow in R; in S the structure theorem decides, so neither the
+        # no shadow in R; in S the structure theorem decides, so neither the
         # growth route nor a shadow runs
         for I in self.ideals("R"):
-            assert self.shadow_calls(monkeypatch, is_gotzmann_ideal, I) == 1, I
+            assert self.shadow_calls(monkeypatch, is_gotzmann_ideal, I) == {}, I
         calls = []
         grows = lex._grows_minimally
         monkeypatch.setattr(lex, "_grows_minimally", lambda *a: calls.append(a) or grows(*a))
         for I in self.ideals("S"):
-            assert is_gotzmann_ideal(I) == grows(up_set(gen_masks(I), I.ctx.n), I.ctx), I
+            assert is_gotzmann_ideal(I) == grows_by_levels(I), I
         assert calls == []
 
     def test_gdual_ideal(self, monkeypatch):
         ideals = [I for n in range(5) for I in enumerate_antichains(n, "R")] + self.ideals("R")
         for I in ideals:
-            assert self.shadow_calls(monkeypatch, is_gdual_ideal, I) == 1, I
+            calls = self.shadow_calls(monkeypatch, is_gdual_ideal, I)
+            assert calls == {"gotzmann.decompose": 1}, I
 
 
 class TestCountingKernel:
