@@ -170,8 +170,8 @@ def format_supernova(form: SupernovaForm, ctx: RingContext) -> str:
     acc = 0
     for m, block in form.stages:
         acc |= m
-        names = [ctx.name(i) for i in iter_bits(acc)]
-        block_names = ",".join(ctx.name(i) for i in iter_bits(block))
+        names = [ctx.names[i] for i in iter_bits(acc)]
+        block_names = ",".join(ctx.names[i] for i in iter_bits(block))
         prefix = "*".join(names) + "*" if names else ""
         parts.append(f"{prefix}({block_names})")
     return " + ".join(parts)

@@ -111,7 +111,7 @@ def cmd_classify(args) -> int:
         return 1
     ctx = I.ctx
     stages = [{"monomial": format_monomial(m, ctx),
-               "block": [ctx.name(i) for i in iter_bits(block)]}
+               "block": [ctx.names[i] for i in iter_bits(block)]}
               for m, block in form.stages]
     text = format_supernova(form, ctx)
     _report(args, I, text, {"stages": stages, "unit": form.unit}, text)

@@ -44,7 +44,7 @@ class _Record:
     A record stores its attributes in __slots__, and _fields names those that
     make up its value.  Its __init__ freezes a list or set it is given into a
     tuple or frozenset, and a monomial given as a sequence into a tuple; it
-    validates, leaving the monomial rules to as_exps and minimalize, then
+    validates, leaving the monomial rules to _space_basis and minimalize, then
     sets each slot with object.__setattr__; assignment and deletion
     otherwise raise AttributeError.  Equality holds between records of one
     type with equal fields, the hash agrees with it, and the repr names the
@@ -116,6 +116,11 @@ class RingContext(_Record):
             raise ValueError(f"flavor must be {POLY!r} or {SQF!r}, got {flavor!r}")
         if len(names) != n:
             raise ValueError("need exactly one name per variable")
+        for name in names:  # each must print as text the parser reads back as it
+            if (not isinstance(name, str) or name.split() != [name] or name in ("0", "1")
+                    or not set(name).isdisjoint("*,()")):
+                raise ValueError(f"variable name {name!r} is not a nonempty str without"
+                                 " whitespace, '*', ',', '(' or ')', nor '0' or '1'")
         if len(set(names)) != n or not all(names):
             raise ValueError("variable names must be distinct and nonempty")
         _setattr(self, "n", n)
@@ -125,9 +130,6 @@ class RingContext(_Record):
     def dim_component(self, d: int) -> int:
         """Dimension of the full degree-d component of the ring."""
         return component_dim(self.n, self.flavor, d)
-
-    def name(self, i: int) -> str:
-        return self.names[i]
 
 
 @lru_cache(maxsize=2 * (MAX_VARS + 1), typed=True)
@@ -247,20 +249,6 @@ def _exps_tuple(m) -> tuple:
         raise ValueError(f"monomial {m!r} is not an exponent sequence") from None
 
 
-def exps_to_mask(exps) -> int:
-    """Bit mask of a squarefree exponent tuple: as_exps, then the first
-    exponent above one, then support_of_exps.  An exponent other than int 0
-    or 1, or more than MAX_VARS of them, raises ValueError."""
-    e = _exps_tuple(exps)
-    e = as_exps(e, len(e))
-    if len(e) > MAX_VARS:
-        raise ValueError(f"variable count must be in 0..{MAX_VARS}, got {len(e)}")
-    for i, x in enumerate(e):
-        if x > 1:
-            raise ValueError(f"monomial is not squarefree: exponent {x} at index {i}")
-    return support_of_exps(e)
-
-
 def as_exps(m, n: int) -> tuple[int, ...]:
     """Normalize a monomial of n variables to exponents: the one check, for
     every public constructor, that a value is a mask that fits or a sequence
@@ -337,28 +325,18 @@ def all_monomials(ctx: RingContext, d: int, order=None) -> tuple:
 class MonomialSpace(_Record):
     """A degree-homogeneous set of monomials inside S_d or R_d.
 
-    The basis is a frozenset of masks in R and of exponent tuples in S, each
-    sequence stored as the tuple as_exps makes of it.  The constructor
-    validates it: the representation matches the flavor, as_exps accepts
-    each monomial, and each has the given degree.  Inside the package a
-    space that is valid by construction is built by _space_from_basis
-    instead, which skips these checks.
+    The basis is a frozenset of masks in R and of exponent tuples in S.  The
+    constructor raises as space() does, then checks the basis against what
+    _space_basis makes of it; inside the package a space valid by
+    construction is built by _space_from_basis, with no checks.
     """
 
     __slots__ = _fields = ("ctx", "degree", "basis")
 
     def __init__(self, ctx: RingContext, degree: int, basis: frozenset):
         basis = frozenset(m if isinstance(m, int) else _exps_tuple(m) for m in basis)
-        if type(degree) is not int:
-            raise ValueError(f"degree must be an int, got {degree!r}")
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        want_mask = ctx.flavor == SQF
-        for m in basis:
-            if want_mask != isinstance(m, int):
-                raise ValueError("basis representation does not match ring flavor")
-            if sum(as_exps(m, ctx.n)) != degree:
-                raise ValueError(f"basis element {m} is not of degree {degree}")
+        if _space_basis(ctx, degree, basis) != basis:
+            raise ValueError("basis representation does not match ring flavor")
         _setattr(self, "ctx", ctx)
         _setattr(self, "degree", degree)
         _setattr(self, "basis", basis)
@@ -370,13 +348,10 @@ class MonomialSpace(_Record):
 
 def _space_from_basis(ctx: RingContext, degree: int, basis: frozenset) -> MonomialSpace:
     """The space with the given basis, which must already be a frozenset of
-    degree-`degree` monomials of ctx in its flavor's representation.
-
-    The counterpart of _ideal_from_antichain for spaces: none of the
-    constructor's checks runs.  Each caller derives its basis from a valid
-    space or ideal by an operation that stays in the ring and moves the
-    degree as it says.
-    """
+    degree-`degree` monomials of ctx in its flavor's representation; the
+    counterpart of _ideal_from_antichain for spaces, with no check.  Each
+    caller derives its basis from a valid space or ideal by an operation
+    that stays in the ring and moves the degree as it says."""
     V = object.__new__(MonomialSpace)
     _setattr(V, "ctx", ctx)
     _setattr(V, "degree", degree)
@@ -384,13 +359,30 @@ def _space_from_basis(ctx: RingContext, degree: int, basis: frozenset) -> Monomi
     return V
 
 
+def _space_basis(ctx: RingContext, degree: int, monomials) -> frozenset:
+    """The basis rule for spaces, as minimalize is the rule for ideals: each
+    monomial read once by as_exps, of the given degree, and in R kept as its
+    support mask, where a square raises minimalize's message."""
+    if type(degree) is not int:
+        raise ValueError(f"degree must be an int, got {degree!r}")
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    n, sqf = ctx.n, ctx.flavor == SQF
+    basis = []
+    for m in monomials:
+        e = as_exps(m, n)
+        m = (m if type(m) is int else support_of_exps(e)) if sqf else e  # a mask is its support
+        if sqf and m.bit_count() != sum(e):
+            raise ValueError(f"monomial {e} is not squarefree")
+        if sum(e) != degree:
+            raise ValueError(f"basis element {m} is not of degree {degree}")
+        basis.append(m)
+    return frozenset(basis)
+
+
 def space(ctx: RingContext, degree: int, monomials) -> MonomialSpace:
-    """Build a MonomialSpace, normalizing monomials to the flavor's representation."""
-    if ctx.flavor == SQF:
-        basis = frozenset(exps_to_mask(as_exps(m, ctx.n)) for m in monomials)
-    else:
-        basis = frozenset(as_exps(m, ctx.n) for m in monomials)
-    return MonomialSpace(ctx, degree, basis)
+    """A MonomialSpace of the monomials, checked and normalized by _space_basis."""
+    return _space_from_basis(ctx, degree, _space_basis(ctx, degree, monomials))
 
 
 def shadow_up(V: MonomialSpace) -> MonomialSpace:
@@ -486,13 +478,12 @@ class MonomialIdeal(_Record):
 
 
 def gen_masks(I: MonomialIdeal) -> tuple[int, ...]:
-    """Generators as bit masks, in the order of I.gens; requires a squarefree ideal.
-
-    Reads the masks recorded when I was built; for an ideal with a generator
-    that is not squarefree, exps_to_mask raises ValueError naming it.
-    """
+    """Generators as bit masks, in the order of I.gens, as recorded when I was
+    built; an ideal with a square records none, and its first generator with
+    a square raises minimalize's ValueError."""
     if I._masks is None:
-        return tuple(map(exps_to_mask, I.gens))
+        e = next(e for e in I.gens if support_of_exps(e).bit_count() != sum(e))
+        raise ValueError(f"monomial {e} is not squarefree")
     return I._masks
 
 
@@ -754,11 +745,11 @@ def _binom_row(a: int) -> tuple[int, ...]:
 
 
 def q_context(ctx: RingContext, i: int) -> RingContext:
-    """The ring of the same flavor with variable i removed.  The one check of
-    a variable index: an int, of type int exactly, that names a variable of
-    ctx; anything else raises ValueError."""
+    """The ring of the same flavor with variable i removed, its names ctx's
+    and so not checked again.  The one check of a variable index: an int, of
+    type int exactly, that names a variable of ctx; else ValueError."""
     if type(i) is not int:
         raise ValueError(f"variable index must be an int, got {i!r}")
     if not 0 <= i < ctx.n:
         raise ValueError(f"variable index {i} out of range")
-    return RingContext(ctx.n - 1, ctx.flavor, ctx.names[:i] + ctx.names[i + 1:])
+    return _restore(RingContext, (ctx.n - 1, ctx.flavor, ctx.names[:i] + ctx.names[i + 1:]))

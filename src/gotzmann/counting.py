@@ -36,7 +36,6 @@ from .lex import _grows_at
 ENUMERATE_MAX_VARS = 6
 ANTICHAIN_MAX_VARS = 5
 OSP_MAX_VARS = 10
-DEFAULT_TRUNCATION = 12
 
 WITH_LINEAR = "with_linear"
 WITHOUT_LINEAR = "without_linear"
@@ -173,7 +172,7 @@ def osp_to_ideal(osp: OrderedSetPartition, family: str) -> MonomialIdeal:
 # ---------------------------------------------------------------------------
 # generating functions, each as its egf coefficients n! [t^n], n = 0..T
 
-def osp_series(T: int = DEFAULT_TRUNCATION) -> tuple[int, ...]:
+def osp_series(T: int) -> tuple[int, ...]:
     """E.g.f. of ordered set partitions, 1/(2 - e^t).
 
     From (2 - e^t) A = 1: a_0 = 1 and a_n = sum_{k=1..n} C(n, k) a_{n-k},
@@ -200,7 +199,7 @@ def fubini(n: int) -> int:
     return osp_series(n)[n]
 
 
-def big_last_block_series(T: int = DEFAULT_TRUNCATION) -> tuple[int, ...]:
+def big_last_block_series(T: int) -> tuple[int, ...]:
     """E.g.f. of ordered set partitions whose last block is not a singleton,
     (1 - t)/(2 - e^t): a_n - n a_{n-1}, all partitions less those ending in
     one of n singletons."""
@@ -208,12 +207,12 @@ def big_last_block_series(T: int = DEFAULT_TRUNCATION) -> tuple[int, ...]:
     return (a[0],) + tuple(a[n] - n * a[n - 1] for n in range(1, T + 1))
 
 
-def full_support_series(T: int = DEFAULT_TRUNCATION) -> tuple[int, ...]:
+def full_support_series(T: int) -> tuple[int, ...]:
     """E.g.f. of full-support Gotzmann squarefree ideals, 2(1-t)/(2-e^t) + t."""
     return tuple(2 * b + (n == 1) for n, b in enumerate(big_last_block_series(T)))
 
 
-def gotzmann_count_series(T: int = DEFAULT_TRUNCATION) -> tuple[int, ...]:
+def gotzmann_count_series(T: int) -> tuple[int, ...]:
     """E.g.f. of all Gotzmann squarefree ideals: e^t times the full-support
     series, the binomial transform sum_k C(n, k) h_k (the support is any
     k-subset of the variables)."""

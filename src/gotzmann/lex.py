@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 from .classify import _supernova_stages
 from .core import (
@@ -26,9 +27,11 @@ from .core import (
     all_monomials,
     component_dim,
     gen_masks,
+    iter_bits,
     mask_bitset,
     minimalize,
     poly_hilbert_from_sqf,
+    poly_ring,
     reflavor,
     shadow_up,
     sqf_hilbert,
@@ -238,9 +241,11 @@ def is_gotzmann_ideal(I: MonomialIdeal) -> bool:
     A squarefree ideal of S is decided by the paper's structure theorem: it
     is Gotzmann exactly when it has a supernova form.  A squarefree ideal of
     R is read by _grows_minimally off level counts of its up-set and of the
-    bitset of its generator masks, with no shadow taken.  An ideal of S with
-    a square is grown piece by piece, each the shadow of the one below plus
-    the generators of its degree, over the degrees persistence leaves.
+    bitset of its generator masks, with no shadow taken.  An ideal I of S
+    with a square is J S, J the ideal of its generators in the variables that
+    divide one; J is grown piece by piece, each the shadow of the one below
+    plus the generators of its degree, over the degrees persistence leaves,
+    and I_d is the sum over j of J_j times the free monomials of degree d - j.
     """
     ctx = I.ctx
     if I.squarefree:
@@ -249,11 +254,16 @@ def is_gotzmann_ideal(I: MonomialIdeal) -> bool:
         gens = mask_bitset(gen_masks(I))
         return _grows_minimally(_close_up(gens, ctx.n), gens, ctx)
     degs = I.degrees()
-    piece = frozenset()
+    used = list(iter_bits(I.support_mask))
+    # dim I_d = sum_j dims[j] * frees[d - j], dims[j] = dim J_j of J in the used variables
+    frees = [component_dim(ctx.n - len(used), POLY, k) for k in range(degs[-1] + 2)]
+    dims, piece = [0] * degs[0], frozenset()
     for d in range(degs[0], degs[-1] + 1):
-        V = _space_from_basis(ctx, d, piece.union(e for e in I.gens if sum(e) == d))
-        piece = shadow_up(V).basis
-        if len(piece) != minimal_growth(V.dim, d, ctx):
+        piece = piece.union(tuple(e[i] for i in used) for e in I.gens if sum(e) == d)
+        dims.append(len(piece))
+        piece = shadow_up(_space_from_basis(poly_ring(len(used)), d, piece)).basis
+        grown = sum(map(mul, reversed(dims + [len(piece)]), frees))
+        if grown != minimal_growth(sum(map(mul, reversed(dims), frees)), d, ctx):
             return False
     return True
 

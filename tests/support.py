@@ -12,7 +12,6 @@ from gotzmann.core import (
     as_exps,
     component_space,
     divides,
-    exps_to_mask,
     gen_masks,
     ideal_from_up_set,
     mask_bitset,
@@ -23,6 +22,7 @@ from gotzmann.core import (
     shadow_up,
     sqf_hilbert,
     sqf_ring,
+    support_of_exps,
     up_set,
     upper_shadow,
 )
@@ -312,7 +312,7 @@ def lexify_by_segments(I: MonomialIdeal) -> MonomialIdeal:
 def direct_sqf_counts(I: MonomialIdeal):
     """Squarefree monomials of I per degree 0..n, testing every mask of R."""
     ctx = sqf_ring(I.ctx.n)
-    gens = [exps_to_mask(e) for e in I.gens]
+    gens = [support_of_exps(e) for e in I.gens]
     return tuple(sum(1 for m in all_monomials(ctx, d) if any(g & m == g for g in gens))
                  for d in range(ctx.n + 1))
 

@@ -31,7 +31,6 @@ from gotzmann.core import (
     bitset_masks,
     component_space,
     divides,
-    exps_to_mask,
     gen_masks,
     ideal_from_up_set,
     insert_variable_bitset,
@@ -360,7 +359,7 @@ class TestConstructorOracle:
                 continue
             assert want is None, (ctx.flavor, gens)
             squarefree = all(max(e, default=0) <= 1 for e in gens)
-            assert I._masks == (tuple(map(exps_to_mask, gens)) if squarefree else None)
+            assert I._masks == (tuple(map(support_of_exps, gens)) if squarefree else None)
             accepted += 1
         assert 1000 < accepted < 3000
 
@@ -421,28 +420,34 @@ class TestMaskToExps:
         with pytest.raises(ValueError, match="^mask 8 does not fit in 3 variables$"):
             as_exps(8, 3)
 
-    def test_exps_to_mask_takes_int_zero_or_one_only(self):
-        cases = [
-            ((-1, 0), "bad exponent tuple (-1, 0) for 2 variables"),
-            ((0.5, 0), "bad exponent tuple (0.5, 0) for 2 variables"),
-            ((True, 0), "bad exponent tuple (True, 0) for 2 variables"),
-            ((1.0, 0), "bad exponent tuple (1.0, 0) for 2 variables"),
-            ((2, 0, 0), "monomial is not squarefree: exponent 2 at index 0"),
-            ((0, 1, 3, 2), "monomial is not squarefree: exponent 3 at index 2"),
-            ((0,) * 12 + (2,), "monomial is not squarefree: exponent 2 at index 12"),
-            (5, "monomial 5 is not an exponent sequence"),
-            ((0,) * 17, "variable count must be in 0..16, got 17"),
-            ((2,) + (0,) * 16, "variable count must be in 0..16, got 17"),
-        ]
-        for exps, message in cases:
+    def test_squarefree_tuples_by_as_exps_space_and_minimalize(self):
+        # the cases of the former tuple-to-mask step: a bad exponent or length
+        # raises in as_exps, a square in space() and minimalize alike
+        bad = [((-1, 0), 2), ((0.5, 0), 2), ((True, 0), 2), ((1.0, 0), 2),
+               ((0,) * 17, 16), ((2,) + (0,) * 16, 16)]
+        for exps, n in bad:
             with pytest.raises(ValueError) as err:
-                exps_to_mask(exps)
-            assert str(err.value) == message, exps
+                as_exps(exps, n)
+            assert str(err.value) == f"bad exponent tuple {exps} for {n} variables"
+        for exps in ((2, 0, 0), (0, 1, 3, 2), (0,) * 12 + (2,)):
+            ctx, message = sqf_ring(len(exps)), f"monomial {exps} is not squarefree"
+            for build in (lambda: space(ctx, sum(exps), [exps]),
+                          lambda: minimalize([exps], ctx)):
+                with pytest.raises(ValueError) as err:
+                    build()
+                assert str(err.value) == message, exps
+        # an int is a mask, never a tuple: 5 fits in 3 variables and not in 2
+        assert as_exps(5, 3) == (1, 0, 1)
+        with pytest.raises(ValueError, match="^mask 5 does not fit in 2 variables$"):
+            as_exps(5, 2)
         # the accepted tuples, each exponent at its own bit
         accepted = [((), 0), ((1,), 1), ((0, 1, 1), 0b110), ([1, 0, 1], 0b101),
                     ((0,) * 15 + (1,), 1 << 15), ((1,) * 16, (1 << 16) - 1)]
         for exps, mask in accepted:
-            assert exps_to_mask(exps) == mask, exps
+            n = len(exps)
+            assert space(sqf_ring(n), sum(exps), [exps]).basis == {mask}, exps
+            assert minimalize([exps], sqf_ring(n)).gens[0] == tuple(exps)
+            assert support_of_exps(exps) == mask, exps
 
 
 class TestTables:
@@ -462,7 +467,7 @@ class TestTables:
         for n in range(MAX_VARS + 1):
             assert mask_to_exps((1 << n) - 1, n) == (1,) * n
             assert _canonical_keys([0], n) == [((1 << n) - 1) << n]
-            assert exps_to_mask((0,) * n) == 0
+            assert support_of_exps((0,) * n) == 0
         info = _tables.cache_info()
         assert info.currsize == info.maxsize == MAX_VARS + 1
 
@@ -486,6 +491,25 @@ class TestSharedRings:
             poly_ring(2, "xx")
         with pytest.raises(ValueError, match="one name per variable"):
             sqf_ring(3, "xy")
+
+    NAME_MESSAGE = ("variable name {!r} is not a nonempty str without whitespace,"
+                    " '*', ',', '(' or ')', nor '0' or '1'")
+
+    @pytest.mark.parametrize("bad", [1, "a b", "\t", "a*b", "a,b", "a(", "b)", "0", "1"], ids=repr)
+    def test_names_the_text_format_cannot_read_back_rejected(self, bad):
+        # one case per kind: no str, whitespace, '*', ',', '(', ')', and the
+        # ideal tokens 0 and 1, each named in the message
+        for make in (poly_ring, sqf_ring):
+            with pytest.raises(ValueError) as err:
+                make(2, names=(bad, "z"))
+            assert str(err.value) == self.NAME_MESSAGE.format(bad)
+
+    def test_accepted_names_read_back(self):
+        from gotzmann.textio import format_ideal
+
+        ctx = poly_ring(3, names=("x_1", "y2", "\u03b1"))
+        I = parse_ideal_inline("x_1*x_1*y2, y2*\u03b1", ctx)
+        assert parse_ideal_inline(format_ideal(I), ctx) == I
 
     def test_reflavor_keeps_default_rings_shared(self):
         for n in range(17):
@@ -540,7 +564,7 @@ class TestRecordedMasks:
             for items in (masks, tuples, mixed, iter(masks)):
                 I = minimalize(items, ctx)
                 assert I == want
-                assert I._masks == tuple(exps_to_mask(e) for e in I.gens)
+                assert I._masks == tuple(support_of_exps(e) for e in I.gens)
                 assert gen_masks(I) is I._masks
                 assert MonomialIdeal(ctx, I.gens)._masks == I._masks
         for ctx in (S3, R3, poly_ring(0), sqf_ring(0)):
@@ -568,7 +592,7 @@ class TestRecordedMasks:
     def test_gen_masks_rejects_non_squarefree(self):
         I = minimalize([(0, 1, 1), (2, 0, 0)], S3)
         assert not I.squarefree and I._masks is None
-        with pytest.raises(ValueError, match="not squarefree: exponent 2 at index 0"):
+        with pytest.raises(ValueError, match=r"^monomial \(2, 0, 0\) is not squarefree$"):
             gen_masks(I)
 
     def test_record_ignored_by_equality_and_kept_by_copies(self):
@@ -592,7 +616,7 @@ class TestInternalBuilder:
     def _check(I):
         assert ideal_gens_error(I.ctx, I.gens) is None, I
         assert MonomialIdeal(I.ctx, I.gens) == I
-        assert I._masks == tuple(map(exps_to_mask, I.gens))
+        assert I._masks == tuple(map(support_of_exps, I.gens))
 
     def test_minimalize_and_up_set(self):
         rng = random.Random(51)
@@ -763,7 +787,7 @@ class TestMonomialSpaceValidation:
     def test_space_validation_messages(self):
         cases = [
             (R3, -1, [], "degree must be nonnegative"),
-            (R3, 2, [(2, 0, 0)], "monomial is not squarefree: exponent 2 at index 0"),
+            (R3, 2, [(2, 0, 0)], "monomial (2, 0, 0) is not squarefree"),
             (R3, 1, [8], "mask 8 does not fit in 3 variables"),
             (S3, 1, [-1], "mask -1 does not fit in 3 variables"),
             (R3, 1, [(0, 1)], "bad exponent tuple (0, 1) for 3 variables"),
@@ -782,19 +806,35 @@ class TestMonomialSpaceValidation:
                 space(ctx, d, monomials)
             assert str(err.value) == message, (ctx.flavor, d, monomials)
 
+    def test_one_squarefree_message(self):
+        # one monomial with a square: space() and MonomialSpace in R, and
+        # minimalize in R and gen_masks in S, name it the same way
+        square = (0, 2, 1)
+        builds = [lambda: space(R3, 3, [square]),
+                  lambda: MonomialSpace(R3, 3, {square}),
+                  lambda: minimalize([square], R3),
+                  lambda: gen_masks(minimalize([square, (1, 0, 0)], S3))]
+        for build in builds:
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == "monomial (0, 2, 1) is not squarefree"
+
 
 class TestSpaceBuilder:
     """Every space the package builds with _space_from_basis equals the space
     the checking constructor builds on the same basis, which accepts it."""
 
-    PRODUCERS = {"shadow_up", "component_space", "lex_segment", "decompose", "compress",
-                 "colon_with_n1", "alexander_dual_space", "reconstruct", "is_gotzmann_ideal"}
+    PRODUCERS = {"space", "shadow_up", "component_space", "lex_segment", "decompose",
+                 "compress", "colon_with_n1", "alexander_dual_space", "reconstruct",
+                 "is_gotzmann_ideal"}
 
     @pytest.fixture
     def callers(self, monkeypatch):
         """Re-check each space the builder makes; count the callers by name."""
         seen = Counter()
 
+        # MonomialSpace checks by _space_basis, never by the builder wrapped
+        # here, so the check does not call back into itself
         def checked(ctx, degree, basis):
             V = _space_from_basis(ctx, degree, basis)
             assert type(basis) is frozenset
@@ -813,6 +853,7 @@ class TestSpaceBuilder:
         """Call every producer on one random space of ctx in degree d."""
         n = ctx.n
         V = random_space(rng, ctx, d)
+        assert space(ctx, d, V.basis) == V
         order = rng.sample(range(n), n)
         shadow_up(V)
         is_gotzmann_space(V)
@@ -917,7 +958,7 @@ class TestMonomialKernel:
                 for ctx in (sqf_ring(n), poly_ring(n)):
                     I = minimalize(masks, ctx)
                     assert list(I.gens) == canonical_order(set(I.gens)), (n, masks)
-                    assert I._masks == tuple(map(exps_to_mask, I.gens))
+                    assert I._masks == tuple(map(support_of_exps, I.gens))
                     assert MonomialIdeal(ctx, I.gens) == I
 
     def test_input_order_keeps_gens_and_masks(self):
@@ -936,7 +977,7 @@ class TestMonomialKernel:
                     want = minimalize(items, ctx)
                     assert want == minimalize_by_tuples(items, ctx), (n, items)
                     if want._masks is not None:
-                        assert want._masks == tuple(map(exps_to_mask, want.gens))
+                        assert want._masks == tuple(map(support_of_exps, want.gens))
                     gens = list(want.gens)
                     shuffled = rng.sample(items, len(items))
                     for order in (gens, gens[::-1], rng.sample(gens, len(gens)),
@@ -1079,7 +1120,7 @@ class TestCanonicalKeys:
                 items = [rng.randrange(1 << n) for _ in range(rng.randint(0, 3 * n + 3))]
                 for ctx in (sqf_ring(n), poly_ring(n)):
                     want = minimalize_by_tuples(items, ctx)
-                    masks = list(map(exps_to_mask, want.gens))
+                    masks = list(map(support_of_exps, want.gens))
                     ascending = bitset_masks(mask_bitset(masks))
                     for order in (masks, masks[::-1], rng.sample(masks, len(masks)), ascending):
                         got = core._ideal_from_minimal(order, ctx)
@@ -1129,7 +1170,7 @@ class TestCanonicalKeys:
                     want = minimalize_by_tuples(items, ctx)
                     assert got.gens == want.gens, (n, ctx.flavor, items)
                     squares = any(x > 1 for e in want.gens for x in e)
-                    masks = None if squares else tuple(map(exps_to_mask, want.gens))
+                    masks = None if squares else tuple(map(support_of_exps, want.gens))
                     assert got._masks == masks, (n, ctx.flavor, items)
                     accepted[ctx.flavor, n > 8, squares] += 1
         assert rejected > 300 and min(accepted.values()) > 10, (rejected, accepted)

@@ -480,6 +480,11 @@ class TestReconstruct:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 reconstruct(vxi, i)
 
+    def test_new_variable_name_must_be_a_str(self):
+        vxi = sp(sqf_ring(4), 2, "ab", "bc", "cd", "ad")
+        with pytest.raises(ValueError, match="^variable name 7 is not a nonempty str"):
+            reconstruct(vxi, 0, 7)
+
     def test_full_alphabet_ring_rejected(self):
         # every default name is taken, so no ring one variable up can be named
         with pytest.raises(ValueError, match="variable count must be in 0..16, got 17"):

@@ -60,9 +60,9 @@ def ideal(text, ctx):
 
 
 def mask(text, ctx):
-    from gotzmann.core import exps_to_mask
+    from gotzmann.core import support_of_exps
 
-    return exps_to_mask(parse_monomial(text, ctx))
+    return support_of_exps(parse_monomial(text, ctx))
 
 
 def lex_greater(u, v, ctx, order=None):
@@ -418,20 +418,31 @@ class TestGotzmannIdeals:
             assert is_gotzmann_ideal(I) == gotzmann_by_components(I)
 
     def test_ideals_with_a_square_match_components(self):
-        # grown piece by piece against the test on materialized components
+        # against the test on materialized components: ideals in up to 4
+        # variables, then ideals in up to 7 whose generators use at most 3,
+        # so that some variable divides none and is left free
         rng = random.Random(2121)
         seen = Counter()
-        for _ in range(3000):
-            n = rng.randint(1, 4)
-            ctx = poly_ring(n)
-            gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 4))]
-            I = minimalize(gens, ctx)
+        for trial in range(4500):
+            if trial < 3000:
+                n = rng.randint(1, 4)
+                used = range(n)
+            else:
+                n = rng.randint(2, 7)
+                used = rng.sample(range(n), rng.randint(1, min(3, n - 1)))
+            gens = []
+            for _ in range(rng.randint(1, 4)):
+                e = [0] * n
+                for i in used:
+                    e[i] = rng.randint(0, 3)
+                gens.append(tuple(e))
+            I = minimalize(gens, poly_ring(n))
             if I.squarefree:
                 continue
             got = is_gotzmann_ideal(I)
             assert got == gotzmann_by_components(I), I.gens
-            seen[got] += 1
-        assert seen[True] > 100 and seen[False] > 100
+            seen[got, I.support_mask != (1 << n) - 1] += 1
+        assert min(seen[got, free] for got in (True, False) for free in (True, False)) > 100, seen
 
 
 class TestOneShadowPerGrowthTest:

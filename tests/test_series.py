@@ -100,6 +100,12 @@ class TestCountingSeries:
                 build(-1)
             assert len(build(0)) == 1
 
+    def test_truncation_is_required(self):
+        for build in (osp_series, big_last_block_series, full_support_series,
+                      gotzmann_count_series):
+            with pytest.raises(TypeError, match="missing 1 required positional argument: 'T'"):
+                build()
+
     @pytest.mark.parametrize("build, T", [
         (osp_series, 2.5), (gotzmann_count_series, 3.0), (osp_series, True)])
     def test_truncation_must_be_an_int(self, build, T):
